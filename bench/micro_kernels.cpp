@@ -147,11 +147,14 @@ void BM_CamSearchInto(benchmark::State& state) {
 }
 BENCHMARK(BM_CamSearchInto)->Arg(64)->Arg(256);
 
-// Batched SimHash kernel: the blocked patch×column GEMM plus 64-bit sign
-// packing. items/s = contexts hashed per second; compare against
-// BM_ContextGeneration (the per-patch scalar path) at the same n. Args are
-// {input_dim, patch_count}: LeNet conv2 geometry (150, 576-at-conv1-scale)
-// and a VGG-ish wide layer.
+// Batched SimHash kernel: the fused sign_hash_cols codelet (register tiles
+// over column panels of C, signs packed straight from the tile). items/s =
+// contexts hashed per second; compare against BM_ContextGeneration (the
+// per-patch scalar path) at the same n. Args are {input_dim, patch_count}:
+// LeNet conv2 geometry (150, 576-at-conv1-scale), a VGG-ish wide layer, and
+// both ends of the pack threshold on VGG11's widest layers — conv15 weight
+// hashing (4608 × 512, packed panels) and conv21 activations (4608 × 4, one
+// tile streaming the strided C).
 void BM_SignHashBatch(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t patches = static_cast<std::size_t>(state.range(1));
@@ -160,16 +163,19 @@ void BM_SignHashBatch(benchmark::State& state) {
   Rng rng(22);
   for (auto& x : xs) x = static_cast<float>(rng.gaussian());
   std::vector<std::uint64_t> sigs(patches * proj.words_per_sig());
-  std::vector<float> scratch;
   for (auto _ : state) {
-    proj.sign_hash_batch(xs.data(), patches, hash::kMaxHashBits, sigs.data(),
-                         scratch);
+    proj.sign_hash_batch(xs.data(), patches, hash::kMaxHashBits, sigs.data());
     benchmark::DoNotOptimize(sigs.data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(patches));
 }
-BENCHMARK(BM_SignHashBatch)->Args({25, 576})->Args({150, 64})->Args({576, 256});
+BENCHMARK(BM_SignHashBatch)
+    ->Args({25, 576})
+    ->Args({150, 64})
+    ->Args({576, 256})
+    ->Args({4608, 512})
+    ->Args({4608, 4});
 
 // Full conv-layer context generation through the SoA ContextBatch arena:
 // im2col patch matrix + batched hash + norms, steady-state allocation-free.

@@ -8,7 +8,10 @@
 // later in an inner loop.
 #include "codelet/codelet.hpp"
 
+#include <sys/mman.h>
+
 #include <cstdlib>
+#include <new>
 #include <string>
 
 #include "codelet/kernels.hpp"
@@ -76,6 +79,26 @@ const Dispatch& dispatch() {
 }
 
 }  // namespace
+
+namespace detail {
+
+PanelBuffer::PanelBuffer(std::size_t floats)
+    : bytes_(floats * sizeof(float)), data_(nullptr) {
+  if (bytes_ == 0) return;
+  int flags = MAP_PRIVATE | MAP_ANONYMOUS;
+#ifdef MAP_POPULATE
+  flags |= MAP_POPULATE;  // every page is written by the packing pass
+#endif
+  void* p = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE, flags, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  data_ = static_cast<float*>(p);
+}
+
+PanelBuffer::~PanelBuffer() {
+  if (data_ != nullptr) munmap(data_, bytes_);
+}
+
+}  // namespace detail
 
 const char* isa_name(Isa isa) {
   switch (isa) {

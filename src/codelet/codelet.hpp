@@ -1,25 +1,52 @@
-// SIMD codelet layer: per-ISA variants of the three hot kernels behind
+// SIMD codelet layer: per-ISA variants of the four hot kernels behind
 // one-time runtime CPU dispatch.
 //
-// The engine's inner loops spend their time in exactly three primitives —
-// prefix-masked XOR+popcount Hamming reduce (BitVec::hamming_prefix and
-// DynamicCam::search_flat), the blocked SimHash projection GEMM
-// (RandomProjection::project_cols), and sign-bit packing (pack_signs). This
-// layer gives each primitive a narrow, hand-written codelet per ISA
-// (scalar / AVX2 / AVX-512), poplibs-style: the scalar codelet is the
-// reference semantics and the bitwise-equivalence oracle in property tests;
-// the SIMD variants must match it bit for bit.
+// The engine's inner loops spend their time in four primitives — the
+// prefix-masked XOR+popcount Hamming reduce (BitVec::hamming_prefix) and its
+// row-arena form (DynamicCam::search_flat), the fused SimHash sign kernel
+// (RandomProjection::sign_hash_batch), and the float projection GEMM plus
+// sign-bit packing behind the per-vector reference path
+// (RandomProjection::project / sign_hash). This layer gives each primitive a
+// narrow, hand-written codelet per ISA (scalar / AVX2 / AVX-512),
+// poplibs-style: the scalar codelet is the reference semantics and the
+// bitwise-equivalence oracle in property tests; the SIMD variants must match
+// it bit for bit.
 //
 // Bitwise contract. Every kernel is bitwise deterministic and ISA-invariant:
 //  * Hamming kernels are integer, so equivalence is trivial.
-//  * The projection GEMM accumulates each output (p, j) over i in ascending
-//    order with UNFUSED multiply-then-add (the codelet translation units are
-//    compiled with -ffp-contract=off and without FMA codegen for the
-//    accumulation), and preserves the scalar kernel's xi == 0.0f skip — so
+//  * The projection (project_cols, and the sums behind sign_hash_cols)
+//    accumulates each output (p, j) over i in ascending order with UNFUSED
+//    multiply-then-add (the codelet translation units are compiled with
+//    -ffp-contract=off and without FMA codegen for the accumulation), and
+//    leaves the accumulator untouched when xs[p][i] == 0.0f. The SIMD
+//    kernels implement that skip as a masked add (the lane keeps its old
+//    value when the broadcast input is zero), which is the scalar `continue`
+//    lane for lane — even when C holds inf/NaN, where 0·C would be NaN — so
 //    AVX2/AVX-512 lanes perform the identical rounding sequence per output
 //    and the packed signatures (and goldens) are unchanged by dispatch.
-//  * pack_signs uses ordered >= 0 compares: +0/-0 pack as 1, NaN as 0, on
-//    every ISA.
+//  * Signs use ordered >= 0 compares: +0/-0 pack as 1, NaN as 0, on every
+//    ISA. sign_hash_cols is exactly project_cols followed by pack_signs per
+//    vector, without materializing the floats.
+//
+// Tiling (SIMD variants of project_cols and sign_hash_cols, after Goto & van
+// de Geijn, "Anatomy of High-Performance Matrix Multiplication", TOMS 2008):
+// C is walked one column panel at a time (64 columns = one signature word on
+// AVX-512, 32 on AVX2). A register tile of several vectors × one panel
+// accumulates over all input_dim rows; the sign epilogue turns the tile's
+// >= 0 compare masks straight into signature bits. A strided panel of C
+// rows (input_dim) at least kPackMinRows tall does not stay cached between
+// tiles, so when at least kPackMinCount vectors read it, it is first copied
+// contiguous (one call-lifetime buffer of input_dim × panel floats) and
+// reused by every tile: C streams from memory once per call instead of once
+// per tile (AVX2, with half as many vectors per tile, packs shorter panels
+// as well). Fewer vectors stream a tall panel in place instead, in slabs of
+// rows that all panels of a 1024-column group pass over while the slab's
+// pages are cached (partial sums wait in a small buffer between slabs);
+// rows are prefetched well ahead, and rows whose inputs are all zero
+// (padding, ReLU) are not read at all — exact, since such a row leaves every
+// accumulator untouched. Shorter panels are read in place as they are
+// (single vectors skip all-zero rows there too).
+// Leftover vectors share one narrower tile.
 //
 // Dispatch. The table is chosen once, at first use, from CPUID feature bits
 // (AVX2 needs avx2+popcnt; AVX-512 needs avx512f+avx512bw+avx512vl). The
@@ -35,6 +62,16 @@
 namespace deepcam::codelet {
 
 enum class Isa { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
+
+/// When the SIMD projection kernels pack a column panel of C contiguous
+/// before running their register tiles over it: the panel has at least
+/// kPackMinRows rows (input_dim; AVX2 packs shorter ones too) and at least
+/// kPackMinCount vectors read it. Measured with C rows 1024 floats apart: a
+/// strided panel of fewer rows stays cached, so on AVX-512 packing it only
+/// adds a copy; a taller one read from memory is hashed faster in streamed
+/// slabs up to about 32 vectors, and packed from there on.
+inline constexpr std::size_t kPackMinRows = 384;
+inline constexpr std::size_t kPackMinCount = 32;
 
 /// "scalar" / "avx2" / "avx512" — the DEEPCAM_FORCE_ISA vocabulary.
 const char* isa_name(Isa isa);
@@ -56,12 +93,21 @@ struct Kernels {
                        std::size_t row_stride_words, std::size_t row_count,
                        std::size_t k, std::uint16_t* out_hd);
 
-  /// Blocked projection GEMM: out[p*ncols + j] = sum_i xs[p*input_dim + i] *
+  /// Projection GEMM: out[p*ncols + j] = sum_i xs[p*input_dim + i] *
   /// c[i*c_stride + j] for p < count, j < ncols (ncols <= c_stride), with
   /// ascending-i unfused multiply-add per output and the xi == 0.0f skip.
   void (*project_cols)(const float* xs, const float* c, std::size_t count,
                        std::size_t input_dim, std::size_t c_stride,
                        std::size_t ncols, float* out);
+
+  /// Fused SimHash: the signs of project_cols' outputs for the first `k`
+  /// columns, packed 64 per word — sig_words[p*ceil(k/64) + j/64] bit j%64 =
+  /// (out[p*k + j] >= 0.0f) — without materializing the floats. Bitwise
+  /// identical to project_cols followed by pack_signs per vector; the
+  /// partial last word's high bits are zero.
+  void (*sign_hash_cols)(const float* xs, const float* c, std::size_t count,
+                         std::size_t input_dim, std::size_t c_stride,
+                         std::size_t k, std::uint64_t* sig_words);
 
   /// Packs `nbits` sign bits (proj[j] >= 0.0f) into words, 64 per word; the
   /// partial last word's high bits are zero.

@@ -5,13 +5,14 @@
 // Bitwise equivalence with the scalar reference:
 //  * Hamming: XOR+popcount is integer math; the vector path uses the
 //    vpshufb nibble-LUT byte popcount (Mula) + vpsadbw reduction.
-//  * project_cols: columns are vectorized 8-wide but every output (p, j)
-//    still accumulates over i in ascending order with separate vmulps +
-//    vaddps (this TU has no FMA contraction: -ffp-contract=off and the
-//    accumulation never uses fmadd intrinsics), and the xi == 0.0f skip is
-//    taken per (p, i) exactly like the scalar kernel. A vector lane performs
-//    the same IEEE operation sequence as the scalar loop, so results —
-//    including ±0, denormal and NaN cases — are bit-identical.
+//  * project_cols / sign_hash_cols: columns are vectorized 8-wide but every
+//    output (p, j) still accumulates over i in ascending order with separate
+//    vmulps + vaddps (this TU has no FMA contraction: -ffp-contract=off and
+//    the accumulation never uses fmadd intrinsics), and the xi == 0.0f skip
+//    leaves the accumulator per (p, i) exactly as the scalar kernel does
+//    (see run_tile). A vector lane performs the same IEEE operation
+//    sequence as the scalar loop, so results — including ±0, denormal, inf
+//    and NaN cases — are bit-identical.
 //  * pack_signs: vcmpps with _CMP_GE_OQ matches scalar `>= 0.0f` (+0/-0
 //    pack as 1, NaN as 0); vmovmskps harvests 8 sign bits at a time.
 #include "codelet/kernels.hpp"
@@ -22,7 +23,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
+#include <vector>
 
 namespace deepcam::codelet::detail {
 
@@ -82,72 +83,236 @@ void hamming_many_avx2(const std::uint64_t* query, const std::uint64_t* rows,
     out_hd[r] = static_cast<std::uint16_t>(hamming_prefix_avx2(query, row, k));
 }
 
-constexpr std::size_t kPatchBlock = 8;
-constexpr std::size_t kColBlock = 64;
+// Register tile: kTileRows vectors × one 32-column panel = 12 ymm
+// accumulators, with C rows, the broadcast, its mask and the product in the
+// remaining 4 of the 16 registers (C rows may come straight from memory).
+// Two panels fill one 64-bit signature word.
+constexpr std::size_t kTileRows = 3;
+constexpr std::size_t kPanelCols = 32;
 
-/// Multi-patch path: the scalar kernel's 8-patch × 64-column L1 tile with
-/// the inner column loop vectorized 8-wide. Each cached C row slice is
-/// shared by up to kPatchBlock patches — for batch hashing (n×1024 matrices
-/// larger than L2) the matrix streams once per 8 patches, not once per
-/// patch, which dominates a register-resident accumulator at these sizes.
-void project_cols_blocked_avx2(const float* xs, const float* c,
-                               std::size_t count, std::size_t input_dim,
-                               std::size_t c_stride, std::size_t ncols,
-                               float* out) {
-  for (std::size_t p0 = 0; p0 < count; p0 += kPatchBlock) {
-    const std::size_t pb = std::min(kPatchBlock, count - p0);
-    for (std::size_t j0 = 0; j0 < ncols; j0 += kColBlock) {
-      const std::size_t jb = std::min(kColBlock, ncols - j0);
-      alignas(64) float acc[kPatchBlock][kColBlock];
-      std::memset(acc, 0, sizeof(acc));
-      if (jb == kColBlock) {
-        for (std::size_t i = 0; i < input_dim; ++i) {
-          const float* __restrict__ crow = c + i * c_stride + j0;
-          const __m256 c0 = _mm256_loadu_ps(crow);
-          const __m256 c1 = _mm256_loadu_ps(crow + 8);
-          const __m256 c2 = _mm256_loadu_ps(crow + 16);
-          const __m256 c3 = _mm256_loadu_ps(crow + 24);
-          const __m256 c4 = _mm256_loadu_ps(crow + 32);
-          const __m256 c5 = _mm256_loadu_ps(crow + 40);
-          const __m256 c6 = _mm256_loadu_ps(crow + 48);
-          const __m256 c7 = _mm256_loadu_ps(crow + 56);
-          for (std::size_t p = 0; p < pb; ++p) {
-            const float xi = xs[(p0 + p) * input_dim + i];
-            if (xi == 0.0f) continue;
-            const __m256 xv = _mm256_set1_ps(xi);
-            float* __restrict__ a = acc[p];
-            _mm256_store_ps(
-                a, _mm256_add_ps(_mm256_load_ps(a), _mm256_mul_ps(xv, c0)));
-            _mm256_store_ps(a + 8, _mm256_add_ps(_mm256_load_ps(a + 8),
-                                                 _mm256_mul_ps(xv, c1)));
-            _mm256_store_ps(a + 16, _mm256_add_ps(_mm256_load_ps(a + 16),
-                                                  _mm256_mul_ps(xv, c2)));
-            _mm256_store_ps(a + 24, _mm256_add_ps(_mm256_load_ps(a + 24),
-                                                  _mm256_mul_ps(xv, c3)));
-            _mm256_store_ps(a + 32, _mm256_add_ps(_mm256_load_ps(a + 32),
-                                                  _mm256_mul_ps(xv, c4)));
-            _mm256_store_ps(a + 40, _mm256_add_ps(_mm256_load_ps(a + 40),
-                                                  _mm256_mul_ps(xv, c5)));
-            _mm256_store_ps(a + 48, _mm256_add_ps(_mm256_load_ps(a + 48),
-                                                  _mm256_mul_ps(xv, c6)));
-            _mm256_store_ps(a + 56, _mm256_add_ps(_mm256_load_ps(a + 56),
-                                                  _mm256_mul_ps(xv, c7)));
-          }
-        }
-      } else {
-        // Column tail: scalar tile with the identical operation order.
-        for (std::size_t i = 0; i < input_dim; ++i) {
-          const float* __restrict__ crow = c + i * c_stride + j0;
-          for (std::size_t p = 0; p < pb; ++p) {
-            const float xi = xs[(p0 + p) * input_dim + i];
-            if (xi == 0.0f) continue;
-            float* __restrict__ a = acc[p];
-            for (std::size_t j = 0; j < jb; ++j) a[j] += xi * crow[j];
-          }
-        }
+/// The first `width` (1..32) columns of a panel: as one bit per column, and
+/// as lane masks, 8 per ymm, in the all-ones-lane form vmaskmovps takes.
+struct ColMask {
+  std::uint64_t bits;
+  __m256i m[4];
+  explicit ColMask(std::size_t width)
+      : bits((std::uint64_t{1} << width) - 1) {
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    for (std::size_t t = 0; t < 4; ++t)
+      m[t] = _mm256_cmpgt_epi32(
+          _mm256_set1_epi32(static_cast<int>(width) - static_cast<int>(8 * t)),
+          lane);
+  }
+};
+
+/// One pass of register tiles over a column panel: panel rows
+/// [row_begin, row_end), `stride` floats apart from row 0 at `base`.
+/// `masked` loads only the live columns of a strided partial panel (zero
+/// elsewhere; no read past them). `stream` marks a strided panel too tall to
+/// stay cached: its rows come from memory, so rows whose inputs are all zero
+/// are skipped outright and live rows are prefetched well ahead. A pass that
+/// covers only some rows keeps each vector's partial sums in `spill`
+/// (kPanelCols floats per vector) between passes.
+struct Pass {
+  const float* base;
+  std::size_t stride;
+  std::size_t row_begin;
+  std::size_t row_end;
+  float* spill;
+  bool masked;
+  bool stream;
+};
+
+// Prefetch distance of a streamed panel, into L2: rows of C a power-of-two
+// stride apart alias to the same few L1 sets, so a deep L1 prefetch would
+// evict rows before their use; L2 holds hundreds of them.
+constexpr std::size_t kPrefetchRows = 16;
+// Streamed panels are read in slabs of kSlabRows rows by kSlabPanels panels
+// side by side, so a slab's pages stay in the TLB and L2 while each of its
+// panels passes over them.
+constexpr std::size_t kSlabRows = 64;
+constexpr std::size_t kSlabPanels = 32;
+
+/// True when any of the MR inputs of panel row i is nonzero (or NaN).
+template <std::size_t MR>
+[[gnu::always_inline]] inline bool row_live(const float* x,
+                                            std::size_t input_dim,
+                                            std::size_t i) {
+  bool live = false;
+#pragma GCC unroll 4
+  for (std::size_t p = 0; p < MR; ++p) live |= !(x[p * input_dim + i] == 0.0f);
+  return live;
+}
+
+/// One register tile: acc[p] += x_p · pass rows for the MR vectors from
+/// vector p0 on (rows of `xs`, `input_dim` apart). acc starts at zero on row
+/// 0 and from the spill otherwise; it goes back to the spill unless the
+/// pass ends on the last row, where epilogue(p0 + p, acc[p]) runs instead.
+/// Ascending i, vmulps then vaddps. Where xi == 0 the product is ANDed to
+/// +0.0 before the add (one uop, where a blend costs two on Intel cores),
+/// and acc + (+0.0) == acc bit for bit: an accumulator that starts at +0
+/// never becomes -0 under round-to-nearest, and inf/NaN/denormal sums pass
+/// through unchanged (the default MXCSR: no denormals-are-zero). So the
+/// lane is untouched exactly when the scalar kernel skips, even where
+/// 0·C is NaN — and skipping a row whose inputs are all zero changes
+/// nothing either.
+template <std::size_t MR, bool kMasked, bool kStream, class Epilogue>
+[[gnu::always_inline]] inline void run_tile(const float* xs, std::size_t p0,
+                                            std::size_t input_dim,
+                                            const Pass& pass,
+                                            const ColMask& cols,
+                                            Epilogue& epilogue) {
+  const float* x = xs + p0 * input_dim;
+  const auto spilled = [&](std::size_t p, std::size_t t) {
+    return pass.spill + (p0 + p) * kPanelCols + 8 * t;
+  };
+  __m256 acc[MR][4];
+#pragma GCC unroll 4
+  for (std::size_t p = 0; p < MR; ++p)
+#pragma GCC unroll 4
+    for (std::size_t t = 0; t < 4; ++t)
+      acc[p][t] = pass.row_begin == 0 ? _mm256_setzero_ps()
+                                      : _mm256_loadu_ps(spilled(p, t));
+  const __m256 zero = _mm256_setzero_ps();
+  for (std::size_t i = pass.row_begin; i < pass.row_end; ++i) {
+    const float* crow = pass.base + i * pass.stride;
+    if constexpr (kStream) {
+      // A single vector has too little work per row to hide the prefetch
+      // (measured slower when C sits in L3, no faster from memory).
+      const std::size_t ahead = i + kPrefetchRows;
+      if (MR > 1 && ahead < input_dim &&
+          row_live<MR>(x, input_dim, ahead)) {
+        const char* row = reinterpret_cast<const char*>(
+            pass.base + ahead * pass.stride);
+        _mm_prefetch(row, _MM_HINT_T1);
+        _mm_prefetch(row + 64, _MM_HINT_T1);
       }
-      for (std::size_t p = 0; p < pb; ++p)
-        std::memcpy(out + (p0 + p) * ncols + j0, acc[p], jb * sizeof(float));
+    }
+    // A row whose inputs are all zero changes nothing. Streamed panels skip
+    // it to save the memory read, single vectors because on ReLU
+    // activations that is about half their rows.
+    if constexpr (kStream || MR == 1) {
+      if (!row_live<MR>(x, input_dim, i)) continue;
+    }
+    __m256 cv[4];
+#pragma GCC unroll 4
+    for (std::size_t t = 0; t < 4; ++t)
+      cv[t] = kMasked ? _mm256_maskload_ps(crow + 8 * t, cols.m[t])
+                      : _mm256_loadu_ps(crow + 8 * t);
+#pragma GCC unroll 4
+    for (std::size_t p = 0; p < MR; ++p) {
+      const __m256 xv = _mm256_set1_ps(x[p * input_dim + i]);
+      const __m256 live = _mm256_cmp_ps(xv, zero, _CMP_NEQ_UQ);
+#pragma GCC unroll 4
+      for (std::size_t t = 0; t < 4; ++t)
+        acc[p][t] = _mm256_add_ps(
+            acc[p][t], _mm256_and_ps(_mm256_mul_ps(xv, cv[t]), live));
+    }
+  }
+  if (pass.row_end < input_dim) {
+#pragma GCC unroll 4
+    for (std::size_t p = 0; p < MR; ++p)
+#pragma GCC unroll 4
+      for (std::size_t t = 0; t < 4; ++t)
+        _mm256_storeu_ps(spilled(p, t), acc[p][t]);
+    return;
+  }
+#pragma GCC unroll 4
+  for (std::size_t p = 0; p < MR; ++p) epilogue(p0 + p, acc[p]);
+}
+
+template <std::size_t MR, class Epilogue>
+void run_tile_rows(const float* xs, std::size_t p0, std::size_t input_dim,
+                   const Pass& pass, const ColMask& cols,
+                   Epilogue& epilogue) {
+  if (pass.stream)  // streamed panels are strided, so masked on a tail
+    pass.masked
+        ? run_tile<MR, true, true>(xs, p0, input_dim, pass, cols, epilogue)
+        : run_tile<MR, false, true>(xs, p0, input_dim, pass, cols, epilogue);
+  else
+    pass.masked
+        ? run_tile<MR, true, false>(xs, p0, input_dim, pass, cols, epilogue)
+        : run_tile<MR, false, false>(xs, p0, input_dim, pass, cols,
+                                     epilogue);
+}
+
+/// Runs the vectors from p0 on (fewer than MR + 1 of them) as one tile.
+template <std::size_t MR, class Epilogue>
+void run_leftover(const float* xs, std::size_t p0, std::size_t count,
+                  std::size_t input_dim, const Pass& pass,
+                  const ColMask& cols, Epilogue& epilogue) {
+  if constexpr (MR > 0) {
+    if (count - p0 == MR)
+      run_tile_rows<MR>(xs, p0, input_dim, pass, cols, epilogue);
+    else
+      run_leftover<MR - 1>(xs, p0, count, input_dim, pass, cols, epilogue);
+  }
+}
+
+/// Copies the first `width` columns of a C panel (rows `c_stride` apart)
+/// into `panel` at 32 floats per row, zero-padding the rest of each row.
+void pack_panel(const float* c, std::size_t input_dim, std::size_t c_stride,
+                const ColMask& cols, float* panel) {
+  for (std::size_t i = 0; i < input_dim; ++i) {
+    const float* src = c + i * c_stride;
+    float* dst = panel + i * kPanelCols;
+    for (std::size_t t = 0; t < 4; ++t)
+      _mm256_store_ps(dst + 8 * t, _mm256_maskload_ps(src + 8 * t, cols.m[t]));
+  }
+}
+
+/// The one panel loop behind project_cols and sign_hash_cols: for
+/// each 32-column panel of the first `ncols` columns, runs every vector
+/// through register tiles (kTileRows wide, leftovers in one narrower tile)
+/// and calls epilogue(p, j0, cols, acc) with acc = the 4 ymm of output row
+/// p from column j0 on, of which `cols` are live. Panels are packed
+/// contiguous once and shared by all tiles when kPackMinCount or more
+/// vectors read them; for fewer, panels of at least kPackMinRows rows are
+/// streamed in slabs and shorter ones read in place.
+template <class Epilogue>
+void project_panels(const float* xs, const float* c, std::size_t count,
+                    std::size_t input_dim, std::size_t c_stride,
+                    std::size_t ncols, Epilogue&& epilogue) {
+  // Unlike AVX-512, short panels are packed too: a 3-vector tile reads a
+  // strided panel from L2 twice as often per MAC as a 6-vector one, and a
+  // packed panel of up to kPackMinRows rows stays in L1 (measured: ~20%
+  // faster on LeNet's conv2 shape, 150 rows × 64 vectors).
+  const bool tall = input_dim >= kPackMinRows;
+  const bool pack = count >= kPackMinCount;
+  const bool stream = tall && !pack;
+  const PanelBuffer buffer(pack ? input_dim * kPanelCols : 0);
+  // Streamed means fewer than kPackMinCount vectors, so the spill stays
+  // under 128 KiB: below malloc's mmap threshold (see PanelBuffer).
+  std::vector<float> spill(stream ? count * kSlabPanels * kPanelCols : 0);
+  const std::size_t slab_rows = stream ? kSlabRows : input_dim;
+  const std::size_t group_cols = stream ? kSlabPanels * kPanelCols : ncols;
+  for (std::size_t g0 = 0; g0 < ncols; g0 += group_cols) {
+    const std::size_t g1 = std::min(ncols, g0 + group_cols);
+    for (std::size_t r0 = 0; r0 < input_dim; r0 += slab_rows) {
+      for (std::size_t j0 = g0; j0 < g1; j0 += kPanelCols) {
+        const ColMask cols(std::min(kPanelCols, ncols - j0));
+        Pass pass{c + j0,
+                  c_stride,
+                  r0,
+                  std::min(input_dim, r0 + slab_rows),
+                  stream ? spill.data() + (j0 - g0) * count : nullptr,
+                  !pack && ncols - j0 < kPanelCols,
+                  stream};
+        if (pack) {
+          pack_panel(c + j0, input_dim, c_stride, cols, buffer.data());
+          pass.base = buffer.data();
+          pass.stride = kPanelCols;
+        }
+        auto tile_epilogue = [&](std::size_t p, const __m256* acc) {
+          epilogue(p, j0, cols, acc);
+        };
+        std::size_t p0 = 0;
+        for (; p0 + kTileRows <= count; p0 += kTileRows)
+          run_tile_rows<kTileRows>(xs, p0, input_dim, pass, cols,
+                                   tile_epilogue);
+        run_leftover<kTileRows - 1>(xs, p0, count, input_dim, pass, cols,
+                                    tile_epilogue);
+      }
     }
   }
 }
@@ -155,58 +320,36 @@ void project_cols_blocked_avx2(const float* xs, const float* c,
 void project_cols_avx2(const float* xs, const float* c, std::size_t count,
                        std::size_t input_dim, std::size_t c_stride,
                        std::size_t ncols, float* out) {
-  if (count != 1) {
-    project_cols_blocked_avx2(xs, c, count, input_dim, c_stride, ncols, out);
-    return;
-  }
-  {
-    const float* __restrict__ xrow = xs;
-    float* __restrict__ orow = out;
-    std::size_t j0 = 0;
-    // Single-vector path: 64-column register tile (8 ymm accumulators) —
-    // no accumulator memory traffic, best when C is read once anyway.
-    for (; j0 + 64 <= ncols; j0 += 64) {
-      __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
-      __m256 a2 = _mm256_setzero_ps(), a3 = _mm256_setzero_ps();
-      __m256 a4 = _mm256_setzero_ps(), a5 = _mm256_setzero_ps();
-      __m256 a6 = _mm256_setzero_ps(), a7 = _mm256_setzero_ps();
-      for (std::size_t i = 0; i < input_dim; ++i) {
-        const float xi = xrow[i];
-        if (xi == 0.0f) continue;
-        const __m256 xv = _mm256_set1_ps(xi);
-        const float* __restrict__ crow = c + i * c_stride + j0;
-        a0 = _mm256_add_ps(a0, _mm256_mul_ps(xv, _mm256_loadu_ps(crow)));
-        a1 = _mm256_add_ps(a1, _mm256_mul_ps(xv, _mm256_loadu_ps(crow + 8)));
-        a2 = _mm256_add_ps(a2, _mm256_mul_ps(xv, _mm256_loadu_ps(crow + 16)));
-        a3 = _mm256_add_ps(a3, _mm256_mul_ps(xv, _mm256_loadu_ps(crow + 24)));
-        a4 = _mm256_add_ps(a4, _mm256_mul_ps(xv, _mm256_loadu_ps(crow + 32)));
-        a5 = _mm256_add_ps(a5, _mm256_mul_ps(xv, _mm256_loadu_ps(crow + 40)));
-        a6 = _mm256_add_ps(a6, _mm256_mul_ps(xv, _mm256_loadu_ps(crow + 48)));
-        a7 = _mm256_add_ps(a7, _mm256_mul_ps(xv, _mm256_loadu_ps(crow + 56)));
-      }
-      _mm256_storeu_ps(orow + j0, a0);
-      _mm256_storeu_ps(orow + j0 + 8, a1);
-      _mm256_storeu_ps(orow + j0 + 16, a2);
-      _mm256_storeu_ps(orow + j0 + 24, a3);
-      _mm256_storeu_ps(orow + j0 + 32, a4);
-      _mm256_storeu_ps(orow + j0 + 40, a5);
-      _mm256_storeu_ps(orow + j0 + 48, a6);
-      _mm256_storeu_ps(orow + j0 + 56, a7);
-    }
-    // Column tail (< 64): scalar loop with the identical operation order.
-    if (j0 < ncols) {
-      const std::size_t jb = ncols - j0;
-      float acc[64];
-      std::memset(acc, 0, jb * sizeof(float));
-      for (std::size_t i = 0; i < input_dim; ++i) {
-        const float xi = xrow[i];
-        if (xi == 0.0f) continue;
-        const float* __restrict__ crow = c + i * c_stride + j0;
-        for (std::size_t j = 0; j < jb; ++j) acc[j] += xi * crow[j];
-      }
-      std::memcpy(orow + j0, acc, jb * sizeof(float));
-    }
-  }
+  project_panels(xs, c, count, input_dim, c_stride, ncols,
+                 [&](std::size_t p, std::size_t j0, const ColMask& cols,
+                     const __m256* acc) {
+                   float* o = out + p * ncols + j0;
+                   for (std::size_t t = 0; t < 4; ++t)
+                     _mm256_maskstore_ps(o + 8 * t, cols.m[t], acc[t]);
+                 });
+}
+
+void sign_hash_cols_avx2(const float* xs, const float* c, std::size_t count,
+                         std::size_t input_dim, std::size_t c_stride,
+                         std::size_t k, std::uint64_t* sig_words) {
+  const std::size_t wps = (k + 63) / 64;
+  const __m256 zero = _mm256_setzero_ps();
+  project_panels(
+      xs, c, count, input_dim, c_stride, k,
+      [&](std::size_t p, std::size_t j0, const ColMask& cols,
+          const __m256* acc) {
+        std::uint64_t bits = 0;
+        for (std::size_t t = 0; t < 4; ++t)
+          bits |= static_cast<std::uint64_t>(static_cast<unsigned>(
+                      _mm256_movemask_ps(
+                          _mm256_cmp_ps(acc[t], zero, _CMP_GE_OQ))))
+                  << (8 * t);
+        bits &= cols.bits;
+        // Panels run in column order, so the low half of each word is
+        // written (clearing the high half) before the high half ORs in.
+        std::uint64_t& word = sig_words[p * wps + j0 / 64];
+        word = j0 % 64 == 0 ? bits : word | (bits << 32);
+      });
 }
 
 void pack_signs_avx2(const float* proj, std::size_t nbits,
@@ -238,7 +381,8 @@ void pack_signs_avx2(const float* proj, std::size_t nbits,
 
 const Kernels* avx2_kernels() {
   static const Kernels k = {hamming_prefix_avx2, hamming_many_avx2,
-                            project_cols_avx2, pack_signs_avx2};
+                            project_cols_avx2, sign_hash_cols_avx2,
+                            pack_signs_avx2};
   return &k;
 }
 

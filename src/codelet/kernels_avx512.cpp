@@ -8,8 +8,10 @@
 //
 // Bitwise equivalence follows the same argument as the AVX2 TU: integer
 // Hamming math, unfused 16-wide vmulps+vaddps with ascending-i accumulation
-// and the xi == 0.0f skip in the GEMM (-ffp-contract=off pins it), and
-// _CMP_GE_OQ sign compares matching scalar `>= 0.0f`.
+// in the projection (-ffp-contract=off pins it), the xi == 0.0f skip as a
+// zero-masked vaddps (a masked-off lane keeps its value, exactly like the
+// scalar `continue`), and _CMP_GE_OQ sign compares matching scalar
+// `>= 0.0f`.
 #include "codelet/kernels.hpp"
 
 #if defined(DEEPCAM_CODELET_AVX512)
@@ -18,7 +20,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
+#include <vector>
 
 namespace deepcam::codelet::detail {
 
@@ -117,59 +119,225 @@ void hamming_many_avx512(const std::uint64_t* query, const std::uint64_t* rows,
         static_cast<std::uint16_t>(hamming_prefix_avx512(query, row, k));
 }
 
-constexpr std::size_t kPatchBlock = 8;
-constexpr std::size_t kColBlock = 64;
+// Register tile: kTileRows vectors × one 64-column panel = 24 zmm
+// accumulators + 4 C rows + broadcast and product, inside the 32 registers.
+constexpr std::size_t kTileRows = 6;
+constexpr std::size_t kPanelCols = 64;
 
-/// Multi-patch path: the scalar kernel's 8-patch × 64-column L1 tile with
-/// the inner column loop vectorized 16-wide — each cached C row slice is
-/// shared by up to kPatchBlock patches (see the AVX2 TU for the traffic
-/// argument).
-void project_cols_blocked_avx512(const float* xs, const float* c,
-                                 std::size_t count, std::size_t input_dim,
-                                 std::size_t c_stride, std::size_t ncols,
-                                 float* out) {
-  for (std::size_t p0 = 0; p0 < count; p0 += kPatchBlock) {
-    const std::size_t pb = std::min(kPatchBlock, count - p0);
-    for (std::size_t j0 = 0; j0 < ncols; j0 += kColBlock) {
-      const std::size_t jb = std::min(kColBlock, ncols - j0);
-      alignas(64) float acc[kPatchBlock][kColBlock];
-      std::memset(acc, 0, sizeof(acc));
-      if (jb == kColBlock) {
-        for (std::size_t i = 0; i < input_dim; ++i) {
-          const float* __restrict__ crow = c + i * c_stride + j0;
-          const __m512 c0 = _mm512_loadu_ps(crow);
-          const __m512 c1 = _mm512_loadu_ps(crow + 16);
-          const __m512 c2 = _mm512_loadu_ps(crow + 32);
-          const __m512 c3 = _mm512_loadu_ps(crow + 48);
-          for (std::size_t p = 0; p < pb; ++p) {
-            const float xi = xs[(p0 + p) * input_dim + i];
-            if (xi == 0.0f) continue;
-            const __m512 xv = _mm512_set1_ps(xi);
-            float* __restrict__ a = acc[p];
-            _mm512_store_ps(
-                a, _mm512_add_ps(_mm512_load_ps(a), _mm512_mul_ps(xv, c0)));
-            _mm512_store_ps(a + 16, _mm512_add_ps(_mm512_load_ps(a + 16),
-                                                  _mm512_mul_ps(xv, c1)));
-            _mm512_store_ps(a + 32, _mm512_add_ps(_mm512_load_ps(a + 32),
-                                                  _mm512_mul_ps(xv, c2)));
-            _mm512_store_ps(a + 48, _mm512_add_ps(_mm512_load_ps(a + 48),
-                                                  _mm512_mul_ps(xv, c3)));
-          }
-        }
-      } else {
-        // Column tail: scalar tile with the identical operation order.
-        for (std::size_t i = 0; i < input_dim; ++i) {
-          const float* __restrict__ crow = c + i * c_stride + j0;
-          for (std::size_t p = 0; p < pb; ++p) {
-            const float xi = xs[(p0 + p) * input_dim + i];
-            if (xi == 0.0f) continue;
-            float* __restrict__ a = acc[p];
-            for (std::size_t j = 0; j < jb; ++j) a[j] += xi * crow[j];
-          }
-        }
+/// The first `width` (1..64) columns of a panel: as one bit per column, and
+/// as lane masks, 16 per zmm.
+struct ColMask {
+  std::uint64_t bits;
+  __mmask16 m[4];
+  explicit ColMask(std::size_t width)
+      : bits(width >= 64 ? ~std::uint64_t{0}
+                         : (std::uint64_t{1} << width) - 1) {
+    for (std::size_t t = 0; t < 4; ++t)
+      m[t] = static_cast<__mmask16>(bits >> (16 * t));
+  }
+};
+
+/// One pass of register tiles over a column panel: panel rows
+/// [row_begin, row_end), `stride` floats apart from row 0 at `base`.
+/// `masked` loads only the live columns of a strided partial panel (zero
+/// elsewhere; no read past them). `stream` marks a strided panel too tall to
+/// stay cached: its rows come from memory, so rows whose inputs are all zero
+/// are skipped outright and live rows are prefetched well ahead. A pass that
+/// covers only some rows keeps each vector's partial sums in `spill`
+/// (kPanelCols floats per vector) between passes.
+struct Pass {
+  const float* base;
+  std::size_t stride;
+  std::size_t row_begin;
+  std::size_t row_end;
+  float* spill;
+  bool masked;
+  bool stream;
+};
+
+// Prefetch distance of a streamed panel, into L2: rows of C a power-of-two
+// stride apart alias to the same few L1 sets (12 ways), so a deep L1
+// prefetch would evict rows before their use; L2 holds hundreds of them.
+constexpr std::size_t kPrefetchRows = 16;
+// Streamed panels are read in slabs of kSlabRows rows by kSlabPanels panels
+// side by side, so a slab's pages stay in the TLB and L2 while each of its
+// panels passes over them.
+constexpr std::size_t kSlabRows = 64;
+constexpr std::size_t kSlabPanels = 16;
+
+/// True when any of the MR inputs of panel row i is nonzero (or NaN).
+template <std::size_t MR>
+[[gnu::always_inline]] inline bool row_live(const float* x,
+                                            std::size_t input_dim,
+                                            std::size_t i) {
+  bool live = false;
+#pragma GCC unroll 8
+  for (std::size_t p = 0; p < MR; ++p) live |= !(x[p * input_dim + i] == 0.0f);
+  return live;
+}
+
+/// One register tile: acc[p] += x_p · pass rows for the MR vectors from
+/// vector p0 on (rows of `xs`, `input_dim` apart). acc starts at zero on row
+/// 0 and from the spill otherwise; it goes back to the spill unless the
+/// pass ends on the last row, where epilogue(p0 + p, acc[p]) runs instead.
+/// Ascending i, vmulps then a vaddps masked on xi != 0 (unordered: NaN
+/// inputs add), which leaves the lane untouched exactly when the scalar
+/// kernel skips — so skipping a row whose inputs are all zero changes
+/// nothing either.
+template <std::size_t MR, bool kMasked, bool kStream, class Epilogue>
+[[gnu::always_inline]] inline void run_tile(const float* xs, std::size_t p0,
+                                            std::size_t input_dim,
+                                            const Pass& pass,
+                                            const ColMask& cols,
+                                            Epilogue& epilogue) {
+  const float* x = xs + p0 * input_dim;
+  const auto spilled = [&](std::size_t p, std::size_t t) {
+    return pass.spill + (p0 + p) * kPanelCols + 16 * t;
+  };
+  __m512 acc[MR][4];
+#pragma GCC unroll 8
+  for (std::size_t p = 0; p < MR; ++p)
+#pragma GCC unroll 4
+    for (std::size_t t = 0; t < 4; ++t)
+      acc[p][t] = pass.row_begin == 0 ? _mm512_setzero_ps()
+                                      : _mm512_loadu_ps(spilled(p, t));
+  const __m512 zero = _mm512_setzero_ps();
+  for (std::size_t i = pass.row_begin; i < pass.row_end; ++i) {
+    const float* crow = pass.base + i * pass.stride;
+    if constexpr (kStream) {
+      // A single vector has too little work per row to hide the prefetch
+      // (measured slower when C sits in L3, no faster from memory).
+      const std::size_t ahead = i + kPrefetchRows;
+      if (MR > 1 && ahead < input_dim &&
+          row_live<MR>(x, input_dim, ahead)) {
+        const char* row = reinterpret_cast<const char*>(
+            pass.base + ahead * pass.stride);
+#pragma GCC unroll 4
+        for (std::size_t t = 0; t < 4; ++t)
+          _mm_prefetch(row + 64 * t, _MM_HINT_T1);
       }
-      for (std::size_t p = 0; p < pb; ++p)
-        std::memcpy(out + (p0 + p) * ncols + j0, acc[p], jb * sizeof(float));
+    }
+    // A row whose inputs are all zero changes nothing. Streamed panels skip
+    // it to save the memory read, single vectors because on ReLU
+    // activations that is about half their rows.
+    if constexpr (kStream || MR == 1) {
+      if (!row_live<MR>(x, input_dim, i)) continue;
+    }
+    __m512 cv[4];
+#pragma GCC unroll 4
+    for (std::size_t t = 0; t < 4; ++t)
+      cv[t] = kMasked ? _mm512_maskz_loadu_ps(cols.m[t], crow + 16 * t)
+                      : _mm512_loadu_ps(crow + 16 * t);
+#pragma GCC unroll 8
+    for (std::size_t p = 0; p < MR; ++p) {
+      const __m512 xv = _mm512_set1_ps(x[p * input_dim + i]);
+      const __mmask16 live = _mm512_cmp_ps_mask(xv, zero, _CMP_NEQ_UQ);
+#pragma GCC unroll 4
+      for (std::size_t t = 0; t < 4; ++t)
+        acc[p][t] = _mm512_mask_add_ps(acc[p][t], live, acc[p][t],
+                                       _mm512_mul_ps(xv, cv[t]));
+    }
+  }
+  if (pass.row_end < input_dim) {
+#pragma GCC unroll 8
+    for (std::size_t p = 0; p < MR; ++p)
+#pragma GCC unroll 4
+      for (std::size_t t = 0; t < 4; ++t)
+        _mm512_storeu_ps(spilled(p, t), acc[p][t]);
+    return;
+  }
+#pragma GCC unroll 8
+  for (std::size_t p = 0; p < MR; ++p) epilogue(p0 + p, acc[p]);
+}
+
+template <std::size_t MR, class Epilogue>
+void run_tile_rows(const float* xs, std::size_t p0, std::size_t input_dim,
+                   const Pass& pass, const ColMask& cols,
+                   Epilogue& epilogue) {
+  if (pass.stream)  // streamed panels are strided, so masked on a tail
+    pass.masked
+        ? run_tile<MR, true, true>(xs, p0, input_dim, pass, cols, epilogue)
+        : run_tile<MR, false, true>(xs, p0, input_dim, pass, cols, epilogue);
+  else
+    pass.masked
+        ? run_tile<MR, true, false>(xs, p0, input_dim, pass, cols, epilogue)
+        : run_tile<MR, false, false>(xs, p0, input_dim, pass, cols,
+                                     epilogue);
+}
+
+/// Runs the vectors from p0 on (fewer than MR + 1 of them) as one tile.
+template <std::size_t MR, class Epilogue>
+void run_leftover(const float* xs, std::size_t p0, std::size_t count,
+                  std::size_t input_dim, const Pass& pass,
+                  const ColMask& cols, Epilogue& epilogue) {
+  if constexpr (MR > 0) {
+    if (count - p0 == MR)
+      run_tile_rows<MR>(xs, p0, input_dim, pass, cols, epilogue);
+    else
+      run_leftover<MR - 1>(xs, p0, count, input_dim, pass, cols, epilogue);
+  }
+}
+
+/// Copies the first `width` columns of a C panel (rows `c_stride` apart)
+/// into `panel` at 64 floats per row, zero-padding the rest of each row.
+void pack_panel(const float* c, std::size_t input_dim, std::size_t c_stride,
+                const ColMask& cols, float* panel) {
+  for (std::size_t i = 0; i < input_dim; ++i) {
+    const float* src = c + i * c_stride;
+    float* dst = panel + i * kPanelCols;
+    for (std::size_t t = 0; t < 4; ++t)
+      _mm512_store_ps(dst + 16 * t,
+                      _mm512_maskz_loadu_ps(cols.m[t], src + 16 * t));
+  }
+}
+
+/// The one panel loop behind project_cols and sign_hash_cols: for
+/// each 64-column panel of the first `ncols` columns, runs every vector
+/// through register tiles (kTileRows wide, leftovers in one narrower tile)
+/// and calls epilogue(p, j0, cols, acc) with acc = the 4 zmm of output row
+/// p from column j0 on, of which `cols` are live. Panels of at least
+/// kPackMinRows rows are packed contiguous once and shared by all tiles when
+/// kPackMinCount or more vectors read them, and streamed in slabs otherwise.
+template <class Epilogue>
+void project_panels(const float* xs, const float* c, std::size_t count,
+                    std::size_t input_dim, std::size_t c_stride,
+                    std::size_t ncols, Epilogue&& epilogue) {
+  const bool tall = input_dim >= kPackMinRows;
+  const bool pack = tall && count >= kPackMinCount;
+  const bool stream = tall && !pack;
+  const PanelBuffer buffer(pack ? input_dim * kPanelCols : 0);
+  // Streamed means fewer than kPackMinCount vectors, so the spill stays
+  // under 128 KiB: below malloc's mmap threshold (see PanelBuffer).
+  std::vector<float> spill(stream ? count * kSlabPanels * kPanelCols : 0);
+  const std::size_t slab_rows = stream ? kSlabRows : input_dim;
+  const std::size_t group_cols = stream ? kSlabPanels * kPanelCols : ncols;
+  for (std::size_t g0 = 0; g0 < ncols; g0 += group_cols) {
+    const std::size_t g1 = std::min(ncols, g0 + group_cols);
+    for (std::size_t r0 = 0; r0 < input_dim; r0 += slab_rows) {
+      for (std::size_t j0 = g0; j0 < g1; j0 += kPanelCols) {
+        const ColMask cols(std::min(kPanelCols, ncols - j0));
+        Pass pass{c + j0,
+                  c_stride,
+                  r0,
+                  std::min(input_dim, r0 + slab_rows),
+                  stream ? spill.data() + (j0 - g0) * count : nullptr,
+                  !pack && ncols - j0 < kPanelCols,
+                  stream};
+        if (pack) {
+          pack_panel(c + j0, input_dim, c_stride, cols, buffer.data());
+          pass.base = buffer.data();
+          pass.stride = kPanelCols;
+        }
+        auto tile_epilogue = [&](std::size_t p, const __m512* acc) {
+          epilogue(p, j0, cols, acc);
+        };
+        std::size_t p0 = 0;
+        for (; p0 + kTileRows <= count; p0 += kTileRows)
+          run_tile_rows<kTileRows>(xs, p0, input_dim, pass, cols,
+                                   tile_epilogue);
+        run_leftover<kTileRows - 1>(xs, p0, count, input_dim, pass, cols,
+                                    tile_epilogue);
+      }
     }
   }
 }
@@ -177,49 +345,30 @@ void project_cols_blocked_avx512(const float* xs, const float* c,
 void project_cols_avx512(const float* xs, const float* c, std::size_t count,
                          std::size_t input_dim, std::size_t c_stride,
                          std::size_t ncols, float* out) {
-  if (count != 1) {
-    project_cols_blocked_avx512(xs, c, count, input_dim, c_stride, ncols,
-                                out);
-    return;
-  }
-  {
-    const float* __restrict__ xrow = xs;
-    float* __restrict__ orow = out;
-    std::size_t j0 = 0;
-    // Single-vector path: 64-column register tile (4 zmm accumulators) —
-    // no accumulator memory traffic, best when C is read once anyway.
-    for (; j0 + 64 <= ncols; j0 += 64) {
-      __m512 a0 = _mm512_setzero_ps(), a1 = _mm512_setzero_ps();
-      __m512 a2 = _mm512_setzero_ps(), a3 = _mm512_setzero_ps();
-      for (std::size_t i = 0; i < input_dim; ++i) {
-        const float xi = xrow[i];
-        if (xi == 0.0f) continue;
-        const __m512 xv = _mm512_set1_ps(xi);
-        const float* __restrict__ crow = c + i * c_stride + j0;
-        a0 = _mm512_add_ps(a0, _mm512_mul_ps(xv, _mm512_loadu_ps(crow)));
-        a1 = _mm512_add_ps(a1, _mm512_mul_ps(xv, _mm512_loadu_ps(crow + 16)));
-        a2 = _mm512_add_ps(a2, _mm512_mul_ps(xv, _mm512_loadu_ps(crow + 32)));
-        a3 = _mm512_add_ps(a3, _mm512_mul_ps(xv, _mm512_loadu_ps(crow + 48)));
-      }
-      _mm512_storeu_ps(orow + j0, a0);
-      _mm512_storeu_ps(orow + j0 + 16, a1);
-      _mm512_storeu_ps(orow + j0 + 32, a2);
-      _mm512_storeu_ps(orow + j0 + 48, a3);
-    }
-    // Column tail (< 64): scalar loop with the identical operation order.
-    if (j0 < ncols) {
-      const std::size_t jb = ncols - j0;
-      float acc[64];
-      std::memset(acc, 0, jb * sizeof(float));
-      for (std::size_t i = 0; i < input_dim; ++i) {
-        const float xi = xrow[i];
-        if (xi == 0.0f) continue;
-        const float* __restrict__ crow = c + i * c_stride + j0;
-        for (std::size_t j = 0; j < jb; ++j) acc[j] += xi * crow[j];
-      }
-      std::memcpy(orow + j0, acc, jb * sizeof(float));
-    }
-  }
+  project_panels(xs, c, count, input_dim, c_stride, ncols,
+                 [&](std::size_t p, std::size_t j0, const ColMask& cols,
+                     const __m512* acc) {
+                   float* o = out + p * ncols + j0;
+                   for (std::size_t t = 0; t < 4; ++t)
+                     _mm512_mask_storeu_ps(o + 16 * t, cols.m[t], acc[t]);
+                 });
+}
+
+void sign_hash_cols_avx512(const float* xs, const float* c, std::size_t count,
+                           std::size_t input_dim, std::size_t c_stride,
+                           std::size_t k, std::uint64_t* sig_words) {
+  const std::size_t wps = (k + 63) / 64;
+  const __m512 zero = _mm512_setzero_ps();
+  project_panels(xs, c, count, input_dim, c_stride, k,
+                 [&](std::size_t p, std::size_t j0, const ColMask& cols,
+                     const __m512* acc) {
+                   std::uint64_t bits = 0;
+                   for (std::size_t t = 0; t < 4; ++t)
+                     bits |= static_cast<std::uint64_t>(_mm512_cmp_ps_mask(
+                                 acc[t], zero, _CMP_GE_OQ))
+                             << (16 * t);
+                   sig_words[p * wps + j0 / 64] = bits & cols.bits;
+                 });
 }
 
 void pack_signs_avx512(const float* proj, std::size_t nbits,
@@ -250,7 +399,8 @@ void pack_signs_avx512(const float* proj, std::size_t nbits,
 
 const Kernels* avx512_kernels() {
   static const Kernels k = {hamming_prefix_avx512, hamming_many_avx512,
-                            project_cols_avx512, pack_signs_avx512};
+                            project_cols_avx512, sign_hash_cols_avx512,
+                            pack_signs_avx512};
   return &k;
 }
 

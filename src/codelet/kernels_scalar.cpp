@@ -5,7 +5,9 @@
 //
 // This TU is compiled with -ffp-contract=off (see CMakeLists.txt): the
 // projection GEMM's multiply-then-add per output element is the pinned
-// rounding sequence, on every build type and ISA.
+// rounding sequence, on every build type and ISA. sign_hash_cols is the same
+// tile loop with a sign-packing epilogue, so it is project_cols + pack_signs
+// by construction.
 #include <algorithm>
 #include <bit>
 #include <cstring>
@@ -40,20 +42,22 @@ void hamming_many_scalar(const std::uint64_t* query, const std::uint64_t* rows,
 }
 
 // Tile sizes of the blocked projection kernel. Up to kPatchBlock vectors
-// share each cached slice of a C row (an 8× cut in traffic over the n×1024
-// matrix, the kernel's only large operand); accumulation runs in a local
+// share each cached slice of a C row; accumulation runs in a local
 // 8×64-float tile (2 KiB, hot in L1 and free of aliasing with the operands)
-// that is spilled to the output once per tile instead of re-loading/storing
-// output rows every input element.
+// handed to the caller's epilogue once per tile. The scalar kernels are the
+// oracle, so they stay this plain; the SIMD TUs carry the packed-panel
+// register tiles.
 constexpr std::size_t kPatchBlock = 8;
 constexpr std::size_t kColBlock = 64;
 
-void project_cols_scalar(const float* xs, const float* c, std::size_t count,
-                         std::size_t input_dim, std::size_t c_stride,
-                         std::size_t ncols, float* out) {
-  // For any fixed output (p, j) the adds run over i in ascending order with
-  // the same zero-skip as the original scalar GEMV, so every entry point
-  // built on this kernel is bitwise identical to the per-vector path.
+/// Runs the projection tile by tile and calls
+/// epilogue(p0, pb, j0, jb, acc) with acc[p][j] = output (p0 + p, j0 + j)
+/// for p < pb, j < jb. For any fixed output the adds run over i in
+/// ascending order with the xi == 0.0f skip — the pinned rounding sequence.
+template <class Epilogue>
+void project_tiles(const float* xs, const float* c, std::size_t count,
+                   std::size_t input_dim, std::size_t c_stride,
+                   std::size_t ncols, Epilogue&& epilogue) {
   for (std::size_t p0 = 0; p0 < count; p0 += kPatchBlock) {
     const std::size_t pb = std::min(kPatchBlock, count - p0);
     for (std::size_t j0 = 0; j0 < ncols; j0 += kColBlock) {
@@ -69,10 +73,21 @@ void project_cols_scalar(const float* xs, const float* c, std::size_t count,
           for (std::size_t j = 0; j < jb; ++j) a[j] += xi * crow[j];
         }
       }
-      for (std::size_t p = 0; p < pb; ++p)
-        std::memcpy(out + (p0 + p) * ncols + j0, acc[p], jb * sizeof(float));
+      epilogue(p0, pb, j0, jb, acc);
     }
   }
+}
+
+void project_cols_scalar(const float* xs, const float* c, std::size_t count,
+                         std::size_t input_dim, std::size_t c_stride,
+                         std::size_t ncols, float* out) {
+  project_tiles(xs, c, count, input_dim, c_stride, ncols,
+                [&](std::size_t p0, std::size_t pb, std::size_t j0,
+                    std::size_t jb, const float (*acc)[kColBlock]) {
+                  for (std::size_t p = 0; p < pb; ++p)
+                    std::memcpy(out + (p0 + p) * ncols + j0, acc[p],
+                                jb * sizeof(float));
+                });
 }
 
 /// Packs `nbits` sign bits (proj[j] >= 0, so +0/-0 both hash to 1 and NaN to
@@ -90,11 +105,27 @@ void pack_signs_scalar(const float* proj, std::size_t nbits,
   }
 }
 
+/// project_cols + pack_signs per vector, one 64-column tile (= one signature
+/// word) at a time.
+void sign_hash_cols_scalar(const float* xs, const float* c, std::size_t count,
+                           std::size_t input_dim, std::size_t c_stride,
+                           std::size_t k, std::uint64_t* sig_words) {
+  const std::size_t wps = (k + 63) / 64;
+  project_tiles(xs, c, count, input_dim, c_stride, k,
+                [&](std::size_t p0, std::size_t pb, std::size_t j0,
+                    std::size_t jb, const float (*acc)[kColBlock]) {
+                  for (std::size_t p = 0; p < pb; ++p)
+                    pack_signs_scalar(acc[p], jb,
+                                      sig_words + (p0 + p) * wps + j0 / 64);
+                });
+}
+
 }  // namespace
 
 const Kernels& scalar_kernels() {
   static const Kernels k = {hamming_prefix_scalar, hamming_many_scalar,
-                            project_cols_scalar, pack_signs_scalar};
+                            project_cols_scalar, sign_hash_cols_scalar,
+                            pack_signs_scalar};
   return k;
 }
 

@@ -77,7 +77,7 @@ void ContextGenerator::contexts_into(const float* xs, std::size_t count,
   const hash::RandomProjection& proj = hasher_.projection();
   const std::size_t k = hash_bits == 0 ? proj.hash_bits() : hash_bits;
   out.reset(count, k);
-  proj.sign_hash_batch(xs, count, k, out.words_.data(), out.proj_scratch_);
+  proj.sign_hash_batch(xs, count, k, out.words_.data());
   for (std::size_t p = 0; p < count; ++p) {
     const double norm = hash::l2_norm(std::span<const float>(xs + p * dim, dim));
     out.exact_norm_[p] = norm;

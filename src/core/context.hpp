@@ -54,9 +54,10 @@ struct ContextRef {
 /// signatures plus flat norm-code / exact-norm arrays. This replaces
 /// std::vector<Context> on the execution hot path — reset() never shrinks
 /// capacity, so a Worker that reuses one batch across layers and samples
-/// performs no steady-state heap allocation (the builder scratch for the
-/// im2col patch matrix and the projection tile lives here too, for the same
-/// reason). Accessors are unchecked, like indexing the vector they replace.
+/// performs no steady-state heap allocation of its own (the scratch for the
+/// im2col patch matrix lives here too, for the same reason; the hash
+/// kernel's packed C panel is a per-call buffer of the codelet).
+/// Accessors are unchecked, like indexing the vector they replace.
 class ContextBatch {
  public:
   /// Prepares the arena for `count` contexts of `sig_bits` signature bits.
@@ -90,13 +91,12 @@ class ContextBatch {
     return ContextRef{sig(i), norm_code_[i], exact_norm_[i]};
   }
 
-  /// Frees the builder scratch (im2col matrix + projection tile) while
-  /// keeping the contexts. Call on batches that outlive their construction
-  /// (pre-hashed weight contexts, tuner probe caches) — a Worker's reused
-  /// arena should keep its scratch, that is the point of the arena.
+  /// Frees the scratch (the im2col matrix) while keeping the contexts. Call
+  /// on batches that outlive their construction (pre-hashed weight
+  /// contexts, tuner probe caches) — a Worker's reused arena should keep its
+  /// scratch, that is the point of the arena.
   void release_scratch() {
     patch_scratch_ = {};
-    proj_scratch_ = {};
   }
 
  private:
@@ -109,7 +109,6 @@ class ContextBatch {
   std::vector<std::uint8_t> norm_code_;   // count
   std::vector<double> exact_norm_;        // count
   std::vector<float> patch_scratch_;      // im2col patch matrix (P × n)
-  std::vector<float> proj_scratch_;       // projection tile of the hash GEMM
 };
 
 class ContextGenerator {
@@ -141,10 +140,11 @@ class ContextGenerator {
                                   std::size_t n = 0) const;
 
   // ---- allocation-free SoA batch pipeline -------------------------------
-  // The *_into builders are the execution hot path: one blocked batch-GEMM
-  // hash over a contiguous patch matrix instead of a GEMV + BitVec per
-  // patch. Outputs are bitwise identical to the per-Context methods above
-  // (which stay as the reference implementation and test oracle).
+  // The *_into functions are the execution hot path: one fused batch hash
+  // (RandomProjection::sign_hash_batch) over a contiguous patch matrix
+  // instead of a GEMV + BitVec per patch. Outputs are bitwise identical to
+  // the per-Context methods above (which stay as the reference
+  // implementation and test oracle).
 
   /// Hashes `count` contiguous row-major vectors (count × input_dim) into
   /// `out`, with `hash_bits` signature bits (0 = full width). Signatures are

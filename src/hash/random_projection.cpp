@@ -1,19 +1,11 @@
 #include "hash/random_projection.hpp"
 
-#include <algorithm>
-
 #include "codelet/codelet.hpp"
 #include "common/error.hpp"
 
 namespace deepcam::hash {
 
 namespace {
-
-// Patch-block size of sign_hash_batch's tiling: the projection scratch holds
-// one kPatchBlock×k tile, hashed and packed before the next block is
-// projected, so steady state allocates nothing. (The GEMM itself — and its
-// cache blocking — lives in the dispatched codelet now.)
-constexpr std::size_t kPatchBlock = 8;
 
 /// Packs `nbits` sign bits (proj[j] >= 0, so +0/-0 both hash to 1 and NaN to
 /// 0 on every ISA) into words via the dispatched sign-packing codelet.
@@ -65,19 +57,10 @@ void RandomProjection::project_batch(const float* xs, std::size_t count,
 
 void RandomProjection::sign_hash_batch(const float* xs, std::size_t count,
                                        std::size_t k,
-                                       std::uint64_t* sig_words,
-                                       std::vector<float>& proj_scratch) const {
+                                       std::uint64_t* sig_words) const {
   DEEPCAM_CHECK(k <= hash_bits_);
-  const std::size_t wps = (k + 63) / 64;
-  if (proj_scratch.size() < kPatchBlock * k)
-    proj_scratch.resize(kPatchBlock * k);
-  for (std::size_t p0 = 0; p0 < count; p0 += kPatchBlock) {
-    const std::size_t pb = std::min(kPatchBlock, count - p0);
-    project_cols(xs + p0 * input_dim_, pb, k, proj_scratch.data());
-    for (std::size_t p = 0; p < pb; ++p)
-      pack_signs(proj_scratch.data() + p * k, k,
-                 sig_words + (p0 + p) * wps);
-  }
+  codelet::kernels().sign_hash_cols(xs, c_.data(), count, input_dim_,
+                                    hash_bits_, k, sig_words);
 }
 
 BitVec RandomProjection::sign_hash(std::span<const float> x) const {

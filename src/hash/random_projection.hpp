@@ -55,22 +55,23 @@ class RandomProjection {
   void project_prefix(std::span<const float> x, std::span<float> out) const;
 
   /// Batched projection of `count` row-major vectors (xs = count×input_dim,
-  /// contiguous): out[p*hash_bits + j] = Σ_i xs[p][i]·C_ij. Cache-blocked
-  /// over patches × columns; for every output the accumulation order over i
-  /// matches project(), so results are bitwise identical to `count`
-  /// individual project() calls.
+  /// contiguous): out[p*hash_bits + j] = Σ_i xs[p][i]·C_ij. Runs the
+  /// dispatched project_cols codelet (register tiles over column panels of
+  /// C, packed contiguous for larger batches); for every output the
+  /// accumulation order over i matches project(), so results are bitwise
+  /// identical to `count` individual project() calls.
   void project_batch(const float* xs, std::size_t count, float* out) const;
 
   /// Batched SimHash: hashes `count` row-major vectors to `k` bits
-  /// (projecting only the first k columns) and packs the sign bits into
-  /// `sig_words` (count × ceil(k/64) words, one 64-bit word write per 64
-  /// bits). Bitwise identical to `count` sign_hash_prefix() calls — and,
-  /// for k == hash_bits(), to `count` sign_hash() calls. `proj_scratch` is
-  /// resized internally (to one patch-block tile, not the full batch) and
-  /// reused across calls, so steady state allocates nothing.
+  /// (projecting only the first k columns) into `sig_words` (count ×
+  /// ceil(k/64) words). One call of the fused sign_hash_cols codelet for the
+  /// whole batch: each column panel of C is read once per call, and the
+  /// signs are packed straight from registers with no float projection in
+  /// between. Bitwise identical to `count` sign_hash_prefix() calls — and,
+  /// for k == hash_bits(), to `count` sign_hash() calls. Needs no caller
+  /// scratch and keeps nothing allocated between calls.
   void sign_hash_batch(const float* xs, std::size_t count, std::size_t k,
-                       std::uint64_t* sig_words,
-                       std::vector<float>& proj_scratch) const;
+                       std::uint64_t* sig_words) const;
 
   /// Full SimHash signature: bit j = (x·C_col_j >= 0).
   BitVec sign_hash(std::span<const float> x) const;
@@ -81,7 +82,7 @@ class RandomProjection {
   BitVec sign_hash_prefix(std::span<const float> x, std::size_t k) const;
 
  private:
-  /// The one blocked GEMM kernel behind every projection entry point:
+  /// The float projection behind project / project_prefix / project_batch:
   /// computes the first `ncols` columns for `count` vectors into `out`
   /// (count × ncols row-major).
   void project_cols(const float* xs, std::size_t count, std::size_t ncols,

@@ -194,14 +194,69 @@ void write_trace_file(const std::string& path,
   if (!out.good()) throw Error("failed to write trace file: " + path);
 }
 
+namespace {
+
+/// Self (exclusive) time of each span: its duration minus the part of its
+/// interval covered by its direct children. Engine and kernel spans of one
+/// engine sample share (rid, batch) and nest by time containment — the
+/// `sample` span is the root and the kernel stages its children; every
+/// other span has no children. A child is the innermost enclosing span's; a
+/// child running past its parent's end is clipped to it; of two spans with
+/// the same interval the engine span is the parent.
+std::vector<std::uint64_t> self_times(const std::vector<SpanRecord>& spans) {
+  std::vector<std::uint64_t> self(spans.size());
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::vector<std::size_t>>
+      samples;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const SpanRecord& r = spans[i];
+    self[i] = r.t_end_ns - r.t_begin_ns;
+    if (r.cat == SpanCat::kEngine || r.cat == SpanCat::kKernel)
+      samples[{r.rid, r.batch}].push_back(i);
+  }
+  for (auto& [key, members] : samples) {
+    std::sort(members.begin(), members.end(),
+              [&spans](std::size_t a, std::size_t b) {
+                const SpanRecord& x = spans[a];
+                const SpanRecord& y = spans[b];
+                if (x.t_begin_ns != y.t_begin_ns)
+                  return x.t_begin_ns < y.t_begin_ns;
+                if (x.t_end_ns != y.t_end_ns) return x.t_end_ns > y.t_end_ns;
+                if (x.cat != y.cat) return x.cat < y.cat;  // engine first
+                return a < b;
+              });
+    std::vector<std::size_t> open;  // enclosing spans, innermost last
+    for (std::size_t i : members) {
+      const SpanRecord& r = spans[i];
+      while (!open.empty() && spans[open.back()].t_end_ns <= r.t_begin_ns)
+        open.pop_back();
+      if (!open.empty()) {
+        const std::size_t parent = open.back();
+        const std::uint64_t covered =
+            std::min(r.t_end_ns, spans[parent].t_end_ns) - r.t_begin_ns;
+        self[parent] -= std::min(covered, self[parent]);
+      }
+      open.push_back(i);
+    }
+  }
+  return self;
+}
+
+}  // namespace
+
 std::vector<StageStat> aggregate_stages(
     const std::vector<SpanRecord>& spans) {
+  const std::vector<std::uint64_t> self = self_times(spans);
   std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> acc;
-  for (const auto& r : spans) {
-    const std::string key = std::string(to_string(r.cat)) + "/" + r.name;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const SpanRecord& r = spans[i];
+    const bool sample =
+        r.cat == SpanCat::kEngine && std::strcmp(r.name, "sample") == 0;
+    const std::string key =
+        sample ? std::string(kOtherStage)
+               : std::string(to_string(r.cat)) + "/" + r.name;
     auto& [count, total_ns] = acc[key];
     count += 1;
-    total_ns += r.t_end_ns - r.t_begin_ns;
+    total_ns += self[i];
   }
   std::uint64_t grand_total_ns = 0;
   for (const auto& [key, ct] : acc) grand_total_ns += ct.second;

@@ -35,18 +35,26 @@ std::string trace_csv(std::vector<SpanRecord> spans);
 void write_trace_file(const std::string& path,
                       std::vector<SpanRecord> spans);
 
+/// Stage name of the profile row holding engine-sample time outside kernel
+/// spans (non-CAM layers, output copies, report building).
+inline constexpr const char* kOtherStage = "engine/other";
+
 /// One row of the per-stage breakdown table (aggregated over spans with
 /// the same category + name).
 struct StageStat {
-  std::string stage;  // "<cat>/<name>"
+  std::string stage;  // "<cat>/<name>", or kOtherStage
   std::uint64_t count = 0;
-  double total_ms = 0.0;
+  double total_ms = 0.0;  // self time: duration minus direct children
   double mean_us = 0.0;
-  double share = 0.0;  // of the summed duration across all stages
+  double share = 0.0;  // of the summed self time across all stages
 };
 
-/// Aggregates spans into per-stage totals, ordered by descending total
-/// time (ties by stage name).
+/// Aggregates spans into per-stage self-time totals, ordered by descending
+/// total time (ties by stage name). Engine and kernel spans sharing (rid,
+/// batch) nest by time containment, and each span counts only the time its
+/// direct children do not cover, so no interval is counted twice and the
+/// shares sum to 1. An engine `sample` span's self time is reported as the
+/// kOtherStage row.
 std::vector<StageStat> aggregate_stages(
     const std::vector<SpanRecord>& spans);
 

@@ -4,8 +4,10 @@
 // compiled into this binary and executable on the host CPU must reproduce it
 // bit for bit — Hamming counts exactly, projection floats byte-identical
 // (unfused mul+add, ascending-i order), sign packing identical including
-// NaN / ±0 / denormal edge cases. Word-boundary hash lengths (63/64/65) and
-// unaligned row/column/patch counts are swept explicitly.
+// NaN / ±0 / denormal edge cases, and the fused sign_hash_cols identical to
+// scalar project_cols + pack_signs. Word-boundary hash lengths (63/64/65),
+// unaligned row/column/patch counts and counts on both sides of the pack
+// threshold (every leftover tile width) are swept explicitly.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -147,14 +149,23 @@ TEST(Codelet, HammingManyStridedArenaMatchesScalar) {
 
 TEST(Codelet, ProjectColsBitwiseMatchesScalar) {
   std::mt19937 rng(23);
-  // Sweep counts (register-tile vs blocked path, partial patch blocks),
-  // column counts (vector body vs scalar tails), and input dims.
-  const std::size_t counts[] = {1, 2, 7, 8, 9, 33};
-  const std::size_t ncols_list[] = {1, 7, 8, 63, 64, 65, 256};
-  const std::size_t dims[] = {1, 5, 37};
+  // Sweep counts (single vector, full and leftover register tiles, either
+  // side of the pack threshold), column counts (full and partial panels of
+  // both SIMD widths) and input dims.
+  constexpr std::size_t kPack = deepcam::codelet::kPackMinCount;
+  const std::size_t counts[] = {1,  2,  4,         5,     6,         7,  8, 9,
+                                15, 16, kPack - 1, kPack, kPack + 1, 64};
+  const std::size_t ncols_list[] = {1,  7,  8,  31,  32,   33,  63,
+                                    64, 65, 256, 1000, 1024};
+  // 400 rows reach the packed and the streamed panels. Shapes above
+  // kMaxMacs are skipped to keep the scalar oracle quick.
+  const std::size_t dims[] = {1, 5, 37, 400};
+  static_assert(deepcam::codelet::kPackMinRows <= 400);
+  constexpr std::size_t kMaxMacs = 4'000'000;
   for (std::size_t count : counts) {
     for (std::size_t ncols : ncols_list) {
       for (std::size_t dim : dims) {
+        if (count * ncols * dim > kMaxMacs) continue;
         const std::size_t c_stride = ncols + 3;  // strided C, like prefixes
         const auto xs = edge_floats(count * dim, rng);
         const auto c = edge_floats(dim * c_stride, rng);
@@ -172,6 +183,147 @@ TEST(Codelet, ProjectColsBitwiseMatchesScalar) {
               << deepcam::codelet::isa_name(isa) << " count=" << count
               << " ncols=" << ncols << " dim=" << dim;
         }
+      }
+    }
+  }
+}
+
+/// The fused-kernel oracle: scalar project_cols, then scalar pack_signs per
+/// vector.
+std::vector<std::uint64_t> oracle_signatures(const std::vector<float>& xs,
+                                             const std::vector<float>& c,
+                                             std::size_t count,
+                                             std::size_t dim,
+                                             std::size_t c_stride,
+                                             std::size_t k) {
+  const std::size_t wps = (k + 63) / 64;
+  std::vector<float> proj(count * k);
+  scalar().project_cols(xs.data(), c.data(), count, dim, c_stride, k,
+                        proj.data());
+  std::vector<std::uint64_t> sigs(count * wps);
+  for (std::size_t p = 0; p < count; ++p)
+    scalar().pack_signs(proj.data() + p * k, k, sigs.data() + p * wps);
+  return sigs;
+}
+
+TEST(Codelet, SignHashColsMatchesProjectAndPackOracle) {
+  std::mt19937 rng(29);
+  // Counts cross the pack threshold and leave every leftover tile width;
+  // k covers partial and full words and panels; C is tight (stride == k,
+  // so an over-read of the last row leaves the allocation) for even k and
+  // strided for odd k. Shapes above kMaxMacs are skipped to keep the scalar
+  // oracle (and the sanitizer builds) quick; every count, k and dim still
+  // runs against most of the others.
+  constexpr std::size_t kPack = deepcam::codelet::kPackMinCount;
+  const std::size_t counts[] = {1,  2,        4,    5,        6,  15, 16,
+                                17, kPack - 1, kPack, kPack + 1, 64, 100, 257};
+  const std::size_t ks[] = {1, 63, 64, 65, 256, 1000, 1024};
+  const std::size_t dims[] = {1, 5, 37, 150, 600};  // 600: packed panels
+  static_assert(deepcam::codelet::kPackMinRows <= 600);
+  constexpr std::size_t kMaxMacs = 10'000'000;
+  for (std::size_t count : counts) {
+    for (std::size_t k : ks) {
+      for (std::size_t dim : dims) {
+        if (count * k * dim > kMaxMacs) continue;
+        const std::size_t c_stride = k % 2 == 0 ? k : k + 3;
+        const auto xs = edge_floats(count * dim, rng);
+        const auto c = edge_floats(dim * c_stride, rng);
+        const auto want = oracle_signatures(xs, c, count, dim, c_stride, k);
+        for (Isa isa : reachable_isas()) {
+          std::vector<std::uint64_t> got(want.size() + 1, 0xabababababababab);
+          deepcam::codelet::kernels_for(isa)->sign_hash_cols(
+              xs.data(), c.data(), count, dim, c_stride, k, got.data());
+          ASSERT_EQ(got.back(), 0xabababababababab)
+              << deepcam::codelet::isa_name(isa) << " wrote past the end";
+          got.pop_back();
+          ASSERT_EQ(got, want)
+              << deepcam::codelet::isa_name(isa) << " count=" << count
+              << " k=" << k << " dim=" << dim;
+        }
+      }
+    }
+  }
+}
+
+TEST(Codelet, WideStreamedPanelsMatchScalar) {
+  // Tall panels read by few vectors are streamed in row slabs, a bounded
+  // group of panels at a time: more columns than one group, rows that end
+  // mid-slab, and inputs with all-zero rows (skipped) and partly zero ones.
+  std::mt19937 rng(41);
+  const std::size_t dim = deepcam::codelet::kPackMinRows + 316;
+  const std::size_t k = 1300, c_stride = k + 1;
+  for (std::size_t count : {1, 5, 15}) {
+    auto xs = edge_floats(count * dim, rng);
+    for (std::size_t i = 0; i < dim; i += 3)
+      for (std::size_t p = 0; p < count; ++p) xs[p * dim + i] = 0.0f;
+    const auto c = edge_floats(dim * c_stride, rng);
+    const auto want = oracle_signatures(xs, c, count, dim, c_stride, k);
+    std::vector<float> proj(count * k);
+    scalar().project_cols(xs.data(), c.data(), count, dim, c_stride, k,
+                          proj.data());
+    for (Isa isa : reachable_isas()) {
+      const Kernels& kr = *deepcam::codelet::kernels_for(isa);
+      std::vector<std::uint64_t> got(want.size());
+      kr.sign_hash_cols(xs.data(), c.data(), count, dim, c_stride, k,
+                        got.data());
+      EXPECT_EQ(got, want) << deepcam::codelet::isa_name(isa)
+                           << " count=" << count;
+      std::vector<float> got_proj(count * k);
+      kr.project_cols(xs.data(), c.data(), count, dim, c_stride, k,
+                      got_proj.data());
+      EXPECT_EQ(std::memcmp(got_proj.data(), proj.data(),
+                            proj.size() * sizeof(float)),
+                0)
+          << deepcam::codelet::isa_name(isa) << " count=" << count;
+    }
+  }
+}
+
+TEST(Codelet, ZeroInputSkipsInfAndNanInC) {
+  // xi == 0 must leave the accumulator untouched even where 0·C is NaN.
+  // Rows i % 3 == 0 and 1 of C hold inf / NaN; every vector is zero on rows
+  // i % 3 == 0, and even vectors on rows i % 3 == 1 too, so even vectors
+  // stay finite only if every zero input is skipped (odd ones turn inf /
+  // NaN, which must match as well). Short and tall panels, read in place
+  // and packed.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::size_t k = 100;
+  std::mt19937 rng(37);
+  std::uniform_real_distribution<float> uni(-2.0f, 2.0f);
+  for (std::size_t dim : {std::size_t{9}, deepcam::codelet::kPackMinRows}) {
+    for (std::size_t count :
+         {std::size_t{3}, deepcam::codelet::kPackMinCount + 5}) {
+      std::vector<float> xs(count * dim), c(dim * k);
+      for (std::size_t p = 0; p < count; ++p)
+        for (std::size_t i = 0; i < dim; ++i)
+          xs[p * dim + i] = i % 3 == 0 || (i % 3 == 1 && p % 2 == 0)
+                                ? (i % 2 == 0 ? 0.0f : -0.0f)
+                                : uni(rng);
+      for (std::size_t i = 0; i < dim; ++i)
+        for (std::size_t j = 0; j < k; ++j)
+          c[i * k + j] = i % 3 == 2 ? uni(rng) : (j % 2 == 0 ? inf : nan);
+      const auto want = oracle_signatures(xs, c, count, dim, k, k);
+      std::vector<float> proj(count * k);
+      scalar().project_cols(xs.data(), c.data(), count, dim, k, k,
+                            proj.data());
+      for (std::size_t p = 0; p < count; p += 2)
+        for (std::size_t j = 0; j < k; ++j)
+          ASSERT_TRUE(std::isfinite(proj[p * k + j]));
+      for (Isa isa : reachable_isas()) {
+        const Kernels& kr = *deepcam::codelet::kernels_for(isa);
+        std::vector<std::uint64_t> got(want.size());
+        kr.sign_hash_cols(xs.data(), c.data(), count, dim, k, k, got.data());
+        EXPECT_EQ(got, want) << deepcam::codelet::isa_name(isa)
+                             << " dim=" << dim << " count=" << count;
+        std::vector<float> got_proj(count * k);
+        kr.project_cols(xs.data(), c.data(), count, dim, k, k,
+                        got_proj.data());
+        EXPECT_EQ(std::memcmp(got_proj.data(), proj.data(),
+                              proj.size() * sizeof(float)),
+                  0)
+            << deepcam::codelet::isa_name(isa) << " dim=" << dim
+            << " count=" << count;
       }
     }
   }

@@ -1,8 +1,9 @@
-// Property tests for the blocked batch-GEMM SimHash kernel: sign_hash_batch
-// and project_batch must be bitwise identical to the per-vector reference
-// path (sign_hash / project) across awkward input dimensions, patch counts,
-// partial-word hash lengths, and IEEE-754 edge-case inputs (zeros,
-// negative zero, denormals).
+// Property tests for the batched SimHash path: sign_hash_batch (the fused
+// sign_hash_cols codelet) and project_batch (project_cols) must be bitwise
+// identical to the per-vector reference path (sign_hash / project: one-vector
+// projection + pack_signs) across awkward input dimensions, patch counts on
+// both sides of the codelet's pack threshold, partial-word hash lengths, and
+// IEEE-754 edge-case inputs (zeros, negative zero, denormals).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -10,6 +11,7 @@
 #include <span>
 #include <vector>
 
+#include "codelet/codelet.hpp"
 #include "common/rng.hpp"
 #include "hash/random_projection.hpp"
 
@@ -38,16 +40,16 @@ std::vector<float> edge_case_matrix(std::size_t count, std::size_t dim,
 
 TEST(SignHashBatch, BitwiseIdenticalToPerVectorAcrossDimsAndCounts) {
   const std::size_t dims[] = {1, 63, 64, 65, 150, 1024};
-  const std::size_t counts[] = {0, 1, 7, 33};
+  // Either side of the pack threshold (dim 1024 packs or streams).
+  constexpr std::size_t kPack = codelet::kPackMinCount;
+  const std::size_t counts[] = {0, 1, 7, kPack - 1, kPack, kPack + 1};
   for (std::size_t dim : dims) {
     RandomProjection proj(dim, kMaxHashBits, 1000 + dim);
     const std::size_t wps = proj.words_per_sig();
-    std::vector<float> scratch;
     for (std::size_t count : counts) {
       const auto xs = edge_case_matrix(count, dim, 77 * dim + count);
       std::vector<std::uint64_t> sigs(count * wps, 0xDEADBEEFDEADBEEFULL);
-      proj.sign_hash_batch(xs.data(), count, kMaxHashBits, sigs.data(),
-                           scratch);
+      proj.sign_hash_batch(xs.data(), count, kMaxHashBits, sigs.data());
       for (std::size_t p = 0; p < count; ++p) {
         const BitVec ref = proj.sign_hash(
             std::span<const float>(&xs[p * dim], dim));
@@ -63,20 +65,20 @@ TEST(SignHashBatch, BitwiseIdenticalToPerVectorAcrossDimsAndCounts) {
 TEST(SignHashBatch, PrefixLengthsMatchPerVectorPrefixHash) {
   const std::size_t dim = 65;
   RandomProjection proj(dim, kMaxHashBits, 9);
-  const std::size_t count = 7;
-  const auto xs = edge_case_matrix(count, dim, 5);
-  std::vector<float> scratch;
-  for (std::size_t k : {std::size_t{1}, std::size_t{63}, std::size_t{64},
-                        std::size_t{65}, std::size_t{256}, std::size_t{768}}) {
-    const std::size_t wps = (k + 63) / 64;
-    std::vector<std::uint64_t> sigs(count * wps);
-    proj.sign_hash_batch(xs.data(), count, k, sigs.data(), scratch);
-    for (std::size_t p = 0; p < count; ++p) {
-      const BitVec ref = proj.sign_hash_prefix(
-          std::span<const float>(&xs[p * dim], dim), k);
-      for (std::size_t w = 0; w < wps; ++w)
-        ASSERT_EQ(sigs[p * wps + w], ref.data()[w])
-            << "k=" << k << " p=" << p << " word=" << w;
+  for (std::size_t count : {std::size_t{7}, codelet::kPackMinCount + 3}) {
+    const auto xs = edge_case_matrix(count, dim, 5);
+    for (std::size_t k : {1, 63, 64, 65, 256, 768, 1000}) {
+      const std::size_t wps = (k + 63) / 64;
+      std::vector<std::uint64_t> sigs(count * wps);
+      proj.sign_hash_batch(xs.data(), count, k, sigs.data());
+      for (std::size_t p = 0; p < count; ++p) {
+        const BitVec ref = proj.sign_hash_prefix(
+            std::span<const float>(&xs[p * dim], dim), k);
+        for (std::size_t w = 0; w < wps; ++w)
+          ASSERT_EQ(sigs[p * wps + w], ref.data()[w])
+              << "count=" << count << " k=" << k << " p=" << p
+              << " word=" << w;
+      }
     }
   }
 }
@@ -85,7 +87,7 @@ TEST(ProjectBatch, BitwiseIdenticalToPerVectorProject) {
   const std::size_t dims[] = {1, 64, 150};
   for (std::size_t dim : dims) {
     RandomProjection proj(dim, 300, 31 + dim);  // non-multiple-of-64 width
-    const std::size_t count = 11;
+    const std::size_t count = codelet::kPackMinCount + 11;  // packed panels
     const auto xs = edge_case_matrix(count, dim, dim);
     std::vector<float> batch_out(count * 300);
     proj.project_batch(xs.data(), count, batch_out.data());
@@ -102,20 +104,17 @@ TEST(ProjectBatch, BitwiseIdenticalToPerVectorProject) {
   }
 }
 
-TEST(SignHashBatch, ScratchReuseAcrossShapesIsClean) {
-  // One scratch buffer shared across projections of different widths and
-  // batch sizes must not leak state between calls.
-  std::vector<float> scratch;
+TEST(SignHashBatch, ConsecutiveCallsAcrossShapesAreClean) {
+  // Calls on projections of different widths and batch sizes (packed and
+  // unpacked) must not leak state into each other.
   RandomProjection big(150, kMaxHashBits, 3);
   RandomProjection small(5, kMaxHashBits, 4);
   const auto xs_big = edge_case_matrix(33, 150, 1);
   const auto xs_small = edge_case_matrix(2, 5, 2);
   std::vector<std::uint64_t> sig_big(33 * big.words_per_sig());
   std::vector<std::uint64_t> sig_small(2 * small.words_per_sig());
-  big.sign_hash_batch(xs_big.data(), 33, kMaxHashBits, sig_big.data(),
-                      scratch);
-  small.sign_hash_batch(xs_small.data(), 2, kMaxHashBits, sig_small.data(),
-                        scratch);
+  big.sign_hash_batch(xs_big.data(), 33, kMaxHashBits, sig_big.data());
+  small.sign_hash_batch(xs_small.data(), 2, kMaxHashBits, sig_small.data());
   for (std::size_t p = 0; p < 2; ++p) {
     const BitVec ref = small.sign_hash(
         std::span<const float>(&xs_small[p * 5], 5));

@@ -281,6 +281,63 @@ TEST(TraceExport, AggregateStagesOrdersByTotalTime) {
   EXPECT_NEAR(admit->mean_us, 0.1, 1e-12);
 }
 
+TEST(TraceExport, AggregateStagesReportsSelfTimeOfNestedSpans) {
+  std::vector<SpanRecord> spans;
+  auto add = [&spans](std::uint64_t b, std::uint64_t e, SpanCat cat,
+                      const char* name, std::uint64_t rid,
+                      std::uint64_t batch) {
+    SpanRecord r;
+    r.t_begin_ns = b;
+    r.t_end_ns = e;
+    r.cat = cat;
+    r.name = name;
+    r.rid = rid;
+    r.batch = batch;
+    spans.push_back(r);
+  };
+  // Sample 0 of request 5: three kernel stages inside a 1000 ns sample.
+  add(0, 1000, SpanCat::kEngine, "sample", 5, 0);
+  add(100, 400, SpanCat::kKernel, "hash", 5, 0);
+  add(400, 600, SpanCat::kKernel, "cam_search", 5, 0);
+  add(600, 900, SpanCat::kKernel, "postproc", 5, 0);
+  // Sample 1 of the same request runs concurrently on another worker:
+  // grouped by (rid, batch), its hash is not sample 0's child.
+  add(0, 500, SpanCat::kEngine, "sample", 5, 1);
+  add(50, 450, SpanCat::kKernel, "hash", 5, 1);
+  // A stage covering its whole sample (same interval): the sample is the
+  // parent and keeps no self time.
+  add(2000, 2100, SpanCat::kKernel, "hash", 7, 0);
+  add(2000, 2100, SpanCat::kEngine, "sample", 7, 0);
+  // Spans outside the engine keep their full duration.
+  add(0, 300, SpanCat::kAdmission, "admit", 5, kNoId);
+
+  const auto rows = aggregate_stages(spans);
+  auto row = [&rows](const std::string& stage) -> const StageStat* {
+    for (const auto& r : rows)
+      if (r.stage == stage) return &r;
+    return nullptr;
+  };
+  EXPECT_EQ(row("engine/sample"), nullptr);
+  ASSERT_NE(row(kOtherStage), nullptr);
+  EXPECT_EQ(row(kOtherStage)->count, 3u);
+  EXPECT_NEAR(row(kOtherStage)->total_ms, 300e-6, 1e-15);  // 200 + 100 + 0
+  ASSERT_NE(row("kernel/hash"), nullptr);
+  EXPECT_EQ(row("kernel/hash")->count, 3u);
+  EXPECT_NEAR(row("kernel/hash")->total_ms, 800e-6, 1e-15);
+  EXPECT_NEAR(row("kernel/cam_search")->total_ms, 200e-6, 1e-15);
+  EXPECT_NEAR(row("kernel/postproc")->total_ms, 300e-6, 1e-15);
+  EXPECT_NEAR(row("admission/admit")->total_ms, 300e-6, 1e-15);
+  // Self times partition the root spans: 1000 + 500 + 100 + 300 ns.
+  double total_ms = 0.0, share = 0.0;
+  for (const auto& r : rows) {
+    total_ms += r.total_ms;
+    share += r.share;
+  }
+  EXPECT_NEAR(total_ms, 1900e-6, 1e-12);
+  EXPECT_NEAR(share, 1.0, 1e-12);
+  EXPECT_NEAR(row("kernel/hash")->share, 800.0 / 1900.0, 1e-12);
+}
+
 TEST(TraceExport, EmptySpanSetStillValid) {
   EXPECT_TRUE(aggregate_stages({}).empty());
   const JsonValue root = parse_json(chrome_trace_json({}));
