@@ -4,6 +4,7 @@
 // kernels (prefix-hash vs fresh-hash, PWL cosine vs libm).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -248,7 +249,7 @@ BENCHMARK(BM_EngineRunBatch)
 // reports scalar-vs-AVX2-vs-AVX-512 side by side:
 //   BM_HammingPrefix<isa>/k, BM_SearchFlat<isa>/k, BM_PackSigns<isa>/k
 // at k in {63, 256, 1024} (sub-word tail, the engine's online operating
-// point, and the full-width signature).
+// point, and the full-width signature), and BM_GaussianFill<isa>/n.
 
 void BM_HammingPrefixIsa(benchmark::State& state,
                          const codelet::Kernels* kr) {
@@ -294,6 +295,34 @@ void BM_PackSignsIsa(benchmark::State& state, const codelet::Kernels* kr) {
   }
 }
 
+// Rng::fill_gaussian's work through one ISA's gaussian_pairs codelet:
+// uniforms drawn in blocks of 256 pairs, then the Box–Muller codelet.
+// items/s = Gaussians per second at n = 4608 × 1024, the projection matrix
+// of VGG11's widest conv layers; the scalar table is glibc's per-value loop.
+void BM_GaussianFillIsa(benchmark::State& state, const codelet::Kernels* kr) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kBlockPairs = 256;
+  std::vector<float> out(n);
+  std::vector<double> u1(kBlockPairs), u2(kBlockPairs);
+  Rng rng(23);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i + 2 <= n;) {
+      const std::size_t pairs = std::min(kBlockPairs, (n - i) / 2);
+      for (std::size_t p = 0; p < pairs; ++p) {
+        do {
+          u1[p] = rng.uniform();
+        } while (u1[p] <= 1e-300);
+        u2[p] = rng.uniform();
+      }
+      kr->gaussian_pairs(u1.data(), u2.data(), pairs, 1.0, out.data() + i);
+      i += 2 * pairs;
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+
 void register_isa_benchmarks() {
   using codelet::Isa;
   for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
@@ -313,6 +342,10 @@ void register_isa_benchmarks() {
                                        kr);
       b->Arg(63)->Arg(256)->Arg(1024);
     }
+    benchmark::RegisterBenchmark(("BM_GaussianFill" + tag).c_str(),
+                                 BM_GaussianFillIsa, kr)
+        ->Arg(4608 * 1024)
+        ->Unit(benchmark::kMillisecond);
   }
 }
 

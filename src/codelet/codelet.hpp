@@ -1,4 +1,4 @@
-// SIMD codelet layer: per-ISA variants of the four hot kernels behind
+// SIMD codelet layer: per-ISA variants of the five hot kernels behind
 // one-time runtime CPU dispatch.
 //
 // The engine's inner loops spend their time in four primitives — the
@@ -6,7 +6,9 @@
 // row-arena form (DynamicCam::search_flat), the fused SimHash sign kernel
 // (RandomProjection::sign_hash_batch), and the float projection GEMM plus
 // sign-bit packing behind the per-vector reference path
-// (RandomProjection::project / sign_hash). This layer gives each primitive a
+// (RandomProjection::project / sign_hash). Building a model or a projection
+// matrix spends its time in a fifth: the Box–Muller transform behind
+// Rng::fill_gaussian (gaussian_pairs). This layer gives each primitive a
 // narrow, hand-written codelet per ISA (scalar / AVX2 / AVX-512),
 // poplibs-style: the scalar codelet is the reference semantics and the
 // bitwise-equivalence oracle in property tests; the SIMD variants must match
@@ -27,6 +29,36 @@
 //  * Signs use ordered >= 0 compares: +0/-0 pack as 1, NaN as 0, on every
 //    ISA. sign_hash_cols is exactly project_cols followed by pack_signs per
 //    vector, without materializing the floats.
+//  * gaussian_pairs rounds to float, so it can use a faster double-precision
+//    evaluation than glibc's and still be exact (Ziv's rounding test: Ziv,
+//    "Fast evaluation of elementary mathematical functions with correctly
+//    rounded last bit", ACM TOMS 1991). The scalar codelet is Rng::gaussian's
+//    expression, v = 0.0 + stddev·(r·cos θ) (and sin), with
+//    r = sqrt(-2·log u1), θ = 2π·u2 and glibc's log/sqrt/sin/cos. The SIMD
+//    codelets compute θ the same way, then log, sincos and the products in
+//    double with their own polynomials, and form E = |v|·2^-40 + 2^-78 from
+//    their value v. Error budget, relative to the exact value
+//    T = stddev·sqrt(-2 ln u1)·cos(θ) of the same double θ:
+//      - log: u1 = 2^e·m, m in [√½, √2), ln m = 2·atanh(s) with
+//        s = (m-1)/(m+1) as nine Taylor terms (|s| <= 0.1716, truncation
+//        < 2^-50), plus e·ln2: < 2^-48;
+//      - sincos: k = round(θ·2/π) in 0..4, y = θ - k·π/2 with π/2 in four
+//        parts (33+33+33+53 bits; k·part exact, remainder < 2^-159), so y
+//        keeps < 2^-51 relative error even at the closest double to kπ/2
+//        (6.1e-17 away); Taylor to y^15 (sin) and y^16 (cos) on
+//        |y| <= π/4: < 2^-50;
+//      - sqrt and the two products round once each: < 2^-51 together.
+//    So the fast value is within |T|·2^-47 of T, and glibc's (each libm
+//    call within a few ulps) within |T|·2^-49: both lie
+//    within E/2 = |v|·2^-41 + 2^-79 of T, hence within E of each other.
+//    Double -> float rounding is monotone, so when float(v - E) and
+//    float(v + E) have identical bit patterns every double in [v-E, v+E]
+//    (glibc's value included) rounds to that float. (v ± E round to double
+//    once, which narrows the interval by an ulp of v — 2^12 times less than
+//    the slack.) Otherwise — a value within E of a float rounding boundary,
+//    a zero, an input outside u1 in [2^-1022, 1), u2 in [0, 1), or a
+//    non-finite result — the pair is recomputed by the scalar codelet.
+//    Measured fallback rate: about 4.5e-5 of pairs (2.2e-5 of values).
 //
 // Tiling (SIMD variants of project_cols and sign_hash_cols, after Goto & van
 // de Geijn, "Anatomy of High-Performance Matrix Multiplication", TOMS 2008):
@@ -113,6 +145,14 @@ struct Kernels {
   /// partial last word's high bits are zero.
   void (*pack_signs)(const float* proj, std::size_t nbits,
                      std::uint64_t* words);
+
+  /// Box–Muller over `pairs` uniform pairs: out[2p] and out[2p + 1] are
+  /// static_cast<float>(0.0 + stddev * (r * cos θ)) and the same with sin θ,
+  /// r = sqrt(-2·log(u1[p])), θ = 2·π·u2[p] — bitwise Rng::gaussian's
+  /// values, glibc's libm included (see the rounding test above). Rng draws
+  /// u1 in (1e-300, 1) and u2 in [0, 1); other inputs take the scalar path.
+  void (*gaussian_pairs)(const double* u1, const double* u2,
+                         std::size_t pairs, double stddev, float* out);
 };
 
 /// The table compiled in for `isa`, or nullptr when its translation unit was

@@ -32,6 +32,56 @@ class PanelBuffer {
   float* data_;
 };
 
+/// One Box–Muller pair exactly as Rng::gaussian computes it (glibc libm):
+/// out[0] from cos θ, out[1] from sin θ. The scalar gaussian_pairs codelet,
+/// and the fallback of the SIMD ones when their rounding test cannot decide.
+void gaussian_pair_exact(double u1, double u2, double stddev, float* out);
+
+/// Constants shared by the SIMD gaussian_pairs codelets; codelet.hpp has the
+/// error budget they meet.
+namespace gauss {
+
+/// Rng::gaussian's angle scale: θ = kTwoPi · u2 rounds exactly as there.
+inline constexpr double kTwoPi = 2.0 * 3.14159265358979323846;
+inline constexpr double kTwoOverPi = 0.63661977236758134308;
+inline constexpr double kSqrt2 = 1.41421356237309504880;
+inline constexpr double kLn2 = 0.69314718055994530942;
+/// π/2 in four parts (fdlibm's pio2_1, pio2_2, pio2_3, pio2_3t): the first
+/// three hold 33 bits each, so k · part is exact for k <= 4, and the sum is
+/// π/2 to within 2^-159.
+inline constexpr double kPio2[4] = {0x1.921fb544p+0, 0x1.0b4611a6p-34,
+                                    0x1.3198a2ep-69,
+                                    8.47842766036889956997e-32};
+
+constexpr double factorial(int n) {
+  double f = 1.0;  // exact: every n! used here is below 2^53
+  for (int i = 2; i <= n; ++i) f *= i;
+  return f;
+}
+
+/// ln m = 2s · Σ_j kAtanh[j] · s^(2j), s = (m - 1) / (m + 1): the atanh
+/// Taylor series, |s| <= 0.1716 for m in [√½, √2).
+inline constexpr double kAtanh[] = {
+    1.0, 1.0 / 3, 1.0 / 5, 1.0 / 7, 1.0 / 9, 1.0 / 11, 1.0 / 13, 1.0 / 15,
+    1.0 / 17};
+
+/// sin y = y + y·z · Σ_n kSin[n] · z^n and cos y = Σ_n kCos[n] · z^n,
+/// z = y², |y| <= π/4: Taylor series through y^15 and y^16.
+inline constexpr double kSin[] = {
+    -1.0 / factorial(3),  1.0 / factorial(5),  -1.0 / factorial(7),
+    1.0 / factorial(9),   -1.0 / factorial(11), 1.0 / factorial(13),
+    -1.0 / factorial(15)};
+inline constexpr double kCos[] = {
+    1.0,                  -1.0 / factorial(2),  1.0 / factorial(4),
+    -1.0 / factorial(6),  1.0 / factorial(8),   -1.0 / factorial(10),
+    1.0 / factorial(12),  -1.0 / factorial(14), 1.0 / factorial(16)};
+
+/// Half-width factors of the rounding test: E = |v| · kRelErr + kAbsErr.
+inline constexpr double kRelErr = 0x1p-40;
+inline constexpr double kAbsErr = 0x1p-78;
+
+}  // namespace gauss
+
 /// Always present: the reference semantics and test oracle.
 const Kernels& scalar_kernels();
 

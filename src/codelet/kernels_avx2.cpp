@@ -15,6 +15,10 @@
 //    and NaN cases — are bit-identical.
 //  * pack_signs: vcmpps with _CMP_GE_OQ matches scalar `>= 0.0f` (+0/-0
 //    pack as 1, NaN as 0); vmovmskps harvests 8 sign bits at a time.
+//  * gaussian_pairs: a double-precision Box–Muller whose floats are proven
+//    equal to the scalar codelet's by a rounding test, lane by lane; lanes
+//    the test cannot decide are recomputed by the scalar codelet (see
+//    codelet.hpp).
 #include "codelet/kernels.hpp"
 
 #if defined(DEEPCAM_CODELET_AVX2)
@@ -377,12 +381,134 @@ void pack_signs_avx2(const float* proj, std::size_t nbits,
   }
 }
 
+/// Horner evaluation of Σ_n coef[n] · z^n.
+template <int N>
+inline __m256d horner4(const double (&coef)[N], __m256d z) {
+  __m256d p = _mm256_set1_pd(coef[N - 1]);
+#pragma GCC unroll 16
+  for (int n = N - 2; n >= 0; --n)
+    p = _mm256_add_pd(_mm256_mul_pd(p, z), _mm256_set1_pd(coef[n]));
+  return p;
+}
+
+/// ln u for u in [2^-1022, 1): u = 2^e · m with m in [√½, √2), split from
+/// the bit pattern, then ln m = 2·atanh((m - 1) / (m + 1)).
+inline __m256d log4(__m256d u) {
+  const __m256i bits = _mm256_castpd_si256(u);
+  // The biased exponent as a double: OR it under 2^52's bit pattern, then
+  // subtract 2^52 + 1023.
+  __m256d e = _mm256_sub_pd(
+      _mm256_castsi256_pd(
+          _mm256_or_si256(_mm256_srli_epi64(bits, 52),
+                          _mm256_set1_epi64x(0x4330000000000000LL))),
+      _mm256_set1_pd(0x1p52 + 1023.0));
+  __m256d m = _mm256_castsi256_pd(_mm256_or_si256(
+      _mm256_and_si256(bits, _mm256_set1_epi64x(0x000FFFFFFFFFFFFFLL)),
+      _mm256_set1_epi64x(0x3FF0000000000000LL)));
+  const __m256d high =
+      _mm256_cmp_pd(m, _mm256_set1_pd(gauss::kSqrt2), _CMP_GE_OQ);
+  m = _mm256_blendv_pd(m, _mm256_mul_pd(m, _mm256_set1_pd(0.5)), high);
+  e = _mm256_add_pd(e, _mm256_and_pd(high, _mm256_set1_pd(1.0)));
+  const __m256d f = _mm256_sub_pd(m, _mm256_set1_pd(1.0));  // exact
+  const __m256d s = _mm256_div_pd(f, _mm256_add_pd(_mm256_set1_pd(2.0), f));
+  const __m256d ln_m = _mm256_mul_pd(
+      _mm256_add_pd(s, s), horner4(gauss::kAtanh, _mm256_mul_pd(s, s)));
+  return _mm256_add_pd(_mm256_mul_pd(e, _mm256_set1_pd(gauss::kLn2)), ln_m);
+}
+
+struct CosSin4 {
+  __m256d cos;
+  __m256d sin;
+};
+
+/// cos θ and sin θ for θ in [0, 2π): quadrant k = round(θ·2/π), y = θ - k·π/2
+/// against the four-part π/2, polynomials on |y| <= π/4, then a swap for odd
+/// k and sign flips for k mod 4 in {1, 2} (cos) and {2, 3} (sin), all read
+/// off k's integer bits.
+inline CosSin4 sincos4(__m256d theta) {
+  const __m256d k = _mm256_round_pd(
+      _mm256_mul_pd(theta, _mm256_set1_pd(gauss::kTwoOverPi)),
+      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  __m256d y = theta;
+#pragma GCC unroll 4
+  for (double part : gauss::kPio2)
+    y = _mm256_sub_pd(y, _mm256_mul_pd(k, _mm256_set1_pd(part)));
+  const __m256d z = _mm256_mul_pd(y, y);
+  const __m256d sin_y = _mm256_add_pd(
+      y, _mm256_mul_pd(_mm256_mul_pd(y, z), horner4(gauss::kSin, z)));
+  const __m256d cos_y = horner4(gauss::kCos, z);
+  // k (0..4) in the low mantissa bits of 2^52 + k; a blend reads bit 63.
+  const __m256i q =
+      _mm256_castpd_si256(_mm256_add_pd(k, _mm256_set1_pd(0x1p52)));
+  const __m256d swap = _mm256_castsi256_pd(_mm256_slli_epi64(q, 63));
+  const __m256i two = _mm256_set1_epi64x(2);
+  const __m256d cos_sign = _mm256_castsi256_pd(_mm256_slli_epi64(
+      _mm256_and_si256(_mm256_add_epi64(q, _mm256_set1_epi64x(1)), two), 62));
+  const __m256d sin_sign =
+      _mm256_castsi256_pd(_mm256_slli_epi64(_mm256_and_si256(q, two), 62));
+  return {_mm256_xor_pd(_mm256_blendv_pd(cos_y, sin_y, swap), cos_sign),
+          _mm256_xor_pd(_mm256_blendv_pd(sin_y, cos_y, swap), sin_sign)};
+}
+
+struct Rounded4 {
+  __m128 value;  ///< float(v - E)
+  int ok;        ///< bit l: lane l of float(v + E) has the same bits
+};
+
+/// The rounding test: where float(v - E) and float(v + E) share one bit
+/// pattern, that is the float of every double within E of v.
+inline Rounded4 round_test4(__m256d v) {
+  const __m256d e = _mm256_add_pd(
+      _mm256_mul_pd(_mm256_andnot_pd(_mm256_set1_pd(-0.0), v),
+                    _mm256_set1_pd(gauss::kRelErr)),
+      _mm256_set1_pd(gauss::kAbsErr));
+  const __m128 lo = _mm256_cvtpd_ps(_mm256_sub_pd(v, e));
+  const __m128 hi = _mm256_cvtpd_ps(_mm256_add_pd(v, e));
+  return {lo, _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(
+                  _mm_castps_si128(lo), _mm_castps_si128(hi))))};
+}
+
+void gaussian_pairs_avx2(const double* u1, const double* u2,
+                         std::size_t pairs, double stddev, float* out) {
+  const __m256d sd = _mm256_set1_pd(stddev);
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d min_normal = _mm256_set1_pd(0x1p-1022);
+  std::size_t p = 0;
+  for (; p + 4 <= pairs; p += 4) {
+    const __m256d a = _mm256_loadu_pd(u1 + p);
+    const __m256d b = _mm256_loadu_pd(u2 + p);
+    const __m256d in_domain = _mm256_and_pd(
+        _mm256_and_pd(_mm256_cmp_pd(a, min_normal, _CMP_GE_OQ),
+                      _mm256_cmp_pd(a, one, _CMP_LT_OQ)),
+        _mm256_and_pd(_mm256_cmp_pd(b, zero, _CMP_GE_OQ),
+                      _mm256_cmp_pd(b, one, _CMP_LT_OQ)));
+    const __m256d r =
+        _mm256_sqrt_pd(_mm256_mul_pd(_mm256_set1_pd(-2.0), log4(a)));
+    const CosSin4 cs =
+        sincos4(_mm256_mul_pd(_mm256_set1_pd(gauss::kTwoPi), b));
+    const Rounded4 c = round_test4(_mm256_mul_pd(sd, _mm256_mul_pd(r, cs.cos)));
+    const Rounded4 s = round_test4(_mm256_mul_pd(sd, _mm256_mul_pd(r, cs.sin)));
+    _mm_storeu_ps(out + 2 * p, _mm_unpacklo_ps(c.value, s.value));
+    _mm_storeu_ps(out + 2 * p + 4, _mm_unpackhi_ps(c.value, s.value));
+    const unsigned ok =
+        static_cast<unsigned>(_mm256_movemask_pd(in_domain) & c.ok & s.ok);
+    for (unsigned redo = ~ok & 0xFu; redo != 0; redo &= redo - 1) {
+      const std::size_t q =
+          p + static_cast<std::size_t>(std::countr_zero(redo));
+      gaussian_pair_exact(u1[q], u2[q], stddev, out + 2 * q);
+    }
+  }
+  for (; p < pairs; ++p)
+    gaussian_pair_exact(u1[p], u2[p], stddev, out + 2 * p);
+}
+
 }  // namespace
 
 const Kernels* avx2_kernels() {
   static const Kernels k = {hamming_prefix_avx2, hamming_many_avx2,
                             project_cols_avx2, sign_hash_cols_avx2,
-                            pack_signs_avx2};
+                            pack_signs_avx2,     gaussian_pairs_avx2};
   return &k;
 }
 

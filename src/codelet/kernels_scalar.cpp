@@ -3,6 +3,9 @@
 // cam/dynamic_cam.cpp and hash/random_projection.cpp before the codelet
 // layer — moved, not changed, so pre-codelet goldens stay byte-identical.
 //
+// gaussian_pair_exact is Rng::gaussian's Box–Muller step with glibc's libm:
+// the value every gaussian_pairs codelet must round to.
+//
 // This TU is compiled with -ffp-contract=off (see CMakeLists.txt): the
 // projection GEMM's multiply-then-add per output element is the pinned
 // rounding sequence, on every build type and ISA. sign_hash_cols is the same
@@ -10,6 +13,7 @@
 // by construction.
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstring>
 
 #include "codelet/kernels.hpp"
@@ -120,12 +124,28 @@ void sign_hash_cols_scalar(const float* xs, const float* c, std::size_t count,
                 });
 }
 
+void gaussian_pairs_scalar(const double* u1, const double* u2,
+                           std::size_t pairs, double stddev, float* out) {
+  for (std::size_t p = 0; p < pairs; ++p)
+    gaussian_pair_exact(u1[p], u2[p], stddev, out + 2 * p);
+}
+
 }  // namespace
+
+void gaussian_pair_exact(double u1, double u2, double stddev, float* out) {
+  // Rng::gaussian's expressions, term for term.
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  const double theta = gauss::kTwoPi * u2;
+  const double c = r * std::cos(theta);
+  const double s = r * std::sin(theta);
+  out[0] = static_cast<float>(0.0 + stddev * c);
+  out[1] = static_cast<float>(0.0 + stddev * s);
+}
 
 const Kernels& scalar_kernels() {
   static const Kernels k = {hamming_prefix_scalar, hamming_many_scalar,
                             project_cols_scalar, sign_hash_cols_scalar,
-                            pack_signs_scalar};
+                            pack_signs_scalar,   gaussian_pairs_scalar};
   return k;
 }
 

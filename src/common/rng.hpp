@@ -6,11 +6,23 @@
 // SplitMix64 for seeding and Xoshiro256** as the bulk generator — both are
 // small, fast, and well studied; std::mt19937 is avoided because its state
 // initialization from a single seed is poor.
+//
+// Gaussians come from Box–Muller. Rng::gaussian is the definition;
+// Rng::fill_gaussian produces the same floats for whole buffers through the
+// dispatched gaussian_pairs codelet (codelet/codelet.hpp), whose SIMD
+// variants evaluate log/sqrt/sincos with their own polynomials and fall back
+// to glibc's only when a rounding test cannot prove the float — so every
+// weight and projection matrix is bitwise the one the scalar loop draws, on
+// every ISA.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <cmath>
+
+#include "codelet/codelet.hpp"
 
 namespace deepcam {
 
@@ -95,6 +107,34 @@ class Rng {
   /// Gaussian with explicit mean/stddev.
   double gaussian(double mean, double stddev) {
     return mean + stddev * gaussian();
+  }
+
+  /// Fills out[0, n) with static_cast<float>(gaussian(0.0, stddev)) per
+  /// value, and leaves this Rng exactly as those n calls would. A cached half
+  /// at entry is emitted first; whole pairs then go through the dispatched
+  /// gaussian_pairs codelet in blocks, drawing the uniforms in gaussian()'s
+  /// order; the last one or two values go through gaussian() itself, so the
+  /// cached half left behind is its own. With stddev = 1.0 each value is
+  /// also static_cast<float>(gaussian()): r·cos θ is never ±0.
+  void fill_gaussian(float* out, std::size_t n, double stddev = 1.0) {
+    constexpr std::size_t kBlockPairs = 256;
+    double u1[kBlockPairs] = {};
+    double u2[kBlockPairs] = {};
+    std::size_t i = 0;
+    if (n > 0 && has_cache_)
+      out[i++] = static_cast<float>(gaussian(0.0, stddev));
+    while (n - i > 2) {
+      const std::size_t pairs = std::min(kBlockPairs, (n - i - 1) / 2);
+      for (std::size_t p = 0; p < pairs; ++p) {
+        do {
+          u1[p] = uniform();
+        } while (u1[p] <= 1e-300);
+        u2[p] = uniform();
+      }
+      codelet::kernels().gaussian_pairs(u1, u2, pairs, stddev, out + i);
+      i += 2 * pairs;
+    }
+    for (; i < n; ++i) out[i] = static_cast<float>(gaussian(0.0, stddev));
   }
 
   /// Derive an independent child stream (for per-layer / per-module seeding).

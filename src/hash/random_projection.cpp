@@ -22,7 +22,7 @@ RandomProjection::RandomProjection(std::size_t input_dim,
   DEEPCAM_CHECK(hash_bits > 0);
   c_.resize(input_dim * hash_bits);
   Rng rng(seed);
-  for (auto& v : c_) v = static_cast<float>(rng.gaussian());
+  rng.fill_gaussian(c_.data(), c_.size());
 }
 
 void RandomProjection::project_cols(const float* xs, std::size_t count,

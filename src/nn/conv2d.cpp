@@ -11,11 +11,9 @@ Conv2D::Conv2D(std::string name, ConvSpec spec, std::uint64_t seed)
   const std::size_t fan_in = spec_.patch_len();
   weights_.resize(spec_.out_channels * fan_in);
   bias_.assign(spec_.out_channels, 0.0f);
-  grad_w_.assign(weights_.size(), 0.0f);
-  grad_b_.assign(bias_.size(), 0.0f);
   Rng rng(seed);
   const double std = std::sqrt(2.0 / static_cast<double>(fan_in));
-  for (auto& w : weights_) w = static_cast<float>(rng.gaussian(0.0, std));
+  rng.fill_gaussian(weights_.data(), weights_.size(), std);
 }
 
 Tensor Conv2D::infer(const Tensor& in) const {
@@ -97,6 +95,10 @@ Tensor Conv2D::forward(const Tensor& in, bool train) {
 
 Tensor Conv2D::backward(const Tensor& grad_out) {
   DEEPCAM_CHECK_MSG(has_cache_, "Conv2D::backward without cached forward");
+  if (grad_w_.empty()) {  // first backward: inference-only models never pay
+    grad_w_.assign(weights_.size(), 0.0f);
+    grad_b_.assign(bias_.size(), 0.0f);
+  }
   const Tensor& in = cached_in_;
   const Shape& s = in.shape();
   const std::size_t oh = spec_.out_h(s.h);
@@ -144,6 +146,7 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
 }
 
 void Conv2D::update(float lr) {
+  if (grad_w_.empty()) return;  // no backward yet: every gradient is zero
   for (std::size_t i = 0; i < weights_.size(); ++i) {
     weights_[i] -= lr * grad_w_[i];
     grad_w_[i] = 0.0f;

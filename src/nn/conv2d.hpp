@@ -71,7 +71,7 @@ class Conv2D final : public Layer {
   ConvSpec spec_;
   std::vector<float> weights_;  // [out_c][in_c*kh*kw]
   std::vector<float> bias_;     // [out_c]
-  std::vector<float> grad_w_, grad_b_;
+  std::vector<float> grad_w_, grad_b_;  // empty until the first backward()
   Tensor cached_in_;
   bool has_cache_ = false;
   float noise_scale_ = 0.0f;

@@ -11,11 +11,9 @@ Linear::Linear(std::string name, std::size_t in_features,
     : name_(std::move(name)), in_(in_features), out_(out_features) {
   weights_.resize(in_ * out_);
   bias_.assign(out_, 0.0f);
-  grad_w_.assign(weights_.size(), 0.0f);
-  grad_b_.assign(bias_.size(), 0.0f);
   Rng rng(seed);
   const double std = std::sqrt(2.0 / static_cast<double>(in_));
-  for (auto& w : weights_) w = static_cast<float>(rng.gaussian(0.0, std));
+  rng.fill_gaussian(weights_.data(), weights_.size(), std);
 }
 
 Tensor Linear::infer(const Tensor& in) const {
@@ -79,6 +77,10 @@ Tensor Linear::forward(const Tensor& in, bool train) {
 
 Tensor Linear::backward(const Tensor& grad_out) {
   DEEPCAM_CHECK_MSG(has_cache_, "Linear::backward without cached forward");
+  if (grad_w_.empty()) {  // first backward: inference-only models never pay
+    grad_w_.assign(weights_.size(), 0.0f);
+    grad_b_.assign(bias_.size(), 0.0f);
+  }
   const Tensor& in = cached_in_;
   const Shape& s = in.shape();
   const std::size_t feat = s.c * s.h * s.w;
@@ -102,6 +104,7 @@ Tensor Linear::backward(const Tensor& grad_out) {
 }
 
 void Linear::update(float lr) {
+  if (grad_w_.empty()) return;  // no backward yet: every gradient is zero
   for (std::size_t i = 0; i < weights_.size(); ++i) {
     weights_[i] -= lr * grad_w_[i];
     grad_w_[i] = 0.0f;

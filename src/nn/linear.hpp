@@ -46,7 +46,8 @@ class Linear final : public Layer {
  private:
   std::string name_;
   std::size_t in_, out_;
-  std::vector<float> weights_, bias_, grad_w_, grad_b_;
+  std::vector<float> weights_, bias_;
+  std::vector<float> grad_w_, grad_b_;  // empty until the first backward()
   Tensor cached_in_;
   bool has_cache_ = false;
   float noise_scale_ = 0.0f;

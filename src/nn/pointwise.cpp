@@ -78,7 +78,7 @@ BatchNorm::BatchNorm(std::string name, std::size_t channels,
   Rng rng(seed);
   // Near-identity folded parameters: gamma in [0.8, 1.2], small beta.
   for (auto& g : gamma_) g = static_cast<float>(rng.uniform(0.8, 1.2));
-  for (auto& b : beta_) b = static_cast<float>(rng.gaussian(0.0, 0.05));
+  rng.fill_gaussian(beta_.data(), beta_.size(), 0.05);
 }
 
 Tensor BatchNorm::forward(const Tensor& in, bool /*train*/) {

@@ -109,8 +109,7 @@ nn::Tensor LoadGenerator::make_input(const nn::Shape& shape,
                                      std::uint64_t seed) {
   Rng rng(seed);
   nn::Tensor t(shape);
-  for (std::size_t i = 0; i < t.numel(); ++i)
-    t[i] = static_cast<float>(rng.gaussian());
+  rng.fill_gaussian(t.data(), t.numel());
   return t;
 }
 

@@ -7,18 +7,25 @@
 // NaN / ±0 / denormal edge cases, and the fused sign_hash_cols identical to
 // scalar project_cols + pack_signs. Word-boundary hash lengths (63/64/65),
 // unaligned row/column/patch counts and counts on both sides of the pack
-// threshold (every leftover tile width) are swept explicitly.
+// threshold (every leftover tile width) are swept explicitly. gaussian_pairs
+// must give the scalar (glibc) floats bit for bit on adversarial uniforms,
+// on values next to a float rounding boundary (where the SIMD rounding test
+// must hand the pair to the scalar path) and on 50 M random pairs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "codelet/codelet.hpp"
+#include "common/rng.hpp"
 
 namespace {
 
@@ -365,6 +372,162 @@ TEST(Codelet, PackSignsEdgeValuesMatchScalar) {
           << deepcam::codelet::isa_name(isa) << " nbits=" << nbits;
     }
   }
+}
+
+
+/// gaussian_pairs on every reachable ISA vs the scalar codelet, bitwise.
+/// Returns false (after reporting the first differing value) on a mismatch.
+bool gaussian_pairs_match(const std::vector<double>& u1,
+                          const std::vector<double>& u2, double stddev) {
+  const std::size_t pairs = u1.size();
+  std::vector<float> want(2 * pairs);
+  scalar().gaussian_pairs(u1.data(), u2.data(), pairs, stddev, want.data());
+  for (Isa isa : reachable_isas()) {
+    std::vector<float> got(2 * pairs);
+    deepcam::codelet::kernels_for(isa)->gaussian_pairs(
+        u1.data(), u2.data(), pairs, stddev, got.data());
+    if (std::memcmp(got.data(), want.data(), want.size() * sizeof(float)) ==
+        0)
+      continue;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      if (std::memcmp(&got[i], &want[i], sizeof(float)) == 0) continue;
+      ADD_FAILURE() << deepcam::codelet::isa_name(isa) << " stddev=" << stddev
+                    << " pair " << i / 2 << " u1=" << u1[i / 2]
+                    << " u2=" << u2[i / 2] << ": " << got[i]
+                    << " != " << want[i];
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Pads a pair list with 16 ordinary pairs, so every listed pair runs in a
+/// full SIMD block rather than the scalar tail.
+void pad_to_simd(std::vector<double>& u1, std::vector<double>& u2) {
+  for (int i = 0; i < 16; ++i) {
+    u1.push_back(0.25 + i / 64.0);
+    u2.push_back(0.3 + i / 64.0);
+  }
+}
+
+TEST(Codelet, GaussianPairsAdversarialUniformsMatchScalar) {
+  constexpr double ulp = 0x1p-53;
+  // u1 at both ends of (0, 1) and at the √½ cut of the log's mantissa.
+  const double half_sqrt2 = std::sqrt(0.5);
+  std::vector<double> u1s = {ulp,
+                             2 * ulp,
+                             0.5,
+                             1 - ulp,
+                             0x1p-996,
+                             0x1p-1022,
+                             half_sqrt2,
+                             std::nextafter(half_sqrt2, 0.0),
+                             std::nextafter(half_sqrt2, 1.0),
+                             0.7,
+                             0.1};
+  for (double k : {2.0, 3.0, 5.0, 8.0, 16.0, 1000.0})
+    u1s.push_back(1 - k * ulp);
+  // θ = 2π·u2 next to kπ/2, where cos or sin nearly vanishes.
+  std::vector<double> u2s = {0.0, 1 - ulp, 1 - 2 * ulp, 1 - 3 * ulp};
+  for (int k = 0; k < 4; ++k)
+    for (int j = -3; j <= 3; ++j) {
+      const double u = k / 4.0 + j * (k == 0 ? 0x1p-60 : ulp);
+      if (u > 0.0) u2s.push_back(u);
+    }
+  std::vector<double> u1, u2;
+  for (double a : u1s)
+    for (double b : u2s) {
+      u1.push_back(a);
+      u2.push_back(b);
+    }
+  pad_to_simd(u1, u2);
+  for (double stddev :
+       {1.0, 0.05, std::sqrt(2.0 / 27.0), 1e-30, 1e30, -2.0})
+    ASSERT_TRUE(gaussian_pairs_match(u1, u2, stddev)) << stddev;
+}
+
+TEST(Codelet, GaussianPairsOutsideRngDomainMatchScalar) {
+  // Rng never draws these; the codelets must still agree (scalar path).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> u1, u2;
+  for (double a : {0.0, 1.0, 1e-310, -0.5, 1.5, nan})
+    for (double b : {0.25, 1.0, 1.5, -1e-3, nan}) {
+      u1.push_back(a);
+      u2.push_back(b);
+    }
+  pad_to_simd(u1, u2);
+  for (double stddev : {1.0, 0.0, nan})
+    ASSERT_TRUE(gaussian_pairs_match(u1, u2, stddev)) << stddev;
+}
+
+TEST(Codelet, GaussianPairsNearFloatMidpointsMatchScalar) {
+  // A value within 2^-40 (relative) of a float rounding midpoint fails the
+  // SIMD rounding test, so its pair must come out of the scalar fallback.
+  const auto near_midpoint = [](double v) {
+    const float f = static_cast<float>(v);
+    const float finf = std::numeric_limits<float>::infinity();
+    const double below = std::nextafter(f, -finf);
+    const double above = std::nextafter(f, finf);
+    const double d = std::min(std::fabs(v - (double(f) + below) / 2),
+                              std::fabs(v - (double(f) + above) / 2));
+    return std::isfinite(d) && d <= std::ldexp(std::fabs(v), -40);
+  };
+  for (double stddev : {1.0, std::sqrt(2.0 / 27.0)}) {
+    deepcam::Rng rng(17);
+    std::vector<double> u1, u2;
+    for (int i = 0; i < (1 << 21); ++i) {
+      double a = rng.uniform();
+      while (a <= 1e-300) a = rng.uniform();
+      const double b = rng.uniform();
+      const double r = std::sqrt(-2.0 * std::log(a));
+      const double theta = 2.0 * 3.14159265358979323846 * b;
+      if (near_midpoint(0.0 + stddev * (r * std::cos(theta))) ||
+          near_midpoint(0.0 + stddev * (r * std::sin(theta)))) {
+        u1.push_back(a);
+        u2.push_back(b);
+      }
+    }
+    ASSERT_GE(u1.size(), 40u) << stddev;
+    pad_to_simd(u1, u2);
+    ASSERT_TRUE(gaussian_pairs_match(u1, u2, stddev)) << stddev;
+  }
+}
+
+TEST(Codelet, GaussianPairsFiftyMillionRandomPairsMatchScalar) {
+  // 192 seeded rounds of 2^18 pairs, shared out over up to four threads.
+  const double stddevs[] = {1.0, std::sqrt(2.0 / 27.0),
+                            std::sqrt(2.0 / 4608.0), std::sqrt(2.0 / 512.0),
+                            0.05};
+  constexpr std::uint64_t kRounds = 192;
+  std::atomic<std::uint64_t> next_round{0};
+  std::atomic<std::size_t> total{0};
+  std::atomic<bool> failed{false};
+  const auto worker = [&] {
+    std::vector<double> u1, u2;
+    while (!failed) {
+      const std::uint64_t seed = next_round++;
+      if (seed >= kRounds) break;
+      deepcam::Rng rng(seed);
+      const std::size_t pairs = (std::size_t{1} << 18) - seed % 17;
+      u1.resize(pairs);
+      u2.resize(pairs);
+      for (std::size_t p = 0; p < pairs; ++p) {
+        do {
+          u1[p] = rng.uniform();
+        } while (u1[p] <= 1e-300);
+        u2[p] = rng.uniform();
+      }
+      if (!gaussian_pairs_match(u1, u2, stddevs[seed % 5])) failed = true;
+      total += pairs;
+    }
+  };
+  const unsigned threads =
+      std::clamp(std::thread::hardware_concurrency(), 1u, 4u);
+  std::vector<std::thread> pool;
+  for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
+  for (auto& t : pool) t.join();
+  ASSERT_FALSE(failed);
+  EXPECT_GE(total.load(), 50000000u);
 }
 
 }  // namespace

@@ -1,15 +1,105 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "nn/pointwise.hpp"
 #include "nn/pooling.hpp"
+#include "nn/topologies.hpp"
 
 namespace deepcam::nn {
 namespace {
+
+/// FNV-1a 64 over the little-endian bytes of each float, in order.
+void fnv1a(std::uint64_t& h, const std::vector<float>& values) {
+  for (float v : values) {
+    std::uint32_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    for (int b = 0; b < 4; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+}
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+Tensor gaussian_tensor(const Shape& shape, std::uint64_t seed) {
+  Tensor t(shape);
+  Rng rng(seed);
+  for (std::size_t i = 0; i < t.numel(); ++i)
+    t[i] = static_cast<float>(rng.gaussian());
+  return t;
+}
+
+/// Two SGD steps (forward, backward, update), then the digest of the
+/// layer's weights and bias.
+template <class L>
+std::uint64_t digest_after_two_steps(L& layer, const Shape& in_shape) {
+  for (std::uint64_t step = 0; step < 2; ++step) {
+    const Tensor out =
+        layer.forward(gaussian_tensor(in_shape, 21 + step), true);
+    layer.backward(gaussian_tensor(out.shape(), 31 + step));
+    layer.update(0.05f);
+  }
+  std::uint64_t h = kFnvBasis;
+  fnv1a(h, layer.weights());
+  fnv1a(h, layer.bias());
+  return h;
+}
+
+/// Digest of every Conv2D / Linear weight of a zoo model, in node order.
+std::uint64_t model_weight_digest(const std::string& name) {
+  const auto model = make_model(name, 1);
+  std::uint64_t h = kFnvBasis;
+  for (std::size_t i = 0; i < model->node_count(); ++i) {
+    if (const auto* c = dynamic_cast<const Conv2D*>(&model->layer(i)))
+      fnv1a(h, c->weights());
+    else if (const auto* l = dynamic_cast<const Linear*>(&model->layer(i)))
+      fnv1a(h, l->weights());
+  }
+  return h;
+}
+
+TEST(Layers, UpdateBeforeBackwardLeavesWeightsBitwise) {
+  // Gradients are allocated by the first backward(); until then update()
+  // is a no-op, exactly like subtracting lr·0.
+  Conv2D conv("c", ConvSpec{2, 3, 3, 3, 1, 1}, 7);
+  Linear fc("f", 50, 10, 9);
+  const auto conv_w = conv.weights();
+  const auto fc_w = fc.weights();
+  conv.update(0.5f);
+  fc.update(0.5f);
+  EXPECT_EQ(std::memcmp(conv.weights().data(), conv_w.data(),
+                        conv_w.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(std::memcmp(fc.weights().data(), fc_w.data(),
+                        fc_w.size() * sizeof(float)),
+            0);
+}
+
+TEST(Layers, TrainingStepsArePinned) {
+  // Digests of the weights after two SGD steps, from the build that
+  // allocated gradients in the constructor (g++ 12 / glibc 2.36, x86_64).
+  Conv2D conv("c", ConvSpec{2, 3, 3, 3, 1, 1}, 7);
+  EXPECT_EQ(digest_after_two_steps(conv, Shape{2, 2, 5, 5}),
+            0xf085b01c489362e0ULL);
+  Linear fc("f", 50, 10, 9);
+  EXPECT_EQ(digest_after_two_steps(fc, Shape{3, 2, 5, 5}),
+            0xbff25d003c3aab7dULL);
+}
+
+TEST(Layers, ZooWeightsArePinned) {
+  // Every Conv2D / Linear weight of the zoo models is a He-init Gaussian
+  // draw; these digests (scalar Box–Muller loop, g++ 12 / glibc 2.36,
+  // x86_64) pin them bitwise.
+  EXPECT_EQ(model_weight_digest("lenet5"), 0x19bffcc4513f4522ULL);
+  EXPECT_EQ(model_weight_digest("vgg11"), 0x32fcdf2d78604a9bULL);
+}
 
 // ---------------------------------------------------------------- Conv2D --
 

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/context.hpp"
 
 namespace deepcam::hash {
 namespace {
@@ -24,6 +26,36 @@ TEST(RandomProjection, SeedsDiffer) {
     for (std::size_t j = 0; j < 32; ++j)
       if (a.at(i, j) == b.at(i, j)) ++same;
   EXPECT_LT(same, 3);
+}
+
+/// FNV-1a 64 over the little-endian bytes of each entry of C, row-major.
+std::uint64_t matrix_digest(const RandomProjection& p) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < p.input_dim(); ++i)
+    for (std::size_t j = 0; j < p.hash_bits(); ++j) {
+      const float v = p.at(i, j);
+      std::uint32_t bits;
+      std::memcpy(&bits, &v, sizeof(bits));
+      for (int b = 0; b < 4; ++b) {
+        h ^= (bits >> (8 * b)) & 0xffu;
+        h *= 0x100000001b3ULL;
+      }
+    }
+  return h;
+}
+
+TEST(RandomProjection, MatricesArePinned) {
+  // C is the paper's N(0, 1) draw, not a fixture: these digests pin every
+  // entry (values from the scalar Box–Muller loop, g++ 12 / glibc 2.36,
+  // x86_64), so a generator change cannot silently change every hash bit.
+  EXPECT_EQ(matrix_digest(RandomProjection(150, 1024,
+                                           core::layer_hash_seed(42, 3))),
+            0xc06bed0d49847236ULL);  // LeNet-5 conv2
+  EXPECT_EQ(matrix_digest(RandomProjection(4608, 1024,
+                                           core::layer_hash_seed(42, 21))),
+            0x0b1a319a3c967652ULL);  // a VGG11 512-channel conv
+  EXPECT_EQ(matrix_digest(RandomProjection(7, 33, 5)),
+            0x83e7b3d9aa6b2c93ULL);  // odd sizes: scalar tail and cache
 }
 
 TEST(RandomProjection, EntriesApproximatelyStandardNormal) {

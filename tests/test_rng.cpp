@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <vector>
 
 namespace deepcam {
 namespace {
@@ -71,6 +74,52 @@ TEST(Rng, GaussianScaled) {
   double sum = 0.0;
   for (int i = 0; i < n; ++i) sum += rng.gaussian(5.0, 2.0);
   EXPECT_NEAR(sum / n, 5.0, 0.1);
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](float x, float y) {
+                      return std::bit_cast<std::uint32_t>(x) ==
+                             std::bit_cast<std::uint32_t>(y);
+                    });
+}
+
+TEST(Rng, FillGaussianMatchesScalarLoopAndState) {
+  // Bitwise the floats of n gaussian(0.0, stddev) calls, leaving the same
+  // stream position and cached half behind, with or without a cached half
+  // at entry.
+  const std::size_t sizes[] = {0,   1,   2,   3,   15,     16,
+                               17,  127, 128, 129, 1000001};
+  for (double stddev : {1.0, 0.05, std::sqrt(2.0 / 27.0)}) {
+    for (bool cached : {false, true}) {
+      for (std::size_t n : sizes) {
+        Rng loop(n + 3), fill(n + 3);
+        if (cached) {
+          loop.gaussian();
+          fill.gaussian();
+        }
+        std::vector<float> want(n), got(n);
+        for (auto& v : want) v = static_cast<float>(loop.gaussian(0.0, stddev));
+        fill.fill_gaussian(got.data(), n, stddev);
+        ASSERT_TRUE(same_bits(got, want))
+            << "n=" << n << " stddev=" << stddev << " cached=" << cached;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(fill.gaussian()),
+                  std::bit_cast<std::uint64_t>(loop.gaussian()))
+            << "n=" << n;
+        EXPECT_EQ(fill.next(), loop.next()) << "n=" << n;
+      }
+    }
+  }
+}
+
+TEST(Rng, FillGaussianDefaultIsPlainGaussian) {
+  // stddev = 1.0 reproduces static_cast<float>(gaussian()) itself.
+  Rng loop(21), fill(21);
+  std::vector<float> want(4099), got(4099);
+  for (auto& v : want) v = static_cast<float>(loop.gaussian());
+  fill.fill_gaussian(got.data(), got.size());
+  EXPECT_TRUE(same_bits(got, want));
+  EXPECT_EQ(fill.next(), loop.next());
 }
 
 TEST(Rng, ForkProducesIndependentStream) {
