@@ -3,18 +3,15 @@
 // 1024-bit), all normalized to the paper's baseline: DeepCAM with
 // homogeneous 256-bit hashes. Swept over CAM row counts and both dataflows.
 //
-// DeepCAM energy is computed analytically from the mapping plans and the
-// tech.hpp cost model (identical accounting to the accelerator's reports:
-// CAM search + CAM write + post-processing + online context generation).
+// DeepCAM energy comes from plan::CostModel, which prices every layer with
+// the engine's own pricing function (CAM search + CAM write +
+// post-processing + online context generation).
 #include <cstdio>
 #include <vector>
 
-#include "cam/energy_model.hpp"
 #include "common/table.hpp"
-#include "common/tech.hpp"
-#include "core/mapping.hpp"
 #include "nn/topologies.hpp"
-#include "nn/workload.hpp"
+#include "plan/cost_model.hpp"
 #include "systolic/eyeriss.hpp"
 
 using namespace deepcam;
@@ -32,37 +29,19 @@ std::size_t vhl_bits_for_context(std::size_t context_len) {
   return 1024;
 }
 
-double deepcam_energy(const nn::Model& model, nn::Shape input,
-                      std::size_t rows, core::Dataflow df,
-                      std::size_t fixed_bits /* 0 = VHL */) {
-  double energy = 0.0;
-  bool first = true;
-  const cam::CamConfig cam_cfg{rows, 256, 4, cam::CellTech::kFeFET};
-  for (const auto& g : nn::extract_gemm_workload(model, input)) {
-    const std::size_t k =
-        fixed_bits == 0 ? vhl_bits_for_context(g.k) : fixed_bits;
-    const core::MappingPlan plan = core::plan_mapping({g.m, g.n}, rows, df);
-    // CAM: searches + row writes.
-    energy += double(plan.searches) *
-              cam::CamCostModel::search_energy(cam_cfg, k);
-    energy += double(plan.rows_written) *
-              cam::CamCostModel::write_energy(cam_cfg, k);
-    // Post-processing: one cosine+2 minifloat muls+bias add per dot product.
-    energy += double(plan.dot_products) *
-              (tech::kCosineUnitEnergy + 2.0 * tech::kMiniFloatMulEnergy +
-               tech::kAdd8Energy + tech::kPipeRegEnergy);
-    // Online context generation for every layer after the first.
-    if (!first) {
-      energy += double(g.m) *
-                (double(g.k) * tech::kMul8Energy +
-                 double(g.k - 1) * tech::kAdd16Energy +
-                 16.0 * tech::kSqrtIterEnergy +
-                 double(g.k) * double(k) * tech::kXbarCellEnergy +
-                 double(k) * tech::kXbarSenseAmpEnergy);
-    }
-    first = false;
-  }
-  return energy;
+/// Energy of one inference (CAM search + CAM write + post-processing +
+/// online context generation) from plan::CostModel, which prices layers
+/// exactly as the engine does. `fixed_bits` = 0 selects the VHL levels.
+double deepcam_energy(const plan::CostModel& cost, std::size_t rows,
+                      core::Dataflow df, std::size_t fixed_bits) {
+  core::DeepCamConfig cfg;
+  cfg.cam_rows = rows;
+  cfg.dataflow = df;
+  for (const auto& layer : cost.geometry().cam_layers)
+    cfg.layer_hash_bits.push_back(
+        fixed_bits == 0 ? vhl_bits_for_context(layer.context_len)
+                        : fixed_bits);
+  return cost.estimate(cfg).sample_energy();
 }
 
 }  // namespace
@@ -78,6 +57,7 @@ int main() {
     const nn::Shape in{1, spec.channels, spec.height, spec.width};
     const double eyeriss_e = systolic::simulate_eyeriss(*model, in)
                                  .total_energy();
+    const plan::CostModel cost(plan::extract_geometry(*model, in));
 
     std::printf("-- %s --\n", name);
     Table t({"rows", "dataflow", "Eyeriss", "VHL DeepCAM", "Max DeepCAM",
@@ -85,9 +65,9 @@ int main() {
     for (std::size_t rows : {64u, 128u, 256u, 512u}) {
       for (const auto df : {core::Dataflow::kWeightStationary,
                             core::Dataflow::kActivationStationary}) {
-        const double base = deepcam_energy(*model, in, rows, df, 256);
-        const double vhl = deepcam_energy(*model, in, rows, df, 0);
-        const double maxd = deepcam_energy(*model, in, rows, df, 1024);
+        const double base = deepcam_energy(cost, rows, df, 256);
+        const double vhl = deepcam_energy(cost, rows, df, 0);
+        const double maxd = deepcam_energy(cost, rows, df, 1024);
         t.add_row({std::to_string(rows),
                    df == core::Dataflow::kWeightStationary ? "WS" : "AS",
                    Table::num(eyeriss_e / base, 1),

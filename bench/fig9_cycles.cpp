@@ -7,56 +7,44 @@
 //   idealized    — the paper's O(1)-search abstraction (search=1 cycle,
 //                  writes/context-generation hidden);
 //   conservative — engineering-estimate latencies (tech.hpp).
+// Both come from plan::CostModel, which prices layers exactly as the engine.
 // See EXPERIMENTS.md for how the paper's headline ratios map onto these.
 #include <cstdio>
 
 #include "common/table.hpp"
-#include "common/tech.hpp"
-#include "core/accelerator.hpp"
-#include "core/mapping.hpp"
 #include "cpu/cpu_model.hpp"
 #include "nn/topologies.hpp"
-#include "nn/workload.hpp"
+#include "plan/cost_model.hpp"
 #include "systolic/eyeriss.hpp"
 
 using namespace deepcam;
 
 namespace {
 
-/// Analytic DeepCAM cycle/utilization model from the mapping plans — no
-/// functional simulation needed, so the full sweep is instant. Matches the
-/// accelerator's accounting (test_integration pins them together).
-struct DeepCamAnalytic {
+struct DeepCamCycles {
   std::size_t cycles_ideal = 0;
   std::size_t cycles_conservative = 0;
   double mean_util = 0.0;
 };
 
-DeepCamAnalytic analyze(const nn::Model& model, nn::Shape input,
-                        std::size_t rows, core::Dataflow df,
-                        std::size_t hash_bits) {
-  DeepCamAnalytic out;
-  const std::size_t chunks = (hash_bits + 255) / 256;
-  const std::size_t t_search =
-      std::size_t(tech::kCamSearchBaseCycles) +
-      std::size_t(tech::kCamSearchCyclesPerChunk) * chunks;
-  double util = 0.0, wsum = 0.0;
-  bool first = true;
-  for (const auto& g : nn::extract_gemm_workload(model, input)) {
-    const core::MappingPlan plan =
-        core::plan_mapping({g.m, g.n}, rows, df);
-    out.cycles_ideal += plan.searches;  // 1 cycle per O(1) search
-    out.cycles_conservative +=
-        plan.searches * t_search +
-        plan.rows_written * std::size_t(tech::kCamWriteCyclesPerRow) +
-        plan.passes * std::size_t(tech::kCamPassDrainCycles) +
-        (first ? 0 : g.m * std::size_t(tech::kXbarInputBits));
-    util += plan.utilization * double(plan.passes);
-    wsum += double(plan.passes);
-    first = false;
-  }
-  out.mean_util = wsum == 0.0 ? 0.0 : util / wsum;
-  return out;
+/// CAM-layer cycles under both presets (peripheral layers excluded) and the
+/// pass-weighted utilization, from plan::CostModel: no functional
+/// simulation, so the full sweep is instant. The engine prices its layers
+/// with the same function, so these are the cycles it reports.
+DeepCamCycles analyze(const plan::CostModel& cost, std::size_t rows,
+                      core::Dataflow df, std::size_t hash_bits) {
+  core::DeepCamConfig cfg;
+  cfg.cam_rows = rows;
+  cfg.dataflow = df;
+  cfg.default_hash_bits = hash_bits;
+  cfg.preset = core::CyclePreset::kIdealized;
+  core::RunReport ideal;
+  ideal.layers = cost.estimate(cfg).layers;
+  cfg.preset = core::CyclePreset::kConservative;
+  core::RunReport conservative;
+  conservative.layers = cost.estimate(cfg).layers;
+  return {ideal.total_cycles(), conservative.total_cycles(),
+          conservative.mean_utilization()};
 }
 
 }  // namespace
@@ -79,6 +67,7 @@ int main() {
     const nn::InputSpec spec = nn::input_spec_for(w.model);
     const nn::Shape in{1, spec.channels, spec.height, spec.width};
 
+    const plan::CostModel cost(plan::extract_geometry(*model, in));
     const auto eyeriss = systolic::simulate_eyeriss(*model, in);
     const auto cpu = cpu::simulate_cpu(*model, in);
 
@@ -94,7 +83,7 @@ int main() {
     for (std::size_t rows : {64u, 128u, 256u, 512u}) {
       for (const auto df : {core::Dataflow::kWeightStationary,
                             core::Dataflow::kActivationStationary}) {
-        const auto dc = analyze(*model, in, rows, df, w.hash_bits);
+        const auto dc = analyze(cost, rows, df, w.hash_bits);
         t.add_row(
             {std::to_string(rows),
              df == core::Dataflow::kWeightStationary ? "WS" : "AS",

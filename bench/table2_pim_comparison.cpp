@@ -6,14 +6,11 @@
 // 3.55 uJ / 2.56e5 cyc; DeepCAM 0.488 uJ / 2.652e5 cyc.
 #include <cstdio>
 
-#include "cam/energy_model.hpp"
 #include "common/table.hpp"
-#include "common/tech.hpp"
 #include "common/units.hpp"
-#include "core/mapping.hpp"
 #include "nn/topologies.hpp"
-#include "nn/workload.hpp"
 #include "pim/comparators.hpp"
+#include "plan/cost_model.hpp"
 
 using namespace deepcam;
 
@@ -26,45 +23,19 @@ std::size_t vhl_bits_for_context(std::size_t context_len) {
   return 1024;
 }
 
-struct DeepCamTotals {
-  double energy = 0.0;
-  std::size_t cycles = 0;
-};
-
-DeepCamTotals deepcam_vhl(const nn::Model& model, nn::Shape input,
-                          std::size_t rows, core::Dataflow df) {
-  DeepCamTotals out;
-  const cam::CamConfig cam_cfg{rows, 256, 4, cam::CellTech::kFeFET};
-  bool first = true;
-  for (const auto& g : nn::extract_gemm_workload(model, input)) {
-    const std::size_t k = vhl_bits_for_context(g.k);
-    const std::size_t chunks = (k + 255) / 256;
-    const core::MappingPlan plan = core::plan_mapping({g.m, g.n}, rows, df);
-    out.energy += double(plan.searches) *
-                      cam::CamCostModel::search_energy(cam_cfg, k) +
-                  double(plan.rows_written) *
-                      cam::CamCostModel::write_energy(cam_cfg, k) +
-                  double(plan.dot_products) *
-                      (tech::kCosineUnitEnergy +
-                       2.0 * tech::kMiniFloatMulEnergy + tech::kAdd8Energy +
-                       tech::kPipeRegEnergy);
-    if (!first) {
-      out.energy += double(g.m) *
-                    (double(g.k) * tech::kMul8Energy +
-                     double(g.k - 1) * tech::kAdd16Energy +
-                     16.0 * tech::kSqrtIterEnergy +
-                     double(g.k) * double(k) * tech::kXbarCellEnergy +
-                     double(k) * tech::kXbarSenseAmpEnergy);
-      out.cycles += g.m * std::size_t(tech::kXbarInputBits);
-    }
-    out.cycles += plan.searches * (std::size_t(tech::kCamSearchBaseCycles) +
-                                   std::size_t(tech::kCamSearchCyclesPerChunk) *
-                                       chunks) +
-                  plan.rows_written *
-                      std::size_t(tech::kCamWriteCyclesPerRow) +
-                  plan.passes * std::size_t(tech::kCamPassDrainCycles);
-    first = false;
-  }
+/// DeepCAM with VHL levels, priced by plan::CostModel exactly as the engine
+/// prices its layers. The report holds CAM layers only: its total_cycles()
+/// leaves out the peripheral layers, as the published cycle counts do.
+core::RunReport deepcam_vhl(const nn::Model& model, nn::Shape input,
+                            std::size_t rows, core::Dataflow df) {
+  const plan::CostModel cost(plan::extract_geometry(model, input));
+  core::DeepCamConfig cfg;
+  cfg.cam_rows = rows;
+  cfg.dataflow = df;
+  for (const auto& layer : cost.geometry().cam_layers)
+    cfg.layer_hash_bits.push_back(vhl_bits_for_context(layer.context_len));
+  core::RunReport out;
+  out.layers = cost.estimate(cfg).layers;
   return out;
 }
 
@@ -92,18 +63,18 @@ int main() {
              Table::num(to_uJ(sram.total_energy()), 2),
              Table::num(sram.total_cycles() / 1e5, 2), "3.55", "2.56"});
   t.add_row({"DeepCAM (VHL, ours)", "FeFET", "geometric",
-             Table::num(to_uJ(dc.energy), 3),
-             Table::num(dc.cycles / 1e5, 2), "0.488", "2.652"});
+             Table::num(to_uJ(dc.total_energy()), 3),
+             Table::num(dc.total_cycles() / 1e5, 2), "0.488", "2.652"});
   t.print();
 
   std::printf("\nDerived ratios (paper: ~71.68x vs NeuroSim, ~7.27x vs "
               "Valavi in energy):\n");
   std::printf("  energy: DeepCAM is %.1fx below NeuroSim, %.1fx below "
-              "Valavi\n", rram.total_energy() / dc.energy,
-              sram.total_energy() / dc.energy);
+              "Valavi\n", rram.total_energy() / dc.total_energy(),
+              sram.total_energy() / dc.total_energy());
   std::printf("  cycles: DeepCAM is %.2fx below NeuroSim, %.2fx vs Valavi "
               "(paper: slightly more cycles than Valavi)\n",
-              double(rram.total_cycles()) / double(dc.cycles),
-              double(sram.total_cycles()) / double(dc.cycles));
+              double(rram.total_cycles()) / double(dc.total_cycles()),
+              double(sram.total_cycles()) / double(dc.total_cycles()));
   return 0;
 }

@@ -6,10 +6,8 @@
 
 #include "cam/energy_model.hpp"
 #include "common/table.hpp"
-#include "common/tech.hpp"
-#include "core/mapping.hpp"
 #include "nn/topologies.hpp"
-#include "nn/workload.hpp"
+#include "plan/cost_model.hpp"
 
 using namespace deepcam;
 
@@ -21,24 +19,22 @@ struct Point {
   double area = 0.0;
 };
 
-Point evaluate(const nn::Model& model, nn::Shape input, std::size_t rows,
-               std::size_t hash_bits, cam::CellTech tech,
-               core::Dataflow df) {
+/// Cycles are the CAM layers' (pass drains and online context generation
+/// included, peripheral layers not); energy is the CAM array's search +
+/// write energy. Both come from plan::CostModel, which prices layers exactly
+/// as the engine does.
+Point evaluate(const plan::CostModel& cost, std::size_t rows,
+               std::size_t hash_bits, cam::CellTech tech, core::Dataflow df) {
+  core::DeepCamConfig cfg;
+  cfg.cam_rows = rows;
+  cfg.default_hash_bits = hash_bits;
+  cfg.tech = tech;
+  cfg.dataflow = df;
   Point pt;
-  const cam::CamConfig cam_cfg{rows, 256, 4, tech};
-  pt.area = cam::CamCostModel::area_um2(cam_cfg);
-  const std::size_t chunks = (hash_bits + 255) / 256;
-  const std::size_t t_search =
-      std::size_t(tech::kCamSearchBaseCycles) +
-      std::size_t(tech::kCamSearchCyclesPerChunk) * chunks;
-  for (const auto& g : nn::extract_gemm_workload(model, input)) {
-    const auto plan = core::plan_mapping({g.m, g.n}, rows, df);
-    pt.cycles += plan.searches * t_search +
-                 plan.rows_written * std::size_t(tech::kCamWriteCyclesPerRow);
-    pt.energy += double(plan.searches) *
-                     cam::CamCostModel::search_energy(cam_cfg, hash_bits) +
-                 double(plan.rows_written) *
-                     cam::CamCostModel::write_energy(cam_cfg, hash_bits);
+  pt.area = cam::CamCostModel::area_um2(core::cam_config(cfg));
+  for (const auto& layer : cost.estimate(cfg).layers) {
+    pt.cycles += layer.cycles;
+    pt.energy += layer.cam_energy;
   }
   return pt;
 }
@@ -53,6 +49,7 @@ int main(int argc, char** argv) {
   auto model = nn::make_model(model_name, 1);
   const nn::InputSpec spec = nn::input_spec_for(model_name);
   const nn::Shape in{1, spec.channels, spec.height, spec.width};
+  const plan::CostModel cost(plan::extract_geometry(*model, in));
 
   for (const auto df : {core::Dataflow::kActivationStationary,
                         core::Dataflow::kWeightStationary}) {
@@ -63,7 +60,7 @@ int main(int argc, char** argv) {
       for (std::size_t k : {256u, 1024u}) {
         for (const auto tech :
              {cam::CellTech::kFeFET, cam::CellTech::kCmos}) {
-          const Point pt = evaluate(*model, in, rows, k, tech, df);
+          const Point pt = evaluate(cost, rows, k, tech, df);
           t.add_row({std::to_string(rows), std::to_string(k),
                      tech == cam::CellTech::kFeFET ? "FeFET" : "CMOS",
                      Table::num(double(pt.cycles), 0),

@@ -33,26 +33,4 @@ struct CamConfig {
   }
 };
 
-/// Cycle/energy/traffic counters accumulated by the CAM model.
-struct CamStats {
-  std::size_t searches = 0;
-  std::size_t row_writes = 0;
-  std::size_t reconfigs = 0;
-  std::size_t cycles = 0;
-  double search_energy = 0.0;  // joules
-  double write_energy = 0.0;   // joules
-
-  double total_energy() const { return search_energy + write_energy; }
-
-  CamStats& operator+=(const CamStats& o) {
-    searches += o.searches;
-    row_writes += o.row_writes;
-    reconfigs += o.reconfigs;
-    cycles += o.cycles;
-    search_energy += o.search_energy;
-    write_energy += o.write_energy;
-    return *this;
-  }
-};
-
 }  // namespace deepcam::cam

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "codelet/codelet.hpp"
-#include "common/tech.hpp"
 
 namespace deepcam::cam {
 
@@ -20,11 +19,7 @@ DynamicCam::DynamicCam(CamConfig cfg, SenseAmpConfig sa_cfg)
 void DynamicCam::set_active_chunks(std::size_t chunks) {
   DEEPCAM_CHECK_MSG(chunks >= 1 && chunks <= cfg_.num_chunks,
                     "chunk count out of range");
-  if (chunks != active_chunks_) {
-    active_chunks_ = chunks;
-    ++stats_.reconfigs;
-    ++stats_.cycles;  // transmission-gate enable settle
-  }
+  active_chunks_ = chunks;
 }
 
 void DynamicCam::set_hash_length(std::size_t hash_bits) {
@@ -77,15 +72,6 @@ void DynamicCam::write_row(std::size_t row,
                                  }),
                   faults_.end());
   max_occupied_row_ = std::max(max_occupied_row_, row);
-  ++stats_.row_writes;
-  stats_.cycles += tech::kCamWriteCyclesPerRow;
-  stats_.write_energy += CamCostModel::write_energy(cfg_, k);
-}
-
-std::size_t DynamicCam::search_cycles() const {
-  return static_cast<std::size_t>(tech::kCamSearchBaseCycles) +
-         static_cast<std::size_t>(tech::kCamSearchCyclesPerChunk) *
-             active_chunks_;
 }
 
 DynamicCam::SearchResult DynamicCam::search(const BitVec& key) const {
@@ -104,9 +90,6 @@ void DynamicCam::search_into(const BitVec& key, SearchResult& out) const {
         hamming_prefix_words(key.data(), &row_words_[r * words_per_row_], k);
     out.row_hd[r] = sense_amp_.measure(true_hd);
   }
-  ++stats_.searches;
-  stats_.cycles += search_cycles();
-  stats_.search_energy += CamCostModel::search_energy(cfg_, k);
 }
 
 void DynamicCam::search_flat(std::span<const std::uint64_t> key_words,
@@ -133,9 +116,6 @@ void DynamicCam::search_flat(std::span<const std::uint64_t> key_words,
     for (std::size_t r = 0; r < occupied_count_; ++r)
       out.row_hd[r] = static_cast<std::uint16_t>(
           sense_amp_.measure(out.row_hd[r]));
-  ++stats_.searches;
-  stats_.cycles += search_cycles();
-  stats_.search_energy += CamCostModel::search_energy(cfg_, k);
 }
 
 void DynamicCam::inject_bit_fault(std::size_t row, std::size_t bit) {

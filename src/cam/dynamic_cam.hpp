@@ -1,6 +1,6 @@
 // Dynamic-size CAM array (paper Fig. 6).
 //
-// Functional + cycle + energy model of the reconfigurable FeFET CAM:
+// Functional model of the reconfigurable FeFET CAM:
 //  * rows hold contexts (SimHash signatures) of up to num_chunks*256 bits;
 //  * set_active_chunks() drives the transmission gates, selecting the word
 //    (hash) length for subsequent operations;
@@ -8,8 +8,8 @@
 //    returns the per-row Hamming distances as seen through the sense
 //    amplifier model.
 //
-// Every operation updates CamStats (searches, writes, cycles, joules) using
-// the tech.hpp cost model, so callers get hardware numbers for free.
+// The array keeps no cost counters: what a layer's searches and writes cost
+// is priced from its event counts by core::price_cam_layer.
 // Fault injection (inject_bit_fault) supports the failure-injection tests.
 #pragma once
 
@@ -30,8 +30,6 @@ class DynamicCam {
   explicit DynamicCam(CamConfig cfg, SenseAmpConfig sa_cfg = {});
 
   const CamConfig& config() const { return cfg_; }
-  const CamStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
   /// Number of currently enabled 256-bit chunks (1..num_chunks).
   std::size_t active_chunks() const { return active_chunks_; }
@@ -39,13 +37,12 @@ class DynamicCam {
   std::size_t active_bits() const { return active_chunks_ * cfg_.chunk_bits; }
 
   /// Drives the transmission gates: word length = chunks*chunk_bits.
-  /// Charged one reconfiguration cycle when the setting changes.
   void set_active_chunks(std::size_t chunks);
 
   /// Convenience: selects the smallest chunk count covering `hash_bits`.
   void set_hash_length(std::size_t hash_bits);
 
-  /// Clears all occupancy (does not touch stats).
+  /// Clears all occupancy.
   void clear();
 
   /// Programs `bits` (must be >= active_bits() long; the first active_bits()
@@ -56,7 +53,7 @@ class DynamicCam {
   /// Word-span overload for callers whose signatures live in a flat arena
   /// (ContextBatch): programs the first active_bits() bits of `words`
   /// (at least ceil(active_bits()/64) words) into row `row`. Identical
-  /// semantics, occupancy and stats to the BitVec overload.
+  /// semantics and occupancy to the BitVec overload.
   void write_row(std::size_t row, std::span<const std::uint64_t> words);
 
   /// Number of occupied rows — O(1), maintained as a counter by
@@ -72,8 +69,6 @@ class DynamicCam {
 
   /// Searches `key` (first active_bits() used) against all occupied rows in
   /// parallel — O(1) in rows and word length, one sense window in time.
-  /// Logically const: the array contents are read-only during a search;
-  /// only the observability counters (CamStats) advance.
   SearchResult search(const BitVec& key) const;
 
   /// Buffer-reuse variant of search(): overwrites `out.row_hd` in place so
@@ -93,7 +88,7 @@ class DynamicCam {
   /// Flat-result search for the engine's inner loop. Requires the occupied
   /// rows to be exactly [0, occupied_rows()) — the clear(); write_row(0..n)
   /// pattern every mapping pass uses (checked once per search, not per
-  /// row). Same Hamming/sense-amp math and stats charges as search().
+  /// row). Same Hamming/sense-amp math as search().
   void search_flat(std::span<const std::uint64_t> key_words,
                    FlatSearchResult& out) const;
 
@@ -122,9 +117,6 @@ class DynamicCam {
   /// Area of this array instance (µm²).
   double area_um2() const { return CamCostModel::area_um2(cfg_); }
 
-  /// Latency, in cycles, of a single search at the current word length.
-  std::size_t search_cycles() const;
-
  private:
   CamConfig cfg_;
   SenseAmp sense_amp_;
@@ -147,9 +139,6 @@ class DynamicCam {
   bool prefix_occupancy() const {
     return occupied_count_ == 0 || occupied_count_ == max_occupied_row_ + 1;
   }
-  // Hardware counters: advanced by logically-read-only operations (search),
-  // hence mutable.
-  mutable CamStats stats_;
 };
 
 }  // namespace deepcam::cam

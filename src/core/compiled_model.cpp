@@ -1,10 +1,83 @@
 #include "core/compiled_model.hpp"
 
+#include "cam/energy_model.hpp"
+#include "common/digital_sqrt.hpp"
 #include "common/tech.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 
 namespace deepcam::core {
+
+cam::CamConfig cam_config(const DeepCamConfig& cfg) {
+  return cam::CamConfig{cfg.cam_rows, 256, 4, cfg.tech};
+}
+
+LayerReport price_cam_layer(std::string name, std::size_t patches,
+                            std::size_t kernels, std::size_t context_len,
+                            std::size_t hash_bits, const MappingPlan& counts,
+                            bool online_ctxgen, const DeepCamConfig& cfg) {
+  LayerReport rep;
+  rep.name = std::move(name);
+  rep.patches = patches;
+  rep.kernels = kernels;
+  rep.context_len = context_len;
+  rep.hash_bits = hash_bits;
+  rep.plan = counts;
+
+  // The transmission gates enable whole 256-bit chunks: searches and row
+  // programs run over the active word, not just the k hash bits.
+  const cam::CamConfig cam = cam_config(cfg);
+  const std::size_t chunks = (hash_bits + cam.chunk_bits - 1) / cam.chunk_bits;
+  const std::size_t word_bits = chunks * cam.chunk_bits;
+
+  if (cfg.preset == CyclePreset::kIdealized) {
+    rep.cycles = counts.searches;
+  } else {
+    const std::size_t t_search =
+        static_cast<std::size_t>(tech::kCamSearchBaseCycles) +
+        static_cast<std::size_t>(tech::kCamSearchCyclesPerChunk) * chunks;
+    rep.cycles =
+        counts.searches * t_search +
+        counts.rows_written *
+            static_cast<std::size_t>(tech::kCamWriteCyclesPerRow) +
+        counts.passes * static_cast<std::size_t>(tech::kCamPassDrainCycles);
+    if (online_ctxgen)
+      rep.cycles += patches * static_cast<std::size_t>(tech::kXbarInputBits);
+  }
+
+  // Search energy scales with the full row count, not occupancy: every
+  // row's match line discharges.
+  rep.cam_energy = static_cast<double>(counts.searches) *
+                       cam::CamCostModel::search_energy(cam, word_bits) +
+                   static_cast<double>(counts.rows_written) *
+                       cam::CamCostModel::write_energy(cam, word_bits);
+  rep.postproc_energy =
+      static_cast<double>(counts.dot_products) *
+      (tech::kCosineUnitEnergy + 2.0 * tech::kMiniFloatMulEnergy +
+       tech::kAdd8Energy + tech::kPipeRegEnergy);
+
+  if (online_ctxgen) {
+    // L2 norm: n squarings (int8 multiplies) + (n-1) adder-tree adds + sqrt.
+    const double n = static_cast<double>(context_len);
+    const double k = static_cast<double>(hash_bits);
+    const double norm_energy =
+        n * tech::kMul8Energy +
+        static_cast<double>(context_len > 0 ? context_len - 1 : 0) *
+            tech::kAdd16Energy +
+        static_cast<double>(kCyclesPerSqrt32) * tech::kSqrtIterEnergy;
+    // Crossbar hash: n*k cells active over the bit-serial input, plus one
+    // sign sense amp per output column.
+    const double hash_energy =
+        n * k * tech::kXbarCellEnergy + k * tech::kXbarSenseAmpEnergy;
+    rep.ctxgen_energy =
+        static_cast<double>(patches) * (norm_energy + hash_energy);
+  }
+  return rep;
+}
+
+std::size_t peripheral_cycles(std::size_t elems, CyclePreset preset) {
+  return preset == CyclePreset::kConservative ? (elems + 15) / 16 : 0;
+}
 
 std::size_t RunReport::total_cycles() const {
   std::size_t c = peripheral_cycles;
@@ -97,13 +170,6 @@ std::vector<std::string> CompiledModel::cam_layer_names() const {
 
 std::size_t CompiledModel::context_len(std::size_t i) const {
   return cam_layer(i).ctxgen->input_dim();
-}
-
-std::size_t CompiledModel::search_cycles_for(std::size_t hash_bits) const {
-  if (cfg_.preset == CyclePreset::kIdealized) return 1;
-  const std::size_t chunks = (hash_bits + 255) / 256;
-  return static_cast<std::size_t>(tech::kCamSearchBaseCycles) +
-         static_cast<std::size_t>(tech::kCamSearchCyclesPerChunk) * chunks;
 }
 
 }  // namespace deepcam::core

@@ -51,6 +51,10 @@ struct DeepCamConfig {
   std::uint64_t hash_seed = 42;
 };
 
+/// Geometry of the CAM array a config runs on: `cfg.cam_rows` rows of up to
+/// four 256-bit chunks in `cfg.tech` cells.
+cam::CamConfig cam_config(const DeepCamConfig& cfg);
+
 /// Per-CAM-layer simulation report.
 struct LayerReport {
   std::string name;
@@ -61,7 +65,7 @@ struct LayerReport {
   MappingPlan plan;
   std::size_t cycles = 0;        // per chosen preset
   double cam_energy = 0.0;       // joules (search + write)
-  double postproc_energy = 0.0;  // joules (cosine/mult/bias + peripherals)
+  double postproc_energy = 0.0;  // joules (cosine/mult/bias per dot product)
   double ctxgen_energy = 0.0;    // joules (online context generation)
 
   double total_energy() const {
@@ -81,6 +85,36 @@ struct RunReport {
   double time_seconds() const;  // at the 300 MHz system clock
   double cam_area_um2 = 0.0;
 };
+
+/// Prices one CAM layer: the single home of every DeepCAM cycle and energy
+/// rule (constants in common/tech.hpp and cam/energy_model.hpp). A layer's
+/// cost depends only on its event counts and hash length, never on
+/// activation values, so the engine (which counts the events of the pass
+/// loop it runs) and plan::CostModel (which derives them in closed form) get
+/// bitwise-identical reports from the same counts.
+///
+///   cycles, conservative: searches x (base + per-chunk search latency)
+///                         + a program latency per row written
+///                         + a pipeline drain per pass
+///                         + the bit-serial crossbar input per patch, if
+///                           `online_ctxgen`
+///   cycles, idealized:    one per search (the paper's O(1) search)
+///   cam_energy:           EvaCAM search and write energy at the active word
+///   postproc_energy:      cosine + 2 minifloat muls + bias add per dot
+///   ctxgen_energy:        per patch, if `online_ctxgen`: L2-norm adder tree
+///                         + digital sqrt + n*k crossbar cells + k sign SAs
+///
+/// `counts` (passes, searches, rows_written, dot_products, utilization) is
+/// copied into the report's `plan`.
+LayerReport price_cam_layer(std::string name, std::size_t patches,
+                            std::size_t kernels, std::size_t context_len,
+                            std::size_t hash_bits, const MappingPlan& counts,
+                            bool online_ctxgen, const DeepCamConfig& cfg);
+
+/// Cycles the digital peripherals (pool/ReLU/BN/flatten/softmax) spend on a
+/// layer of `elems` output elements: ceil(elems/16) on 16 lanes under the
+/// conservative preset, hidden (0) under the idealized one.
+std::size_t peripheral_cycles(std::size_t elems, CyclePreset preset);
 
 /// Immutable compilation of a model for DeepCAM execution. Holds the
 /// pre-hashed weight contexts and per-layer geometry; never mutated after
@@ -106,11 +140,6 @@ class CompiledModel {
   const nn::Model& model() const { return *model_; }
   const DeepCamConfig& config() const { return cfg_; }
 
-  /// Geometry of the CAM array every Worker instantiates.
-  cam::CamConfig cam_config() const {
-    return cam::CamConfig{cfg_.cam_rows, 256, 4, cfg_.tech};
-  }
-
   /// Number of CAM-mapped (Conv2D/Linear) layers.
   std::size_t cam_layer_count() const { return cam_layers_.size(); }
   const CamLayer& cam_layer(std::size_t i) const {
@@ -125,9 +154,6 @@ class CompiledModel {
   std::size_t hash_bits_for(std::size_t i) const {
     return cam_layer(i).hash_bits;
   }
-  /// Search latency (cycles) at hash length `hash_bits` under the preset.
-  std::size_t search_cycles_for(std::size_t hash_bits) const;
-
  private:
   const nn::Model* model_;
   DeepCamConfig cfg_;

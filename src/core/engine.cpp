@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "common/tech.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "nn/pointwise.hpp"
@@ -13,7 +12,7 @@ namespace deepcam::core {
 
 Worker::Worker(const CompiledModel& compiled)
     : compiled_(&compiled),
-      cam_(compiled.cam_config(), compiled.config().sense),
+      cam_(cam_config(compiled.config()), compiled.config().sense),
       postproc_(compiled.config().postproc) {}
 
 namespace {
@@ -40,20 +39,9 @@ LayerReport Worker::simulate_cam_layer(std::size_t cam_idx,
   const std::size_t k_bits = cl.hash_bits;
   const std::size_t R = cfg.cam_rows;
 
-  LayerReport rep;
-  rep.name = compiled_->model().layer(cl.node_index).name();
-  rep.patches = P;
-  rep.kernels = K;
-  rep.context_len = cl.ctxgen->input_dim();
-  rep.hash_bits = k_bits;
-  rep.plan = plan_mapping({P, K}, R, cfg.dataflow);
-
   const bool ws = cfg.dataflow == Dataflow::kWeightStationary;
   const ContextBatch& stationary = ws ? w_ctx : act_ctx;
   const ContextBatch& streamed = ws ? act_ctx : w_ctx;
-
-  const double cam_e0 = cam_.stats().total_energy();
-  const auto pp0 = postproc_.stats();
 
   cam_.set_hash_length(k_bits);
   // Resize-only scratch: every [kernel][patch] cell is written by the pass
@@ -76,9 +64,17 @@ LayerReport Worker::simulate_cam_layer(std::size_t cam_idx,
     t_stage = t;
   };
 
+  // The integer events of the passes below, priced once at the end.
+  MappingPlan counts;
+  double util_sum = 0.0;
   std::size_t base = 0;
   while (base < stationary.size()) {
     const std::size_t count = std::min(R, stationary.size() - base);
+    ++counts.passes;
+    counts.rows_written += count;
+    counts.searches += streamed.size();
+    counts.dot_products += count * streamed.size();
+    util_sum += static_cast<double>(count) / static_cast<double>(R);
     cam_.clear();
     for (std::size_t r = 0; r < count; ++r)
       cam_.write_row(r, stationary.sig_span(base + r));
@@ -118,41 +114,17 @@ LayerReport Worker::simulate_cam_layer(std::size_t cam_idx,
     emit_stage("postproc", post_ns);
   }
 
-  // Online context generation cost for this layer's activation contexts.
-  if (online_ctxgen) {
-    for (std::size_t p = 0; p < P; ++p)
-      postproc_.charge_context_generation(rep.context_len, k_bits);
-  }
-
-  // Cycle accounting under the chosen preset.
-  const std::size_t t_search = compiled_->search_cycles_for(k_bits);
-  std::size_t cycles = rep.plan.searches * t_search;
-  if (cfg.preset == CyclePreset::kConservative) {
-    cycles += rep.plan.rows_written *
-              static_cast<std::size_t>(tech::kCamWriteCyclesPerRow);
-    cycles += rep.plan.passes *
-              static_cast<std::size_t>(tech::kCamPassDrainCycles);
-    if (online_ctxgen)
-      cycles += P * static_cast<std::size_t>(tech::kXbarInputBits);
-  }
-  rep.cycles = cycles;
-
-  rep.cam_energy = cam_.stats().total_energy() - cam_e0;
-  const auto pp1 = postproc_.stats();
-  rep.postproc_energy = pp1.energy - pp0.energy;
-  rep.ctxgen_energy = pp1.ctxgen_energy - pp0.ctxgen_energy;
-  return rep;
+  counts.utilization =
+      counts.passes == 0 ? 0.0
+                         : util_sum / static_cast<double>(counts.passes);
+  return price_cam_layer(compiled_->model().layer(cl.node_index).name(), P,
+                         K, cl.ctxgen->input_dim(), k_bits, counts,
+                         online_ctxgen, cfg);
 }
 
 nn::Tensor Worker::run(const nn::Tensor& input, RunReport* report) {
   DEEPCAM_CHECK_MSG(input.shape().n == 1,
                     "accelerator simulates batch size 1");
-  // Reset the hardware counters so every report (and its floating-point
-  // energy sums) is a pure function of (CompiledModel, input) — the
-  // determinism the batched engine needs to match sequential runs bitwise.
-  cam_.reset_stats();
-  postproc_.reset_stats();
-
   RunReport local_report;
   RunReport& rep = report != nullptr ? *report : local_report;
   rep = {};
@@ -221,16 +193,12 @@ nn::Tensor Worker::run(const nn::Tensor& input, RunReport* report) {
     } else if (inputs.size() == 2) {
       const auto* add = dynamic_cast<const nn::Add*>(&layer);
       DEEPCAM_CHECK(add != nullptr);
-      nn::Tensor out = add->forward2(fetch(inputs[0]), fetch(inputs[1]));
-      postproc_.charge_peripheral(out.numel());
-      outs_.push_back(std::move(out));
+      // Residual adds are charged no cycles (plan::extract_geometry leaves
+      // them out of the peripheral layers too).
+      outs_.push_back(add->forward2(fetch(inputs[0]), fetch(inputs[1])));
     } else {
       nn::Tensor out = layer.infer(in);
-      // Peripheral digital ops run one element per lane-cycle; charged as
-      // energy plus (conservative preset) elements/16 cycles.
-      postproc_.charge_peripheral(out.numel());
-      if (cfg.preset == CyclePreset::kConservative)
-        rep.peripheral_cycles += (out.numel() + 15) / 16;
+      rep.peripheral_cycles += peripheral_cycles(out.numel(), cfg.preset);
       outs_.push_back(std::move(out));
     }
   }

@@ -14,8 +14,9 @@
 // is a thin submit()+get() wrapper.
 //
 // Determinism contract: a sample's logits and its RunReport depend only on
-// (CompiledModel, input) — Workers reset their hardware counters at the
-// start of every run, all randomness is seeded at compile time, and the
+// (CompiledModel, input) — each CAM layer is priced from the events of its
+// own pass loop (core::price_cam_layer), all randomness is seeded at compile
+// time, and the
 // per-sample reports are merged into the BatchReport in sample order — so
 // run_batch() is bitwise-reproducible for any thread count and any number of
 // concurrently in-flight batches, and identical to running the samples

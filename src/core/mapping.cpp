@@ -27,7 +27,6 @@ MappingPlan plan_mapping(const LayerWork& work, std::size_t rows,
 
   MappingPlan plan;
   plan.passes = ceil_div(stationary, rows);
-  plan.searches = plan.passes == 0 ? 0 : 0;
   plan.rows_written = stationary;  // each stationary context programmed once
   plan.dot_products = work.patches * work.kernels;
 

@@ -1,15 +1,12 @@
 #include "core/postproc.hpp"
 
-#include "common/digital_sqrt.hpp"
-#include "common/tech.hpp"
-
 namespace deepcam::core {
 
 double PostProcessingUnit::finish_dot_product(const Context& weight,
                                               const Context& activation,
                                               std::size_t hamming,
                                               std::size_t hash_len,
-                                              float bias) {
+                                              float bias) const {
   return finish_dot_product(
       ContextRef{weight.bits.data(), weight.norm_code, weight.exact_norm},
       ContextRef{activation.bits.data(), activation.norm_code,
@@ -21,40 +18,12 @@ double PostProcessingUnit::finish_dot_product(const ContextRef& weight,
                                               const ContextRef& activation,
                                               std::size_t hamming,
                                               std::size_t hash_len,
-                                              float bias) {
+                                              float bias) const {
   const double nw = opts_.minifloat_norms ? weight.norm() : weight.exact_norm;
   const double na =
       opts_.minifloat_norms ? activation.norm() : activation.exact_norm;
-  const double dot = hash::approx_dot(nw, na, hamming, hash_len,
-                                      opts_.use_pwl_cosine) +
-                     static_cast<double>(bias);
-  stats_.energy += tech::kCosineUnitEnergy + 2.0 * tech::kMiniFloatMulEnergy +
-                   tech::kAdd8Energy + tech::kPipeRegEnergy;
-  ++stats_.dot_products;
-  return dot;
-}
-
-void PostProcessingUnit::charge_peripheral(std::size_t elems) {
-  stats_.energy += static_cast<double>(elems) *
-                   (tech::kAdd8Energy + tech::kPipeRegEnergy);
-  stats_.peripheral_ops += elems;
-}
-
-void PostProcessingUnit::charge_context_generation(std::size_t n,
-                                                   std::size_t hash_len) {
-  // L2 norm: n squarings (int8 multiplies) + (n-1) adder-tree adds + sqrt.
-  const double norm_energy =
-      static_cast<double>(n) * tech::kMul8Energy +
-      static_cast<double>(n > 0 ? n - 1 : 0) * tech::kAdd16Energy +
-      static_cast<double>(kCyclesPerSqrt32) * tech::kSqrtIterEnergy;
-  // Crossbar hash: n*hash_len cells active over the bit-serial input, plus
-  // one sign sense-amp per output column.
-  const double hash_energy =
-      static_cast<double>(n) * static_cast<double>(hash_len) *
-          tech::kXbarCellEnergy +
-      static_cast<double>(hash_len) * tech::kXbarSenseAmpEnergy;
-  stats_.ctxgen_energy += norm_energy + hash_energy;
-  stats_.ctxgen_cycles += static_cast<std::size_t>(tech::kXbarInputBits);
+  return hash::approx_dot(nw, na, hamming, hash_len, opts_.use_pwl_cosine) +
+         static_cast<double>(bias);
 }
 
 }  // namespace deepcam::core

@@ -9,8 +9,9 @@
 //     norm, and the NVM crossbar hasher (random matrix C as synaptic
 //     weights, sign sensed by SAs instead of ADCs).
 //
-// The functional math lives in hash/; this class is the *cost* model: every
-// method returns the value and accumulates energy/cycle statistics.
+// The functional math lives in hash/; this class applies it with the
+// configured ablation options. What the unit costs is priced per layer by
+// core::price_cam_layer (core/compiled_model.hpp).
 #pragma once
 
 #include <cstddef>
@@ -19,24 +20,6 @@
 #include "hash/cosine_approx.hpp"
 
 namespace deepcam::core {
-
-/// Energy/cycle tallies of the digital unit.
-struct PostProcStats {
-  double energy = 0.0;          // joules, post-processing datapath
-  double ctxgen_energy = 0.0;   // joules, online context generator
-  std::size_t ctxgen_cycles = 0;
-  std::size_t dot_products = 0;
-  std::size_t peripheral_ops = 0;  // ReLU/pool/BN element ops
-
-  PostProcStats& operator+=(const PostProcStats& o) {
-    energy += o.energy;
-    ctxgen_energy += o.ctxgen_energy;
-    ctxgen_cycles += o.ctxgen_cycles;
-    dot_products += o.dot_products;
-    peripheral_ops += o.peripheral_ops;
-    return *this;
-  }
-};
 
 class PostProcessingUnit {
  public:
@@ -49,33 +32,21 @@ class PostProcessingUnit {
   explicit PostProcessingUnit(const Options& opts) : opts_(opts) {}
 
   const Options& options() const { return opts_; }
-  const PostProcStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
-  /// Final approximate dot-product from a measured Hamming distance.
-  /// Charges: cosine unit + 2 minifloat multiplies + bias add.
+  /// Final approximate dot-product from a measured Hamming distance:
+  /// cosine unit + 2 minifloat multiplies + bias add.
   double finish_dot_product(const Context& weight, const Context& activation,
                             std::size_t hamming, std::size_t hash_len,
-                            float bias);
+                            float bias) const;
 
   /// ContextBatch-view overload for the allocation-free engine path; same
-  /// math and energy charges as the Context overload.
+  /// math as the Context overload.
   double finish_dot_product(const ContextRef& weight,
                             const ContextRef& activation, std::size_t hamming,
-                            std::size_t hash_len, float bias);
-
-  /// Charges the peripheral digital cost of `elems` ReLU/pool/BN elements.
-  void charge_peripheral(std::size_t elems);
-
-  /// Charges one online activation-context generation: a patch of length n
-  /// hashed to `hash_len` bits plus its L2 norm.
-  /// Cost: (n-1)-node adder tree + 16-iteration sqrt + n*hash_len crossbar
-  /// cells + hash_len sense amps; latency kXbarInputBits cycles (pipelined).
-  void charge_context_generation(std::size_t n, std::size_t hash_len);
+                            std::size_t hash_len, float bias) const;
 
  private:
   Options opts_ = {};
-  PostProcStats stats_;
 };
 
 }  // namespace deepcam::core

@@ -1,22 +1,11 @@
 #include "plan/cost_model.hpp"
 
-#include "cam/energy_model.hpp"
-#include "common/digital_sqrt.hpp"
 #include "common/error.hpp"
 #include "common/tech.hpp"
 
 namespace deepcam::plan {
 
 namespace {
-
-/// Search latency in cycles — same closed form as
-/// CompiledModel::search_cycles_for.
-std::size_t search_cycles(std::size_t hash_bits, core::CyclePreset preset) {
-  if (preset == core::CyclePreset::kIdealized) return 1;
-  const std::size_t chunks = (hash_bits + 255) / 256;
-  return static_cast<std::size_t>(tech::kCamSearchBaseCycles) +
-         static_cast<std::size_t>(tech::kCamSearchCyclesPerChunk) * chunks;
-}
 
 std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
@@ -52,65 +41,6 @@ double CostEstimate::throughput_samples_per_s() const {
   return t > 0.0 ? static_cast<double>(batch) / t : 0.0;
 }
 
-LayerCost CostModel::layer_cost(const CamLayerGeometry& layer,
-                                std::size_t hash_bits, bool online_ctxgen,
-                                const core::DeepCamConfig& cfg) const {
-  const std::size_t P = layer.patches;
-  const std::size_t K = layer.kernels;
-  const std::size_t n = layer.context_len;
-  const std::size_t k = hash_bits;
-
-  LayerCost lc;
-  lc.name = layer.name;
-  lc.patches = P;
-  lc.kernels = K;
-  lc.context_len = n;
-  lc.hash_bits = k;
-  lc.plan = core::plan_mapping({P, K}, cfg.cam_rows, cfg.dataflow);
-
-  // Cycles: the engine's simulate_cam_layer accounting, verbatim.
-  lc.cycles = lc.plan.searches * search_cycles(k, cfg.preset);
-  if (cfg.preset == core::CyclePreset::kConservative) {
-    lc.cycles += lc.plan.rows_written *
-                 static_cast<std::size_t>(tech::kCamWriteCyclesPerRow);
-    lc.cycles +=
-        lc.plan.passes * static_cast<std::size_t>(tech::kCamPassDrainCycles);
-    if (online_ctxgen)
-      lc.cycles += P * static_cast<std::size_t>(tech::kXbarInputBits);
-  }
-
-  // CAM energy: one search_flat per search, one row program per row write,
-  // both at active_bits == k (hash lengths are multiples of the 256-bit
-  // chunk). Search energy scales with the full row count R, not occupancy —
-  // every row's match line discharges.
-  const cam::CamConfig cam_cfg{cfg.cam_rows, 256, 4, cfg.tech};
-  lc.cam_energy = static_cast<double>(lc.plan.searches) *
-                      cam::CamCostModel::search_energy(cam_cfg, k) +
-                  static_cast<double>(lc.plan.rows_written) *
-                      cam::CamCostModel::write_energy(cam_cfg, k);
-
-  // Post-processing: one finish_dot_product per (kernel, patch) pair.
-  lc.postproc_energy =
-      static_cast<double>(P) * static_cast<double>(K) *
-      (tech::kCosineUnitEnergy + 2.0 * tech::kMiniFloatMulEnergy +
-       tech::kAdd8Energy + tech::kPipeRegEnergy);
-
-  // Online context generation: norm adder tree + digital sqrt + crossbar
-  // hash, once per patch (CAM layers after the first only).
-  if (online_ctxgen) {
-    const double norm_energy =
-        static_cast<double>(n) * tech::kMul8Energy +
-        static_cast<double>(n > 0 ? n - 1 : 0) * tech::kAdd16Energy +
-        static_cast<double>(kCyclesPerSqrt32) * tech::kSqrtIterEnergy;
-    const double hash_energy =
-        static_cast<double>(n) * static_cast<double>(k) *
-            tech::kXbarCellEnergy +
-        static_cast<double>(k) * tech::kXbarSenseAmpEnergy;
-    lc.ctxgen_energy = static_cast<double>(P) * (norm_energy + hash_energy);
-  }
-  return lc;
-}
-
 CostEstimate CostModel::estimate(const core::DeepCamConfig& cfg,
                                  std::size_t batch, std::size_t threads,
                                  std::size_t micro_batch) const {
@@ -121,15 +51,19 @@ CostEstimate CostModel::estimate(const core::DeepCamConfig& cfg,
   est.batch = batch;
   est.micro_batch = micro_batch == 0 ? batch : micro_batch;
   est.threads = threads == 0 ? 1 : threads;
-  est.peripheral_cycles = cfg.preset == core::CyclePreset::kConservative
-                              ? geo_.peripheral_cycles()
-                              : 0;
+  est.peripheral_cycles = geo_.peripheral_cycles(cfg.preset);
   est.layers.reserve(geo_.cam_layers.size());
   for (std::size_t i = 0; i < geo_.cam_layers.size(); ++i) {
+    const CamLayerGeometry& l = geo_.cam_layers[i];
     const std::size_t k = cfg.layer_hash_bits.empty()
                               ? cfg.default_hash_bits
                               : cfg.layer_hash_bits[i];
-    est.layers.push_back(layer_cost(geo_.cam_layers[i], k, i > 0, cfg));
+    // Every CAM layer but the first generates its activation contexts
+    // online, as in the engine.
+    est.layers.push_back(core::price_cam_layer(
+        l.name, l.patches, l.kernels, l.context_len, k,
+        core::plan_mapping({l.patches, l.kernels}, cfg.cam_rows, cfg.dataflow),
+        i > 0, cfg));
   }
   return est;
 }

@@ -1,15 +1,14 @@
 // Analytical per-stage cost model (the poplibs PerformanceEstimation.hpp
 // role for DeepCAM).
 //
-// CostModel::estimate() replicates the engine's accounting closed-form:
-// mapping arithmetic (passes/searches/row writes), CAM search + write
-// energy via cam::CamCostModel, post-processing energy per dot product,
-// online context-generation energy for every CAM layer after the first, and
-// the conservative preset's write/drain/bit-serial-input and peripheral
-// cycles. Because the engine itself never inspects activation values when
-// charging cost, the estimate is exact on the per-sample counters — the
-// test_plan suite pins it well inside the ±15% acceptance band and asserts
-// near-exactness on LeNet5.
+// CostModel::estimate() derives each CAM layer's event counts (passes,
+// searches, row writes, dot products) in closed form from the mapping
+// arithmetic and prices them with core::price_cam_layer, the same function
+// the engine prices its counted events with; peripheral cycles come from
+// core::peripheral_cycles likewise. Online context generation is charged
+// for every CAM layer after the first, as in the engine. The estimate is
+// therefore exact: tests/test_plan.cpp asserts every per-sample field equal
+// to the engine's, on the paper topologies and on random geometries.
 //
 // Batching/threading extends the per-sample cost to wall-clock: samples are
 // data-parallel across engine workers, so a batch B executed in micro-
@@ -17,7 +16,6 @@
 // latencies, matching BatchReport::simulated_throughput's pipeline count.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "core/compiled_model.hpp"
@@ -26,28 +24,10 @@
 
 namespace deepcam::plan {
 
-/// Analytical cost of one CAM layer — mirrors core::LayerReport.
-struct LayerCost {
-  std::string name;
-  std::size_t patches = 0;       // P
-  std::size_t kernels = 0;       // K
-  std::size_t context_len = 0;   // n
-  std::size_t hash_bits = 0;     // k
-  core::MappingPlan plan;
-  std::size_t cycles = 0;        // per chosen preset, one sample
-  double cam_energy = 0.0;       // joules (search + write)
-  double postproc_energy = 0.0;  // joules (cosine/mult/bias per dot product)
-  double ctxgen_energy = 0.0;    // joules (online context generation)
-
-  double total_energy() const {
-    return cam_energy + postproc_energy + ctxgen_energy;
-  }
-};
-
 /// Whole-run analytical estimate for (geometry, config, batch, threads).
 struct CostEstimate {
-  std::vector<LayerCost> layers;
-  std::size_t peripheral_cycles = 0;  // per sample, conservative preset
+  std::vector<core::LayerReport> layers;  // one sample
+  std::size_t peripheral_cycles = 0;      // per sample
   std::size_t batch = 1;
   std::size_t micro_batch = 1;
   std::size_t threads = 1;
@@ -55,8 +35,8 @@ struct CostEstimate {
   /// Latency of one sample through the whole network (the engine's
   /// RunReport::total_cycles for that sample).
   std::size_t sample_cycles() const;
-  /// Reported energy of one sample (peripheral energy is excluded from
-  /// RunReport::total_energy; so here).
+  /// Energy of one sample (the engine's RunReport::total_energy for that
+  /// sample).
   double sample_energy() const;
 
   /// Aggregate simulated work over the batch — what the engine's merged
@@ -78,13 +58,6 @@ class CostModel {
   explicit CostModel(ModelGeometry geometry) : geo_(std::move(geometry)) {}
 
   const ModelGeometry& geometry() const { return geo_; }
-
-  /// Cost of one CAM layer under `cfg` at hash length `hash_bits`.
-  /// `online_ctxgen` mirrors the engine: every CAM layer but the first
-  /// generates its activation contexts online.
-  LayerCost layer_cost(const CamLayerGeometry& layer, std::size_t hash_bits,
-                       bool online_ctxgen,
-                       const core::DeepCamConfig& cfg) const;
 
   /// Full-network estimate. `cfg.layer_hash_bits` (or default_hash_bits)
   /// resolves per-layer k exactly as CompiledModel does. micro_batch = 0

@@ -26,9 +26,10 @@ struct Fnv1a {
 
 }  // namespace
 
-std::size_t ModelGeometry::peripheral_cycles() const {
+std::size_t ModelGeometry::peripheral_cycles(core::CyclePreset preset) const {
   std::size_t cycles = 0;
-  for (const std::size_t elems : peripheral_elems) cycles += (elems + 15) / 16;
+  for (const std::size_t elems : peripheral_elems)
+    cycles += core::peripheral_cycles(elems, preset);
   return cycles;
 }
 
@@ -113,9 +114,8 @@ ModelGeometry extract_geometry(const nn::Model& model, nn::Shape input) {
         geo.peripheral_elems.push_back(out.numel());
         break;
       case nn::LayerKind::kAdd:
-        // Residual add: shape of the first input; the engine charges it as
-        // peripheral energy only (zero cycles), so it stays out of
-        // peripheral_elems.
+        // Residual add: shape of the first input; the engine charges it no
+        // cycles, so it stays out of peripheral_elems.
         break;
       case nn::LayerKind::kReLU:
       case nn::LayerKind::kBatchNorm:

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "core/compiled_model.hpp"
 #include "nn/model.hpp"
 
 namespace deepcam::plan {
@@ -38,12 +39,12 @@ struct ModelGeometry {
   nn::Shape input;
   std::vector<CamLayerGeometry> cam_layers;
   /// Output element counts of the single-input non-CAM layers, in node
-  /// order. The conservative preset charges ceil(elems/16) cycles each;
-  /// residual Adds are energy-only and deliberately absent.
+  /// order, each priced by core::peripheral_cycles. Residual Adds cost no
+  /// cycles and are deliberately absent.
   std::vector<std::size_t> peripheral_elems;
 
-  /// Conservative-preset peripheral cycles per sample (idealized charges 0).
-  std::size_t peripheral_cycles() const;
+  /// Peripheral cycles per sample under `preset`.
+  std::size_t peripheral_cycles(core::CyclePreset preset) const;
 
   /// FNV-1a digest over every field above.
   std::uint64_t digest() const;

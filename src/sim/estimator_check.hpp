@@ -1,10 +1,12 @@
 // Estimator validation hook: CostModel predictions vs the DeepCAM sim
 // backend's measured cycles/energy on the same (model, config, batch).
 //
-// This is the plan subsystem's ground-truth gate. The engine's accounting
-// is data-independent, so the analytical estimate should land exactly on
-// the measured counters; the ±15% acceptance band in tests/test_plan.cpp is
-// the safety margin for future accounting drift, not expected error.
+// This is the plan subsystem's ground-truth gate. The engine and CostModel
+// price every CAM layer with the same function (core::price_cam_layer), the
+// engine from the events it counts and CostModel from closed-form counts,
+// so estimated cycles equal measured cycles exactly. Batch energy can
+// differ by rounding only: the backend sums per-sample energies where the
+// estimate multiplies one sample's by the batch size.
 #pragma once
 
 #include "core/compiled_model.hpp"

@@ -437,7 +437,7 @@ plan::Plan make_plan_fixture() {
   p.floors.push_back(plan::LayerFloor{"conv1", 256, 0.125, 0.1171875});
   p.floors.push_back(plan::LayerFloor{"fc1", 1024, 0.5, 0.4375});
 
-  plan::LayerCost conv;
+  core::LayerReport conv;
   conv.name = "conv1";
   conv.patches = 36;
   conv.kernels = 4;
@@ -454,7 +454,7 @@ plan::Plan make_plan_fixture() {
   conv.ctxgen_energy = 0.0;
   p.cost.layers.push_back(conv);
 
-  plan::LayerCost fc;
+  core::LayerReport fc;
   fc.name = "fc1";
   fc.patches = 1;
   fc.kernels = 5;

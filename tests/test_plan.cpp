@@ -1,22 +1,33 @@
-// Plan subsystem tests: the estimator-accuracy gate (CostModel vs the
-// DeepCAM sim backend), cost-model properties (linearity, monotonicity),
-// planner determinism and quality, and the plan cache's determinism / hit /
-// miss contract.
+// Plan subsystem tests: the estimator gate (CostModel vs the DeepCAM sim
+// backend and the engine, exact), cost-model properties (linearity,
+// monotonicity), planner determinism and quality, and the plan cache's
+// determinism / hit / miss contract.
 //
-// The acceptance band is ±15%, but the engine's accounting is a pure
-// function of (geometry, config) — so the gate also pins exactness on
-// LeNet5 to catch silent drift early.
+// The engine prices each CAM layer from the events its pass loop counts and
+// CostModel from closed-form counts, both with core::price_cam_layer, so
+// cycles and one sample's energy are equal exactly. A batch total sums b
+// per-sample energies where the estimate multiplies one sample's by b, so
+// batch energy is compared with EXPECT_DOUBLE_EQ.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "core/engine.hpp"
 #include "hash/random_projection.hpp"
+#include "nn/conv2d.hpp"
+#include "nn/linear.hpp"
+#include "nn/pointwise.hpp"
+#include "nn/pooling.hpp"
 #include "nn/topologies.hpp"
 #include "plan/cost_model.hpp"
 #include "plan/plan_cache.hpp"
 #include "plan/planner.hpp"
 #include "plan/report_io.hpp"
+#include "sim/backend.hpp"
 #include "sim/estimator_check.hpp"
 
 namespace deepcam {
@@ -26,20 +37,25 @@ const char* kTopologies[] = {"lenet5", "vgg11", "vgg16", "resnet18"};
 
 core::DeepCamConfig default_config() { return core::DeepCamConfig{}; }
 
-// --- estimator-accuracy gate ----------------------------------------------
+// --- estimator gate --------------------------------------------------------
+
+void expect_exact(const sim::EstimatorCheck& chk, std::size_t batch,
+                  const std::string& what) {
+  EXPECT_EQ(static_cast<double>(chk.estimated_cycles), chk.measured_cycles)
+      << what;
+  EXPECT_EQ(chk.cycle_rel_error, 0.0) << what;
+  if (batch == 1)
+    EXPECT_EQ(chk.estimated_energy_j, chk.measured_energy_j) << what;
+  else
+    EXPECT_DOUBLE_EQ(chk.estimated_energy_j, chk.measured_energy_j) << what;
+}
 
 TEST(EstimatorGate, LeNetMeasuredAtEveryBatch) {
   const auto model = nn::make_model("lenet5", 1);
   const nn::Shape input = nn::input_spec_for("lenet5").shape();
   for (const std::size_t batch : {1u, 8u, 32u}) {
-    const sim::EstimatorCheck chk =
-        sim::check_estimator(*model, input, default_config(), batch);
-    EXPECT_LE(chk.cycle_rel_error, 0.15)
-        << "lenet5 batch " << batch << ": estimated " << chk.estimated_cycles
-        << " vs measured " << chk.measured_cycles;
-    EXPECT_LE(chk.energy_rel_error, 0.15);
-    // The accounting is data-independent; the estimate should be exact.
-    EXPECT_EQ(static_cast<double>(chk.estimated_cycles), chk.measured_cycles);
+    expect_exact(sim::check_estimator(*model, input, default_config(), batch),
+                 batch, "lenet5 batch " + std::to_string(batch));
   }
 }
 
@@ -58,11 +74,10 @@ TEST(EstimatorGate, LeNetMeasuredAcrossConfigs) {
   vhl.layer_hash_bits = {256, 512, 768, 1024, 512};
 
   for (const core::DeepCamConfig& cfg : {idealized, ws, vhl}) {
-    const sim::EstimatorCheck chk =
-        sim::check_estimator(*model, input, cfg, 8);
-    EXPECT_LE(chk.cycle_rel_error, 0.15);
-    EXPECT_LE(chk.energy_rel_error, 0.15);
-    EXPECT_EQ(static_cast<double>(chk.estimated_cycles), chk.measured_cycles);
+    for (const std::size_t batch : {1u, 8u}) {
+      expect_exact(sim::check_estimator(*model, input, cfg, batch), batch,
+                   "batch " + std::to_string(batch));
+    }
   }
 }
 
@@ -73,12 +88,133 @@ TEST(EstimatorGate, LargeTopologiesMeasuredAtBatchOne) {
   for (const char* name : {"vgg11", "vgg16", "resnet18"}) {
     const auto model = nn::make_model(name, 1);
     const nn::Shape input = nn::input_spec_for(name).shape();
-    const sim::EstimatorCheck chk =
-        sim::check_estimator(*model, input, default_config(), 1);
-    EXPECT_LE(chk.cycle_rel_error, 0.15)
-        << name << ": estimated " << chk.estimated_cycles << " vs measured "
-        << chk.measured_cycles;
-    EXPECT_LE(chk.energy_rel_error, 0.15) << name;
+    expect_exact(sim::check_estimator(*model, input, default_config(), 1), 1,
+                 name);
+  }
+}
+
+/// A random conv/fc stack on a random small input: 1-3 convolutions
+/// (kernel 1-3, stride 1-2, pad 0-1), each maybe followed by BatchNorm,
+/// ReLU, a 2x2 max-pool or a shape-preserving residual block (conv + Add),
+/// then flatten and one or two linear layers.
+std::unique_ptr<nn::Model> random_stack(Rng& rng, nn::Shape& input) {
+  std::size_t c = 1 + rng.uniform_index(3);
+  std::size_t h = 5 + rng.uniform_index(6);
+  std::size_t w = 5 + rng.uniform_index(6);
+  input = {1, c, h, w};
+  auto m = std::make_unique<nn::Model>("random");
+  int node = nn::kModelInput;
+  int idx = 0;
+  auto name = [&](const char* kind) { return kind + std::to_string(idx++); };
+  auto coin = [&] { return rng.uniform_index(2) == 1; };
+  const std::size_t convs = 1 + rng.uniform_index(3);
+  for (std::size_t i = 0; i < convs; ++i) {
+    nn::ConvSpec spec;
+    spec.in_channels = c;
+    spec.out_channels = 1 + rng.uniform_index(8);
+    spec.kernel_h = 1 + rng.uniform_index(std::min<std::size_t>(3, h));
+    spec.kernel_w = 1 + rng.uniform_index(std::min<std::size_t>(3, w));
+    spec.stride = 1 + rng.uniform_index(2);
+    spec.pad = rng.uniform_index(2);
+    node = m->add(std::make_unique<nn::Conv2D>(name("conv"), spec, rng.next()),
+                  node);
+    c = spec.out_channels;
+    h = spec.out_h(h);
+    w = spec.out_w(w);
+    if (coin())
+      node = m->add(std::make_unique<nn::BatchNorm>(name("bn"), c, rng.next()),
+                    node);
+    if (coin()) node = m->add(std::make_unique<nn::ReLU>(name("relu")), node);
+    if (coin() && h >= 2 && w >= 2) {
+      node = m->add(std::make_unique<nn::MaxPool>(name("pool"), 2, 2), node);
+      h = (h - 2) / 2 + 1;
+      w = (w - 2) / 2 + 1;
+    }
+    if (coin()) {
+      const int branch = m->add(
+          std::make_unique<nn::Conv2D>(name("conv"),
+                                       nn::ConvSpec{c, c, 3, 3, 1, 1},
+                                       rng.next()),
+          node);
+      node = m->add(std::make_unique<nn::Add>(name("add")), node, branch);
+    }
+  }
+  node = m->add(std::make_unique<nn::Flatten>(name("flatten")), node);
+  std::size_t features = c * h * w;
+  const std::size_t fcs = 1 + rng.uniform_index(2);
+  for (std::size_t i = 0; i < fcs; ++i) {
+    const std::size_t out = 1 + rng.uniform_index(16);
+    if (i > 0) node = m->add(std::make_unique<nn::ReLU>(name("relu")), node);
+    node = m->add(
+        std::make_unique<nn::Linear>(name("fc"), features, out, rng.next()),
+        node);
+    features = out;
+  }
+  return m;
+}
+
+void expect_same_layer(const core::LayerReport& engine,
+                       const core::LayerReport& model,
+                       const std::string& what) {
+  EXPECT_EQ(engine.name, model.name) << what;
+  EXPECT_EQ(engine.patches, model.patches) << what;
+  EXPECT_EQ(engine.kernels, model.kernels) << what;
+  EXPECT_EQ(engine.context_len, model.context_len) << what;
+  EXPECT_EQ(engine.hash_bits, model.hash_bits) << what;
+  EXPECT_EQ(engine.plan.passes, model.plan.passes) << what;
+  EXPECT_EQ(engine.plan.searches, model.plan.searches) << what;
+  EXPECT_EQ(engine.plan.rows_written, model.plan.rows_written) << what;
+  EXPECT_EQ(engine.plan.dot_products, model.plan.dot_products) << what;
+  EXPECT_EQ(engine.plan.utilization, model.plan.utilization) << what;
+  EXPECT_EQ(engine.cycles, model.cycles) << what;
+  EXPECT_EQ(engine.cam_energy, model.cam_energy) << what;
+  EXPECT_EQ(engine.postproc_energy, model.postproc_energy) << what;
+  EXPECT_EQ(engine.ctxgen_energy, model.ctxgen_energy) << what;
+}
+
+TEST(EstimatorGate, RandomGeometriesMatchEngineExactly) {
+  // Seeded: every failure reproduces from the printed model index and
+  // config. A geometry bug found here lands as its own regression case.
+  Rng rng(0xDEC0DEu);
+  const std::size_t kHashBits[] = {256, 512, 768, 1024};
+  for (std::size_t model_idx = 0; model_idx < 10; ++model_idx) {
+    nn::Shape input;
+    const auto model = random_stack(rng, input);
+    const plan::CostModel cost(plan::extract_geometry(*model, input));
+    const nn::Tensor sample = sim::make_probe_batch(input, 1, rng.next())[0];
+    for (const std::size_t rows : {16u, 64u, 128u, 512u}) {
+      for (const auto df : {core::Dataflow::kWeightStationary,
+                            core::Dataflow::kActivationStationary}) {
+        for (const auto preset : {core::CyclePreset::kConservative,
+                                  core::CyclePreset::kIdealized}) {
+          core::DeepCamConfig cfg;
+          cfg.cam_rows = rows;
+          cfg.dataflow = df;
+          cfg.preset = preset;
+          for (std::size_t l = 0; l < cost.geometry().cam_layers.size(); ++l)
+            cfg.layer_hash_bits.push_back(kHashBits[rng.uniform_index(4)]);
+          const std::string what =
+              "model " + std::to_string(model_idx) + " rows " +
+              std::to_string(rows) + " " + core::dataflow_name(df) +
+              (preset == core::CyclePreset::kIdealized ? " idealized"
+                                                       : " conservative");
+
+          const core::CompiledModel compiled(*model, cfg);
+          core::RunReport measured;
+          core::Worker(compiled).run(sample, &measured);
+          const plan::CostEstimate est = cost.estimate(cfg);
+
+          ASSERT_EQ(measured.layers.size(), est.layers.size()) << what;
+          for (std::size_t l = 0; l < est.layers.size(); ++l)
+            expect_same_layer(measured.layers[l], est.layers[l],
+                              what + " layer " + std::to_string(l));
+          EXPECT_EQ(measured.peripheral_cycles, est.peripheral_cycles)
+              << what;
+          EXPECT_EQ(measured.total_cycles(), est.sample_cycles()) << what;
+          EXPECT_EQ(measured.total_energy(), est.sample_energy()) << what;
+        }
+      }
+    }
   }
 }
 

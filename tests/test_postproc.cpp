@@ -50,54 +50,5 @@ TEST(PostProc, PwlVersusExactCosineOption) {
   EXPECT_NEAR(out, std::sqrt(2.0) / 2.0, 1e-9);
 }
 
-TEST(PostProc, EnergyAccountingPerDotProduct) {
-  PostProcessingUnit pp;
-  const Context w = make_ctx(1.0);
-  const Context a = make_ctx(1.0);
-  pp.finish_dot_product(w, a, 10, 256, 0.0f);
-  const double e1 = pp.stats().energy;
-  EXPECT_GT(e1, 0.0);
-  pp.finish_dot_product(w, a, 10, 256, 0.0f);
-  EXPECT_NEAR(pp.stats().energy, 2.0 * e1, 1e-18);
-  EXPECT_EQ(pp.stats().dot_products, 2u);
-}
-
-TEST(PostProc, PeripheralCharges) {
-  PostProcessingUnit pp;
-  pp.charge_peripheral(100);
-  EXPECT_EQ(pp.stats().peripheral_ops, 100u);
-  EXPECT_GT(pp.stats().energy, 0.0);
-}
-
-TEST(PostProc, ContextGenerationCostScalesWithSize) {
-  PostProcessingUnit a, b;
-  a.charge_context_generation(27, 256);
-  b.charge_context_generation(2304, 1024);
-  EXPECT_GT(b.stats().ctxgen_energy, 50.0 * a.stats().ctxgen_energy);
-  EXPECT_EQ(a.stats().ctxgen_cycles, b.stats().ctxgen_cycles);  // pipelined
-}
-
-TEST(PostProc, ResetStats) {
-  PostProcessingUnit pp;
-  pp.charge_peripheral(5);
-  pp.charge_context_generation(10, 256);
-  pp.reset_stats();
-  EXPECT_EQ(pp.stats().peripheral_ops, 0u);
-  EXPECT_EQ(pp.stats().ctxgen_energy, 0.0);
-}
-
-TEST(PostProcStats, Accumulate) {
-  PostProcStats a, b;
-  a.energy = 1.0;
-  a.dot_products = 2;
-  b.energy = 0.5;
-  b.dot_products = 3;
-  b.ctxgen_cycles = 7;
-  a += b;
-  EXPECT_DOUBLE_EQ(a.energy, 1.5);
-  EXPECT_EQ(a.dot_products, 5u);
-  EXPECT_EQ(a.ctxgen_cycles, 7u);
-}
-
 }  // namespace
 }  // namespace deepcam::core

@@ -125,7 +125,7 @@ bool check_plan(const PlanOutcome& out, const Spec& spec) {
          !e.plan.hash_bits.empty();
     for (const std::size_t k : e.plan.hash_bits)
       ok = ok && k >= 256 && k <= 1024 && k % 256 == 0;
-    if (e.validated) ok = ok && e.cycle_rel_error <= 0.15;
+    if (e.validated) ok = ok && e.cycle_rel_error == 0.0;
   }
   // Second run through the same process-wide cache: identical bytes, hit.
   const Outcome rerun = Runner().run(spec);
