@@ -20,6 +20,7 @@
 #include "core/engine.hpp"
 #include "hash/cosine_approx.hpp"
 #include "hash/simhash.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/topologies.hpp"
 
 using namespace deepcam;
@@ -249,7 +250,8 @@ BENCHMARK(BM_EngineRunBatch)
 // reports scalar-vs-AVX2-vs-AVX-512 side by side:
 //   BM_HammingPrefix<isa>/k, BM_SearchFlat<isa>/k, BM_PackSigns<isa>/k
 // at k in {63, 256, 1024} (sub-word tail, the engine's online operating
-// point, and the full-width signature), and BM_GaussianFill<isa>/n.
+// point, and the full-width signature), BM_GaussianFill<isa>/n and
+// BM_ConvInfer<isa>/in_c/out_c/hw.
 
 void BM_HammingPrefixIsa(benchmark::State& state,
                          const codelet::Kernels* kr) {
@@ -323,6 +325,30 @@ void BM_GaussianFillIsa(benchmark::State& state, const codelet::Kernels* kr) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 
+// Conv2D::infer (transposed im2col + the affine_cols codelet) through one
+// ISA's table, on VGG11 conv layers at batch 1. Args are {in_channels,
+// out_channels, image_hw} with a 3×3 pad-1 kernel: conv3 (64→128, 16×16,
+// 256 pixels), conv9 (256→256, 8×8), conv15 (512→512, 4×4) and conv21
+// (512→512, 2×2: 4 pixels, one partial panel). GMAC/s counts the layer's
+// multiply-adds (pixels × out_channels × patch_len) per second.
+void BM_ConvInferIsa(benchmark::State& state, const codelet::Kernels* kr) {
+  nn::ConvSpec spec{static_cast<std::size_t>(state.range(0)),
+                    static_cast<std::size_t>(state.range(1)), 3, 3, 1, 1};
+  const std::size_t hw = static_cast<std::size_t>(state.range(2));
+  const nn::Conv2D conv("conv", spec, 25);
+  nn::Tensor in({1, spec.in_channels, hw, hw});
+  Rng rng(26);
+  for (std::size_t i = 0; i < in.numel(); ++i)
+    in[i] = static_cast<float>(rng.gaussian());
+  for (auto _ : state) benchmark::DoNotOptimize(conv.infer(in, *kr));
+  const double macs = static_cast<double>(spec.out_h(hw) * spec.out_w(hw) *
+                                          spec.out_channels *
+                                          spec.patch_len());
+  state.counters["GMAC/s"] = benchmark::Counter(
+      macs * 1e-9 * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+
 void register_isa_benchmarks() {
   using codelet::Isa;
   for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
@@ -345,6 +371,13 @@ void register_isa_benchmarks() {
     benchmark::RegisterBenchmark(("BM_GaussianFill" + tag).c_str(),
                                  BM_GaussianFillIsa, kr)
         ->Arg(4608 * 1024)
+        ->Unit(benchmark::kMillisecond);
+    benchmark::RegisterBenchmark(("BM_ConvInfer" + tag).c_str(),
+                                 BM_ConvInferIsa, kr)
+        ->Args({64, 128, 16})
+        ->Args({256, 256, 8})
+        ->Args({512, 512, 4})
+        ->Args({512, 512, 2})
         ->Unit(benchmark::kMillisecond);
   }
 }

@@ -77,7 +77,30 @@ void validate_workload(const Workload& w) {
     invalid("inline workload " + w.name + " has no layers");
   if (w.channels == 0 || w.height == 0 || w.width == 0)
     invalid("inline workload " + w.name + " needs positive input geometry");
-  for (const LayerSpec& l : w.layers) validate_layer(l, w.name);
+  // Walk the spatial extent down the stack: a conv kernel or pool window
+  // larger than its padded input would wrap the unsigned output-size
+  // formula to an enormous tensor.
+  std::size_t h = w.height;
+  std::size_t wd = w.width;
+  for (std::size_t i = 0; i < w.layers.size(); ++i) {
+    const LayerSpec& l = w.layers[i];
+    validate_layer(l, w.name);
+    const bool conv = l.kind == "conv2d";
+    if (!conv && l.kind != "maxpool" && l.kind != "avgpool") {
+      if (l.kind == "linear" || l.kind == "flatten") h = wd = 1;
+      continue;
+    }
+    const std::size_t window = conv ? l.kernel : l.window;
+    const std::size_t pad = conv ? l.pad : 0;
+    if (window > h + 2 * pad || window > wd + 2 * pad)
+      invalid("workload " + w.name + " layer " + std::to_string(i) + " \"" +
+              l.kind + "\": " + (conv ? "kernel " : "window ") +
+              std::to_string(window) + " does not fit its " +
+              std::to_string(h) + "x" + std::to_string(wd) + " input" +
+              (pad > 0 ? " padded by " + std::to_string(pad) : ""));
+    h = nn::window_out_size(h, pad, window, l.stride);
+    wd = nn::window_out_size(wd, pad, window, l.stride);
+  }
 }
 
 }  // namespace

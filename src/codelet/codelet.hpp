@@ -1,4 +1,4 @@
-// SIMD codelet layer: per-ISA variants of the five hot kernels behind
+// SIMD codelet layer: per-ISA variants of the six hot kernels behind
 // one-time runtime CPU dispatch.
 //
 // The engine's inner loops spend their time in four primitives — the
@@ -8,7 +8,10 @@
 // sign-bit packing behind the per-vector reference path
 // (RandomProjection::project / sign_hash). Building a model or a projection
 // matrix spends its time in a fifth: the Box–Muller transform behind
-// Rng::fill_gaussian (gaussian_pairs). This layer gives each primitive a
+// Rng::fill_gaussian (gaussian_pairs). The exact float forward
+// (Conv2D::infer, behind the planner's and the tuner's reference outputs)
+// spends its time in a sixth: affine_cols, the same GEMM started at a bias
+// and without the zero skip. This layer gives each primitive a
 // narrow, hand-written codelet per ISA (scalar / AVX2 / AVX-512),
 // poplibs-style: the scalar codelet is the reference semantics and the
 // bitwise-equivalence oracle in property tests; the SIMD variants must match
@@ -26,6 +29,19 @@
 //    lane for lane — even when C holds inf/NaN, where 0·C would be NaN — so
 //    AVX2/AVX-512 lanes perform the identical rounding sequence per output
 //    and the packed signatures (and goldens) are unchanged by dispatch.
+//  * affine_cols is the projection's tile loop with two changes: each
+//    accumulator starts at bias[p] instead of 0, and there is NO zero skip —
+//    every product is added, xi == 0.0f or not, and no row is left out for
+//    having all-zero inputs (so 0·inf gives NaN exactly as a plain
+//    `acc += w[i] * x[i]` loop does). Its outputs are bitwise
+//    bias[p] + xs[p][0]·c[0][j] + xs[p][1]·c[1][j] + ..., summed left to
+//    right with unfused multiply-then-add, on every ISA.
+//  * NaN payloads are the one exception, in both GEMMs: where two NaNs with
+//    different payloads (say a NaN bias and the default NaN of 0·inf) meet
+//    in an add, x86 keeps the first operand's, and the compiler orders a
+//    commutative add as it likes — the scalar codelet's SSE code keeps the
+//    product's, the SIMD codelets the accumulator's. The result is a NaN on
+//    every ISA; only its sign and payload bits may differ.
 //  * Signs use ordered >= 0 compares: +0/-0 pack as 1, NaN as 0, on every
 //    ISA. sign_hash_cols is exactly project_cols followed by pack_signs per
 //    vector, without materializing the floats.
@@ -60,24 +76,29 @@
 //    non-finite result — the pair is recomputed by the scalar codelet.
 //    Measured fallback rate: about 4.5e-5 of pairs (2.2e-5 of values).
 //
-// Tiling (SIMD variants of project_cols and sign_hash_cols, after Goto & van
-// de Geijn, "Anatomy of High-Performance Matrix Multiplication", TOMS 2008):
-// C is walked one column panel at a time (64 columns = one signature word on
-// AVX-512, 32 on AVX2). A register tile of several vectors × one panel
-// accumulates over all input_dim rows; the sign epilogue turns the tile's
-// >= 0 compare masks straight into signature bits. A strided panel of C
-// rows (input_dim) at least kPackMinRows tall does not stay cached between
-// tiles, so when at least kPackMinCount vectors read it, it is first copied
-// contiguous (one call-lifetime buffer of input_dim × panel floats) and
-// reused by every tile: C streams from memory once per call instead of once
-// per tile (AVX2, with half as many vectors per tile, packs shorter panels
-// as well). Fewer vectors stream a tall panel in place instead, in slabs of
-// rows that all panels of a 1024-column group pass over while the slab's
-// pages are cached (partial sums wait in a small buffer between slabs);
-// rows are prefetched well ahead, and rows whose inputs are all zero
+// Tiling (SIMD variants of project_cols, affine_cols and sign_hash_cols,
+// after Goto & van de Geijn, "Anatomy of High-Performance Matrix
+// Multiplication", TOMS 2008): C is walked one column panel at a time (64
+// columns = one signature word on AVX-512, 32 on AVX2). A register tile of
+// several vectors × one panel accumulates over all input_dim rows; the sign
+// epilogue turns the tile's >= 0 compare masks straight into signature
+// bits. A partial last panel whose live columns fit one SIMD register
+// computes only that one (a conv layer with 4 or 16 output pixels runs one
+// zmm of four). C no wider than one panel
+// (c_stride <= panel width) has its rows adjacent already and is always
+// read in place. Otherwise, a strided panel of C rows (input_dim) at least
+// kPackMinRows tall does not stay cached between tiles, so when at least
+// kPackMinCount vectors read it, it is first copied contiguous (one
+// call-lifetime buffer of input_dim × panel floats) and reused by every
+// tile: C streams from memory once per call instead of once per tile (AVX2,
+// with half as many vectors per tile, packs shorter panels as well). Fewer
+// vectors stream a tall panel in place instead, in slabs of rows that all
+// panels of a 1024-column group pass over while the slab's pages are cached
+// (partial sums wait in a small buffer between slabs); rows are prefetched
+// well ahead, and in the projection sums rows whose inputs are all zero
 // (padding, ReLU) are not read at all — exact, since such a row leaves every
 // accumulator untouched. Shorter panels are read in place as they are
-// (single vectors skip all-zero rows there too).
+// (single vectors skip all-zero rows there too, affine_cols never does).
 // Leftover vectors share one narrower tile.
 //
 // Dispatch. The table is chosen once, at first use, from CPUID feature bits
@@ -131,6 +152,16 @@ struct Kernels {
   void (*project_cols)(const float* xs, const float* c, std::size_t count,
                        std::size_t input_dim, std::size_t c_stride,
                        std::size_t ncols, float* out);
+
+  /// Affine GEMM: out[p*ncols + j] = bias[p] + sum_i xs[p*input_dim + i] *
+  /// c[i*c_stride + j] for p < count, j < ncols (ncols <= c_stride), with
+  /// the accumulator starting at bias[p], ascending-i unfused multiply-add
+  /// per output, and no zero skip: every product is added. With xs = a
+  /// conv's weights [out_channels][patch_len] and c = the transposed im2col
+  /// (patch_len × pixels), out is the conv output, image by image.
+  void (*affine_cols)(const float* xs, const float* c, const float* bias,
+                      std::size_t count, std::size_t input_dim,
+                      std::size_t c_stride, std::size_t ncols, float* out);
 
   /// Fused SimHash: the signs of project_cols' outputs for the first `k`
   /// columns, packed 64 per word — sig_words[p*ceil(k/64) + j/64] bit j%64 =

@@ -5,12 +5,13 @@
 // Bitwise equivalence with the scalar reference:
 //  * Hamming: XOR+popcount is integer math; the vector path uses the
 //    vpshufb nibble-LUT byte popcount (Mula) + vpsadbw reduction.
-//  * project_cols / sign_hash_cols: columns are vectorized 8-wide but every
-//    output (p, j) still accumulates over i in ascending order with separate
-//    vmulps + vaddps (this TU has no FMA contraction: -ffp-contract=off and
-//    the accumulation never uses fmadd intrinsics), and the xi == 0.0f skip
-//    leaves the accumulator per (p, i) exactly as the scalar kernel does
-//    (see run_tile). A vector lane performs the same IEEE operation
+//  * project_cols / affine_cols / sign_hash_cols: columns are vectorized
+//    8-wide but every output (p, j) still accumulates over i in ascending
+//    order with separate vmulps + vaddps (this TU has no FMA contraction:
+//    -ffp-contract=off and the accumulation never uses fmadd intrinsics),
+//    from the same start value (0, or affine_cols' bias), and the
+//    projection's xi == 0.0f skip leaves the accumulator per (p, i) exactly
+//    as the scalar kernel does (see run_tile). A vector lane performs the same IEEE operation
 //    sequence as the scalar loop, so results — including ±0, denormal, inf
 //    and NaN cases — are bit-identical.
 //  * pack_signs: vcmpps with _CMP_GE_OQ matches scalar `>= 0.0f` (+0/-0
@@ -94,13 +95,15 @@ void hamming_many_avx2(const std::uint64_t* query, const std::uint64_t* rows,
 constexpr std::size_t kTileRows = 3;
 constexpr std::size_t kPanelCols = 32;
 
-/// The first `width` (1..32) columns of a panel: as one bit per column, and
-/// as lane masks, 8 per ymm, in the all-ones-lane form vmaskmovps takes.
+/// The first `width` (1..32) columns of a panel: as one bit per column, as
+/// lane masks, 8 per ymm, in the all-ones-lane form vmaskmovps takes, and
+/// as the number of ymm holding any of them.
 struct ColMask {
   std::uint64_t bits;
   __m256i m[4];
+  std::size_t vectors;
   explicit ColMask(std::size_t width)
-      : bits((std::uint64_t{1} << width) - 1) {
+      : bits((std::uint64_t{1} << width) - 1), vectors((width + 7) / 8) {
     const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
     for (std::size_t t = 0; t < 4; ++t)
       m[t] = _mm256_cmpgt_epi32(
@@ -111,18 +114,20 @@ struct ColMask {
 
 /// One pass of register tiles over a column panel: panel rows
 /// [row_begin, row_end), `stride` floats apart from row 0 at `base`.
-/// `masked` loads only the live columns of a strided partial panel (zero
+/// `masked` marks a partial panel: only its live columns are loaded (zero
 /// elsewhere; no read past them). `stream` marks a strided panel too tall to
 /// stay cached: its rows come from memory, so rows whose inputs are all zero
 /// are skipped outright and live rows are prefetched well ahead. A pass that
 /// covers only some rows keeps each vector's partial sums in `spill`
-/// (kPanelCols floats per vector) between passes.
+/// (kPanelCols floats per vector) between passes. `bias` is affine_cols'
+/// (one start value per vector), nullptr for the projection sums.
 struct Pass {
   const float* base;
   std::size_t stride;
   std::size_t row_begin;
   std::size_t row_end;
   float* spill;
+  const float* bias;
   bool masked;
   bool stream;
 };
@@ -149,18 +154,21 @@ template <std::size_t MR>
 }
 
 /// One register tile: acc[p] += x_p · pass rows for the MR vectors from
-/// vector p0 on (rows of `xs`, `input_dim` apart). acc starts at zero on row
-/// 0 and from the spill otherwise; it goes back to the spill unless the
-/// pass ends on the last row, where epilogue(p0 + p, acc[p]) runs instead.
-/// Ascending i, vmulps then vaddps. Where xi == 0 the product is ANDed to
-/// +0.0 before the add (one uop, where a blend costs two on Intel cores),
-/// and acc + (+0.0) == acc bit for bit: an accumulator that starts at +0
-/// never becomes -0 under round-to-nearest, and inf/NaN/denormal sums pass
-/// through unchanged (the default MXCSR: no denormals-are-zero). So the
-/// lane is untouched exactly when the scalar kernel skips, even where
-/// 0·C is NaN — and skipping a row whose inputs are all zero changes
-/// nothing either.
-template <std::size_t MR, bool kMasked, bool kStream, class Epilogue>
+/// vector p0 on (rows of `xs`, `input_dim` apart). acc starts at zero (the
+/// bias when kAffine) on row 0 and from the spill otherwise; it goes back to
+/// the spill unless the pass ends on the last row, where
+/// epilogue(p0 + p, acc[p]) runs instead. Ascending i, vmulps then vaddps.
+/// The affine sums add every product and skip no row. In the projection
+/// sums, where xi == 0 the product is ANDed to +0.0 before the add (one
+/// uop, where a blend costs two on Intel cores), and acc + (+0.0) == acc
+/// bit for bit: an accumulator that starts at +0 never becomes -0 under
+/// round-to-nearest, and inf/NaN/denormal sums pass through unchanged (the
+/// default MXCSR: no denormals-are-zero). So the lane is untouched exactly
+/// when the scalar kernel skips, even where 0·C is NaN — and skipping a row
+/// whose inputs are all zero changes nothing either. Only the first NV ymm
+/// of each row are computed; the others stay zero.
+template <std::size_t MR, std::size_t NV, bool kMasked, bool kStream,
+          bool kAffine, class Epilogue>
 [[gnu::always_inline]] inline void run_tile(const float* xs, std::size_t p0,
                                             std::size_t input_dim,
                                             const Pass& pass,
@@ -175,8 +183,10 @@ template <std::size_t MR, bool kMasked, bool kStream, class Epilogue>
   for (std::size_t p = 0; p < MR; ++p)
 #pragma GCC unroll 4
     for (std::size_t t = 0; t < 4; ++t)
-      acc[p][t] = pass.row_begin == 0 ? _mm256_setzero_ps()
-                                      : _mm256_loadu_ps(spilled(p, t));
+      acc[p][t] = t >= NV              ? _mm256_setzero_ps()
+                  : pass.row_begin != 0 ? _mm256_loadu_ps(spilled(p, t))
+                  : kAffine             ? _mm256_set1_ps(pass.bias[p0 + p])
+                                        : _mm256_setzero_ps();
   const __m256 zero = _mm256_setzero_ps();
   for (std::size_t i = pass.row_begin; i < pass.row_end; ++i) {
     const float* crow = pass.base + i * pass.stride;
@@ -185,22 +195,22 @@ template <std::size_t MR, bool kMasked, bool kStream, class Epilogue>
       // (measured slower when C sits in L3, no faster from memory).
       const std::size_t ahead = i + kPrefetchRows;
       if (MR > 1 && ahead < input_dim &&
-          row_live<MR>(x, input_dim, ahead)) {
+          (kAffine || row_live<MR>(x, input_dim, ahead))) {
         const char* row = reinterpret_cast<const char*>(
             pass.base + ahead * pass.stride);
         _mm_prefetch(row, _MM_HINT_T1);
-        _mm_prefetch(row + 64, _MM_HINT_T1);
+        if (NV > 2) _mm_prefetch(row + 64, _MM_HINT_T1);
       }
     }
-    // A row whose inputs are all zero changes nothing. Streamed panels skip
-    // it to save the memory read, single vectors because on ReLU
-    // activations that is about half their rows.
-    if constexpr (kStream || MR == 1) {
+    // A row whose inputs are all zero changes no projection sum. Streamed
+    // panels skip it to save the memory read, single vectors because on
+    // ReLU activations that is about half their rows.
+    if constexpr (!kAffine && (kStream || MR == 1)) {
       if (!row_live<MR>(x, input_dim, i)) continue;
     }
-    __m256 cv[4];
+    __m256 cv[NV];
 #pragma GCC unroll 4
-    for (std::size_t t = 0; t < 4; ++t)
+    for (std::size_t t = 0; t < NV; ++t)
       cv[t] = kMasked ? _mm256_maskload_ps(crow + 8 * t, cols.m[t])
                       : _mm256_loadu_ps(crow + 8 * t);
 #pragma GCC unroll 4
@@ -208,16 +218,19 @@ template <std::size_t MR, bool kMasked, bool kStream, class Epilogue>
       const __m256 xv = _mm256_set1_ps(x[p * input_dim + i]);
       const __m256 live = _mm256_cmp_ps(xv, zero, _CMP_NEQ_UQ);
 #pragma GCC unroll 4
-      for (std::size_t t = 0; t < 4; ++t)
-        acc[p][t] = _mm256_add_ps(
-            acc[p][t], _mm256_and_ps(_mm256_mul_ps(xv, cv[t]), live));
+      for (std::size_t t = 0; t < NV; ++t) {
+        const __m256 prod = _mm256_mul_ps(xv, cv[t]);
+        acc[p][t] = kAffine ? _mm256_add_ps(acc[p][t], prod)
+                            : _mm256_add_ps(acc[p][t],
+                                            _mm256_and_ps(prod, live));
+      }
     }
   }
   if (pass.row_end < input_dim) {
 #pragma GCC unroll 4
     for (std::size_t p = 0; p < MR; ++p)
 #pragma GCC unroll 4
-      for (std::size_t t = 0; t < 4; ++t)
+      for (std::size_t t = 0; t < NV; ++t)
         _mm256_storeu_ps(spilled(p, t), acc[p][t]);
     return;
   }
@@ -225,31 +238,48 @@ template <std::size_t MR, bool kMasked, bool kStream, class Epilogue>
   for (std::size_t p = 0; p < MR; ++p) epilogue(p0 + p, acc[p]);
 }
 
-template <std::size_t MR, class Epilogue>
+/// Instantiates run_tile for the panel: full, or partial — computing one
+/// ymm when its live columns fit one (a conv layer with few output pixels),
+/// all four otherwise. Out of line, so the tiles of all widths are never
+/// inlined into one function (GCC then spills the accumulators: measured
+/// 13–35% slower).
+template <std::size_t MR, bool kStream, bool kAffine, class Epilogue>
+[[gnu::noinline]] void run_tile_panel(const float* xs, std::size_t p0,
+                                      std::size_t input_dim, const Pass& pass,
+                                      const ColMask& cols,
+                                      Epilogue& epilogue) {
+  if (!pass.masked)
+    run_tile<MR, 4, false, kStream, kAffine>(xs, p0, input_dim, pass, cols,
+                                             epilogue);
+  else if (cols.vectors == 1)
+    run_tile<MR, 1, true, kStream, kAffine>(xs, p0, input_dim, pass, cols,
+                                            epilogue);
+  else
+    run_tile<MR, 4, true, kStream, kAffine>(xs, p0, input_dim, pass, cols,
+                                            epilogue);
+}
+
+template <std::size_t MR, bool kAffine, class Epilogue>
 void run_tile_rows(const float* xs, std::size_t p0, std::size_t input_dim,
                    const Pass& pass, const ColMask& cols,
                    Epilogue& epilogue) {
-  if (pass.stream)  // streamed panels are strided, so masked on a tail
-    pass.masked
-        ? run_tile<MR, true, true>(xs, p0, input_dim, pass, cols, epilogue)
-        : run_tile<MR, false, true>(xs, p0, input_dim, pass, cols, epilogue);
-  else
-    pass.masked
-        ? run_tile<MR, true, false>(xs, p0, input_dim, pass, cols, epilogue)
-        : run_tile<MR, false, false>(xs, p0, input_dim, pass, cols,
-                                     epilogue);
+  pass.stream ? run_tile_panel<MR, true, kAffine>(xs, p0, input_dim, pass,
+                                                  cols, epilogue)
+              : run_tile_panel<MR, false, kAffine>(xs, p0, input_dim, pass,
+                                                   cols, epilogue);
 }
 
 /// Runs the vectors from p0 on (fewer than MR + 1 of them) as one tile.
-template <std::size_t MR, class Epilogue>
+template <std::size_t MR, bool kAffine, class Epilogue>
 void run_leftover(const float* xs, std::size_t p0, std::size_t count,
                   std::size_t input_dim, const Pass& pass,
                   const ColMask& cols, Epilogue& epilogue) {
   if constexpr (MR > 0) {
     if (count - p0 == MR)
-      run_tile_rows<MR>(xs, p0, input_dim, pass, cols, epilogue);
+      run_tile_rows<MR, kAffine>(xs, p0, input_dim, pass, cols, epilogue);
     else
-      run_leftover<MR - 1>(xs, p0, count, input_dim, pass, cols, epilogue);
+      run_leftover<MR - 1, kAffine>(xs, p0, count, input_dim, pass, cols,
+                                    epilogue);
   }
 }
 
@@ -265,24 +295,28 @@ void pack_panel(const float* c, std::size_t input_dim, std::size_t c_stride,
   }
 }
 
-/// The one panel loop behind project_cols and sign_hash_cols: for
-/// each 32-column panel of the first `ncols` columns, runs every vector
+/// The one panel loop behind project_cols, affine_cols and sign_hash_cols:
+/// for each 32-column panel of the first `ncols` columns, runs every vector
 /// through register tiles (kTileRows wide, leftovers in one narrower tile)
 /// and calls epilogue(p, j0, cols, acc) with acc = the 4 ymm of output row
-/// p from column j0 on, of which `cols` are live. Panels are packed
-/// contiguous once and shared by all tiles when kPackMinCount or more
-/// vectors read them; for fewer, panels of at least kPackMinRows rows are
-/// streamed in slabs and shorter ones read in place.
-template <class Epilogue>
-void project_panels(const float* xs, const float* c, std::size_t count,
-                    std::size_t input_dim, std::size_t c_stride,
-                    std::size_t ncols, Epilogue&& epilogue) {
+/// p from column j0 on, of which `cols` are live. Sums start at bias[p] and
+/// add every product when kAffine, at zero with the xi == 0 skip otherwise.
+/// Panels are packed contiguous once and shared by all tiles when
+/// kPackMinCount or more vectors read them; for fewer, panels of at least
+/// kPackMinRows rows are streamed in slabs and shorter ones read in place.
+/// C at most one panel wide has adjacent rows already and is read in place.
+template <bool kAffine, class Epilogue>
+void project_panels(const float* xs, const float* c, const float* bias,
+                    std::size_t count, std::size_t input_dim,
+                    std::size_t c_stride, std::size_t ncols,
+                    Epilogue&& epilogue) {
   // Unlike AVX-512, short panels are packed too: a 3-vector tile reads a
   // strided panel from L2 twice as often per MAC as a 6-vector one, and a
   // packed panel of up to kPackMinRows rows stays in L1 (measured: ~20%
   // faster on LeNet's conv2 shape, 150 rows × 64 vectors).
-  const bool tall = input_dim >= kPackMinRows;
-  const bool pack = count >= kPackMinCount;
+  const bool strided = c_stride > kPanelCols;
+  const bool tall = strided && input_dim >= kPackMinRows;
+  const bool pack = strided && count >= kPackMinCount;
   const bool stream = tall && !pack;
   const PanelBuffer buffer(pack ? input_dim * kPanelCols : 0);
   // Streamed means fewer than kPackMinCount vectors, so the spill stays
@@ -300,7 +334,8 @@ void project_panels(const float* xs, const float* c, std::size_t count,
                   r0,
                   std::min(input_dim, r0 + slab_rows),
                   stream ? spill.data() + (j0 - g0) * count : nullptr,
-                  !pack && ncols - j0 < kPanelCols,
+                  bias,
+                  ncols - j0 < kPanelCols,
                   stream};
         if (pack) {
           pack_panel(c + j0, input_dim, c_stride, cols, buffer.data());
@@ -312,25 +347,37 @@ void project_panels(const float* xs, const float* c, std::size_t count,
         };
         std::size_t p0 = 0;
         for (; p0 + kTileRows <= count; p0 += kTileRows)
-          run_tile_rows<kTileRows>(xs, p0, input_dim, pass, cols,
-                                   tile_epilogue);
-        run_leftover<kTileRows - 1>(xs, p0, count, input_dim, pass, cols,
-                                    tile_epilogue);
+          run_tile_rows<kTileRows, kAffine>(xs, p0, input_dim, pass, cols,
+                                            tile_epilogue);
+        run_leftover<kTileRows - 1, kAffine>(xs, p0, count, input_dim, pass,
+                                             cols, tile_epilogue);
       }
     }
   }
 }
 
+/// Epilogue storing each tile row's live columns to out, ncols per vector.
+auto store_rows(float* out, std::size_t ncols) {
+  return [=](std::size_t p, std::size_t j0, const ColMask& cols,
+             const __m256* acc) {
+    float* o = out + p * ncols + j0;
+    for (std::size_t t = 0; t < 4; ++t)
+      _mm256_maskstore_ps(o + 8 * t, cols.m[t], acc[t]);
+  };
+}
+
 void project_cols_avx2(const float* xs, const float* c, std::size_t count,
                        std::size_t input_dim, std::size_t c_stride,
                        std::size_t ncols, float* out) {
-  project_panels(xs, c, count, input_dim, c_stride, ncols,
-                 [&](std::size_t p, std::size_t j0, const ColMask& cols,
-                     const __m256* acc) {
-                   float* o = out + p * ncols + j0;
-                   for (std::size_t t = 0; t < 4; ++t)
-                     _mm256_maskstore_ps(o + 8 * t, cols.m[t], acc[t]);
-                 });
+  project_panels<false>(xs, c, nullptr, count, input_dim, c_stride, ncols,
+                        store_rows(out, ncols));
+}
+
+void affine_cols_avx2(const float* xs, const float* c, const float* bias,
+                      std::size_t count, std::size_t input_dim,
+                      std::size_t c_stride, std::size_t ncols, float* out) {
+  project_panels<true>(xs, c, bias, count, input_dim, c_stride, ncols,
+                       store_rows(out, ncols));
 }
 
 void sign_hash_cols_avx2(const float* xs, const float* c, std::size_t count,
@@ -338,8 +385,8 @@ void sign_hash_cols_avx2(const float* xs, const float* c, std::size_t count,
                          std::size_t k, std::uint64_t* sig_words) {
   const std::size_t wps = (k + 63) / 64;
   const __m256 zero = _mm256_setzero_ps();
-  project_panels(
-      xs, c, count, input_dim, c_stride, k,
+  project_panels<false>(
+      xs, c, nullptr, count, input_dim, c_stride, k,
       [&](std::size_t p, std::size_t j0, const ColMask& cols,
           const __m256* acc) {
         std::uint64_t bits = 0;
@@ -506,9 +553,10 @@ void gaussian_pairs_avx2(const double* u1, const double* u2,
 }  // namespace
 
 const Kernels* avx2_kernels() {
-  static const Kernels k = {hamming_prefix_avx2, hamming_many_avx2,
-                            project_cols_avx2, sign_hash_cols_avx2,
-                            pack_signs_avx2,     gaussian_pairs_avx2};
+  static const Kernels k = {hamming_prefix_avx2,  hamming_many_avx2,
+                            project_cols_avx2,    affine_cols_avx2,
+                            sign_hash_cols_avx2,  pack_signs_avx2,
+                            gaussian_pairs_avx2};
   return &k;
 }
 

@@ -8,10 +8,10 @@
 //
 // Bitwise equivalence follows the same argument as the AVX2 TU: integer
 // Hamming math, unfused 16-wide vmulps+vaddps with ascending-i accumulation
-// in the projection (-ffp-contract=off pins it), the xi == 0.0f skip as a
-// zero-masked vaddps (a masked-off lane keeps its value, exactly like the
-// scalar `continue`), and _CMP_GE_OQ sign compares matching scalar
-// `>= 0.0f`. gaussian_pairs is exact by its rounding test instead (see
+// in the projection and affine sums (-ffp-contract=off pins it), the
+// projection's xi == 0.0f skip as a zero-masked vaddps (a masked-off lane
+// keeps its value, exactly like the scalar `continue`), and _CMP_GE_OQ sign
+// compares matching scalar `>= 0.0f`. gaussian_pairs is exact by its rounding test instead (see
 // codelet.hpp), so its polynomials may use vfmadd.
 #include "codelet/kernels.hpp"
 
@@ -126,14 +126,16 @@ void hamming_many_avx512(const std::uint64_t* query, const std::uint64_t* rows,
 constexpr std::size_t kTileRows = 6;
 constexpr std::size_t kPanelCols = 64;
 
-/// The first `width` (1..64) columns of a panel: as one bit per column, and
-/// as lane masks, 16 per zmm.
+/// The first `width` (1..64) columns of a panel: as one bit per column, as
+/// lane masks, 16 per zmm, and as the number of zmm holding any of them.
 struct ColMask {
   std::uint64_t bits;
   __mmask16 m[4];
+  std::size_t vectors;
   explicit ColMask(std::size_t width)
       : bits(width >= 64 ? ~std::uint64_t{0}
-                         : (std::uint64_t{1} << width) - 1) {
+                         : (std::uint64_t{1} << width) - 1),
+        vectors((width + 15) / 16) {
     for (std::size_t t = 0; t < 4; ++t)
       m[t] = static_cast<__mmask16>(bits >> (16 * t));
   }
@@ -141,18 +143,20 @@ struct ColMask {
 
 /// One pass of register tiles over a column panel: panel rows
 /// [row_begin, row_end), `stride` floats apart from row 0 at `base`.
-/// `masked` loads only the live columns of a strided partial panel (zero
+/// `masked` marks a partial panel: only its live columns are loaded (zero
 /// elsewhere; no read past them). `stream` marks a strided panel too tall to
 /// stay cached: its rows come from memory, so rows whose inputs are all zero
 /// are skipped outright and live rows are prefetched well ahead. A pass that
 /// covers only some rows keeps each vector's partial sums in `spill`
-/// (kPanelCols floats per vector) between passes.
+/// (kPanelCols floats per vector) between passes. `bias` is affine_cols'
+/// (one start value per vector), nullptr for the projection sums.
 struct Pass {
   const float* base;
   std::size_t stride;
   std::size_t row_begin;
   std::size_t row_end;
   float* spill;
+  const float* bias;
   bool masked;
   bool stream;
 };
@@ -179,14 +183,17 @@ template <std::size_t MR>
 }
 
 /// One register tile: acc[p] += x_p · pass rows for the MR vectors from
-/// vector p0 on (rows of `xs`, `input_dim` apart). acc starts at zero on row
-/// 0 and from the spill otherwise; it goes back to the spill unless the
-/// pass ends on the last row, where epilogue(p0 + p, acc[p]) runs instead.
-/// Ascending i, vmulps then a vaddps masked on xi != 0 (unordered: NaN
-/// inputs add), which leaves the lane untouched exactly when the scalar
-/// kernel skips — so skipping a row whose inputs are all zero changes
-/// nothing either.
-template <std::size_t MR, bool kMasked, bool kStream, class Epilogue>
+/// vector p0 on (rows of `xs`, `input_dim` apart). acc starts at zero (the
+/// bias when kAffine) on row 0 and from the spill otherwise; it goes back to
+/// the spill unless the pass ends on the last row, where
+/// epilogue(p0 + p, acc[p]) runs instead. Ascending i, vmulps then vaddps.
+/// The projection's vaddps is masked on xi != 0 (unordered: NaN inputs add),
+/// which leaves the lane untouched exactly when the scalar kernel skips — so
+/// skipping a row whose inputs are all zero changes nothing either. The
+/// affine sums add every product and skip no row. Only the first NV zmm of
+/// each row are computed; the others stay zero.
+template <std::size_t MR, std::size_t NV, bool kMasked, bool kStream,
+          bool kAffine, class Epilogue>
 [[gnu::always_inline]] inline void run_tile(const float* xs, std::size_t p0,
                                             std::size_t input_dim,
                                             const Pass& pass,
@@ -201,8 +208,10 @@ template <std::size_t MR, bool kMasked, bool kStream, class Epilogue>
   for (std::size_t p = 0; p < MR; ++p)
 #pragma GCC unroll 4
     for (std::size_t t = 0; t < 4; ++t)
-      acc[p][t] = pass.row_begin == 0 ? _mm512_setzero_ps()
-                                      : _mm512_loadu_ps(spilled(p, t));
+      acc[p][t] = t >= NV              ? _mm512_setzero_ps()
+                  : pass.row_begin != 0 ? _mm512_loadu_ps(spilled(p, t))
+                  : kAffine             ? _mm512_set1_ps(pass.bias[p0 + p])
+                                        : _mm512_setzero_ps();
   const __m512 zero = _mm512_setzero_ps();
   for (std::size_t i = pass.row_begin; i < pass.row_end; ++i) {
     const float* crow = pass.base + i * pass.stride;
@@ -211,23 +220,23 @@ template <std::size_t MR, bool kMasked, bool kStream, class Epilogue>
       // (measured slower when C sits in L3, no faster from memory).
       const std::size_t ahead = i + kPrefetchRows;
       if (MR > 1 && ahead < input_dim &&
-          row_live<MR>(x, input_dim, ahead)) {
+          (kAffine || row_live<MR>(x, input_dim, ahead))) {
         const char* row = reinterpret_cast<const char*>(
             pass.base + ahead * pass.stride);
 #pragma GCC unroll 4
-        for (std::size_t t = 0; t < 4; ++t)
+        for (std::size_t t = 0; t < NV; ++t)
           _mm_prefetch(row + 64 * t, _MM_HINT_T1);
       }
     }
-    // A row whose inputs are all zero changes nothing. Streamed panels skip
-    // it to save the memory read, single vectors because on ReLU
-    // activations that is about half their rows.
-    if constexpr (kStream || MR == 1) {
+    // A row whose inputs are all zero changes no projection sum. Streamed
+    // panels skip it to save the memory read, single vectors because on
+    // ReLU activations that is about half their rows.
+    if constexpr (!kAffine && (kStream || MR == 1)) {
       if (!row_live<MR>(x, input_dim, i)) continue;
     }
-    __m512 cv[4];
+    __m512 cv[NV];
 #pragma GCC unroll 4
-    for (std::size_t t = 0; t < 4; ++t)
+    for (std::size_t t = 0; t < NV; ++t)
       cv[t] = kMasked ? _mm512_maskz_loadu_ps(cols.m[t], crow + 16 * t)
                       : _mm512_loadu_ps(crow + 16 * t);
 #pragma GCC unroll 8
@@ -235,16 +244,19 @@ template <std::size_t MR, bool kMasked, bool kStream, class Epilogue>
       const __m512 xv = _mm512_set1_ps(x[p * input_dim + i]);
       const __mmask16 live = _mm512_cmp_ps_mask(xv, zero, _CMP_NEQ_UQ);
 #pragma GCC unroll 4
-      for (std::size_t t = 0; t < 4; ++t)
-        acc[p][t] = _mm512_mask_add_ps(acc[p][t], live, acc[p][t],
-                                       _mm512_mul_ps(xv, cv[t]));
+      for (std::size_t t = 0; t < NV; ++t) {
+        const __m512 prod = _mm512_mul_ps(xv, cv[t]);
+        acc[p][t] = kAffine ? _mm512_add_ps(acc[p][t], prod)
+                            : _mm512_mask_add_ps(acc[p][t], live, acc[p][t],
+                                                 prod);
+      }
     }
   }
   if (pass.row_end < input_dim) {
 #pragma GCC unroll 8
     for (std::size_t p = 0; p < MR; ++p)
 #pragma GCC unroll 4
-      for (std::size_t t = 0; t < 4; ++t)
+      for (std::size_t t = 0; t < NV; ++t)
         _mm512_storeu_ps(spilled(p, t), acc[p][t]);
     return;
   }
@@ -252,31 +264,48 @@ template <std::size_t MR, bool kMasked, bool kStream, class Epilogue>
   for (std::size_t p = 0; p < MR; ++p) epilogue(p0 + p, acc[p]);
 }
 
-template <std::size_t MR, class Epilogue>
+/// Instantiates run_tile for the panel: full, or partial — computing one
+/// zmm when its live columns fit one (a conv layer with few output pixels),
+/// all four otherwise. Out of line, so the tiles of all widths are never
+/// inlined into one function (GCC then spills the accumulators: measured
+/// 13–35% slower).
+template <std::size_t MR, bool kStream, bool kAffine, class Epilogue>
+[[gnu::noinline]] void run_tile_panel(const float* xs, std::size_t p0,
+                                      std::size_t input_dim, const Pass& pass,
+                                      const ColMask& cols,
+                                      Epilogue& epilogue) {
+  if (!pass.masked)
+    run_tile<MR, 4, false, kStream, kAffine>(xs, p0, input_dim, pass, cols,
+                                             epilogue);
+  else if (cols.vectors == 1)
+    run_tile<MR, 1, true, kStream, kAffine>(xs, p0, input_dim, pass, cols,
+                                            epilogue);
+  else
+    run_tile<MR, 4, true, kStream, kAffine>(xs, p0, input_dim, pass, cols,
+                                            epilogue);
+}
+
+template <std::size_t MR, bool kAffine, class Epilogue>
 void run_tile_rows(const float* xs, std::size_t p0, std::size_t input_dim,
                    const Pass& pass, const ColMask& cols,
                    Epilogue& epilogue) {
-  if (pass.stream)  // streamed panels are strided, so masked on a tail
-    pass.masked
-        ? run_tile<MR, true, true>(xs, p0, input_dim, pass, cols, epilogue)
-        : run_tile<MR, false, true>(xs, p0, input_dim, pass, cols, epilogue);
-  else
-    pass.masked
-        ? run_tile<MR, true, false>(xs, p0, input_dim, pass, cols, epilogue)
-        : run_tile<MR, false, false>(xs, p0, input_dim, pass, cols,
-                                     epilogue);
+  pass.stream ? run_tile_panel<MR, true, kAffine>(xs, p0, input_dim, pass,
+                                                  cols, epilogue)
+              : run_tile_panel<MR, false, kAffine>(xs, p0, input_dim, pass,
+                                                   cols, epilogue);
 }
 
 /// Runs the vectors from p0 on (fewer than MR + 1 of them) as one tile.
-template <std::size_t MR, class Epilogue>
+template <std::size_t MR, bool kAffine, class Epilogue>
 void run_leftover(const float* xs, std::size_t p0, std::size_t count,
                   std::size_t input_dim, const Pass& pass,
                   const ColMask& cols, Epilogue& epilogue) {
   if constexpr (MR > 0) {
     if (count - p0 == MR)
-      run_tile_rows<MR>(xs, p0, input_dim, pass, cols, epilogue);
+      run_tile_rows<MR, kAffine>(xs, p0, input_dim, pass, cols, epilogue);
     else
-      run_leftover<MR - 1>(xs, p0, count, input_dim, pass, cols, epilogue);
+      run_leftover<MR - 1, kAffine>(xs, p0, count, input_dim, pass, cols,
+                                    epilogue);
   }
 }
 
@@ -293,18 +322,22 @@ void pack_panel(const float* c, std::size_t input_dim, std::size_t c_stride,
   }
 }
 
-/// The one panel loop behind project_cols and sign_hash_cols: for
-/// each 64-column panel of the first `ncols` columns, runs every vector
+/// The one panel loop behind project_cols, affine_cols and sign_hash_cols:
+/// for each 64-column panel of the first `ncols` columns, runs every vector
 /// through register tiles (kTileRows wide, leftovers in one narrower tile)
 /// and calls epilogue(p, j0, cols, acc) with acc = the 4 zmm of output row
-/// p from column j0 on, of which `cols` are live. Panels of at least
-/// kPackMinRows rows are packed contiguous once and shared by all tiles when
-/// kPackMinCount or more vectors read them, and streamed in slabs otherwise.
-template <class Epilogue>
-void project_panels(const float* xs, const float* c, std::size_t count,
-                    std::size_t input_dim, std::size_t c_stride,
-                    std::size_t ncols, Epilogue&& epilogue) {
-  const bool tall = input_dim >= kPackMinRows;
+/// p from column j0 on, of which `cols` are live. Sums start at bias[p] and
+/// add every product when kAffine, at zero with the xi == 0 skip otherwise.
+/// Panels of at least kPackMinRows rows are packed contiguous once and
+/// shared by all tiles when kPackMinCount or more vectors read them, and
+/// streamed in slabs otherwise — unless C is at most one panel wide, when
+/// its rows are adjacent already and are read in place.
+template <bool kAffine, class Epilogue>
+void project_panels(const float* xs, const float* c, const float* bias,
+                    std::size_t count, std::size_t input_dim,
+                    std::size_t c_stride, std::size_t ncols,
+                    Epilogue&& epilogue) {
+  const bool tall = input_dim >= kPackMinRows && c_stride > kPanelCols;
   const bool pack = tall && count >= kPackMinCount;
   const bool stream = tall && !pack;
   const PanelBuffer buffer(pack ? input_dim * kPanelCols : 0);
@@ -323,7 +356,8 @@ void project_panels(const float* xs, const float* c, std::size_t count,
                   r0,
                   std::min(input_dim, r0 + slab_rows),
                   stream ? spill.data() + (j0 - g0) * count : nullptr,
-                  !pack && ncols - j0 < kPanelCols,
+                  bias,
+                  ncols - j0 < kPanelCols,
                   stream};
         if (pack) {
           pack_panel(c + j0, input_dim, c_stride, cols, buffer.data());
@@ -335,25 +369,37 @@ void project_panels(const float* xs, const float* c, std::size_t count,
         };
         std::size_t p0 = 0;
         for (; p0 + kTileRows <= count; p0 += kTileRows)
-          run_tile_rows<kTileRows>(xs, p0, input_dim, pass, cols,
-                                   tile_epilogue);
-        run_leftover<kTileRows - 1>(xs, p0, count, input_dim, pass, cols,
-                                    tile_epilogue);
+          run_tile_rows<kTileRows, kAffine>(xs, p0, input_dim, pass, cols,
+                                            tile_epilogue);
+        run_leftover<kTileRows - 1, kAffine>(xs, p0, count, input_dim, pass,
+                                             cols, tile_epilogue);
       }
     }
   }
 }
 
+/// Epilogue storing each tile row's live columns to out, ncols per vector.
+auto store_rows(float* out, std::size_t ncols) {
+  return [=](std::size_t p, std::size_t j0, const ColMask& cols,
+             const __m512* acc) {
+    float* o = out + p * ncols + j0;
+    for (std::size_t t = 0; t < 4; ++t)
+      _mm512_mask_storeu_ps(o + 16 * t, cols.m[t], acc[t]);
+  };
+}
+
 void project_cols_avx512(const float* xs, const float* c, std::size_t count,
                          std::size_t input_dim, std::size_t c_stride,
                          std::size_t ncols, float* out) {
-  project_panels(xs, c, count, input_dim, c_stride, ncols,
-                 [&](std::size_t p, std::size_t j0, const ColMask& cols,
-                     const __m512* acc) {
-                   float* o = out + p * ncols + j0;
-                   for (std::size_t t = 0; t < 4; ++t)
-                     _mm512_mask_storeu_ps(o + 16 * t, cols.m[t], acc[t]);
-                 });
+  project_panels<false>(xs, c, nullptr, count, input_dim, c_stride, ncols,
+                        store_rows(out, ncols));
+}
+
+void affine_cols_avx512(const float* xs, const float* c, const float* bias,
+                        std::size_t count, std::size_t input_dim,
+                        std::size_t c_stride, std::size_t ncols, float* out) {
+  project_panels<true>(xs, c, bias, count, input_dim, c_stride, ncols,
+                       store_rows(out, ncols));
 }
 
 void sign_hash_cols_avx512(const float* xs, const float* c, std::size_t count,
@@ -361,7 +407,7 @@ void sign_hash_cols_avx512(const float* xs, const float* c, std::size_t count,
                            std::size_t k, std::uint64_t* sig_words) {
   const std::size_t wps = (k + 63) / 64;
   const __m512 zero = _mm512_setzero_ps();
-  project_panels(xs, c, count, input_dim, c_stride, k,
+  project_panels<false>(xs, c, nullptr, count, input_dim, c_stride, k,
                  [&](std::size_t p, std::size_t j0, const ColMask& cols,
                      const __m512* acc) {
                    std::uint64_t bits = 0;
@@ -529,8 +575,9 @@ void gaussian_pairs_avx512(const double* u1, const double* u2,
 
 const Kernels* avx512_kernels() {
   static const Kernels k = {hamming_prefix_avx512, hamming_many_avx512,
-                            project_cols_avx512, sign_hash_cols_avx512,
-                            pack_signs_avx512,   gaussian_pairs_avx512};
+                            project_cols_avx512,   affine_cols_avx512,
+                            sign_hash_cols_avx512, pack_signs_avx512,
+                            gaussian_pairs_avx512};
   return &k;
 }
 

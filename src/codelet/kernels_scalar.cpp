@@ -10,7 +10,9 @@
 // projection GEMM's multiply-then-add per output element is the pinned
 // rounding sequence, on every build type and ISA. sign_hash_cols is the same
 // tile loop with a sign-packing epilogue, so it is project_cols + pack_signs
-// by construction.
+// by construction. affine_cols is the same tile loop started at the bias
+// and without the zero skip: Conv2D::infer's per-output loop, reordered only
+// across outputs.
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -57,22 +59,28 @@ constexpr std::size_t kColBlock = 64;
 /// Runs the projection tile by tile and calls
 /// epilogue(p0, pb, j0, jb, acc) with acc[p][j] = output (p0 + p, j0 + j)
 /// for p < pb, j < jb. For any fixed output the adds run over i in
-/// ascending order with the xi == 0.0f skip — the pinned rounding sequence.
+/// ascending order — the pinned rounding sequence. Projection sums
+/// (bias == nullptr) start at 0 and skip xi == 0.0f; affine sums start at
+/// bias[p] and add every product.
 template <class Epilogue>
-void project_tiles(const float* xs, const float* c, std::size_t count,
-                   std::size_t input_dim, std::size_t c_stride,
-                   std::size_t ncols, Epilogue&& epilogue) {
+void project_tiles(const float* xs, const float* c, const float* bias,
+                   std::size_t count, std::size_t input_dim,
+                   std::size_t c_stride, std::size_t ncols,
+                   Epilogue&& epilogue) {
+  const bool skip_zeros = bias == nullptr;
   for (std::size_t p0 = 0; p0 < count; p0 += kPatchBlock) {
     const std::size_t pb = std::min(kPatchBlock, count - p0);
     for (std::size_t j0 = 0; j0 < ncols; j0 += kColBlock) {
       const std::size_t jb = std::min(kColBlock, ncols - j0);
       float acc[kPatchBlock][kColBlock];
-      std::memset(acc, 0, sizeof(acc));
+      for (std::size_t p = 0; p < kPatchBlock; ++p)
+        std::fill_n(acc[p], kColBlock,
+                    skip_zeros || p >= pb ? 0.0f : bias[p0 + p]);
       for (std::size_t i = 0; i < input_dim; ++i) {
         const float* __restrict__ crow = &c[i * c_stride + j0];
         for (std::size_t p = 0; p < pb; ++p) {
           const float xi = xs[(p0 + p) * input_dim + i];
-          if (xi == 0.0f) continue;
+          if (skip_zeros && xi == 0.0f) continue;
           float* __restrict__ a = acc[p];
           for (std::size_t j = 0; j < jb; ++j) a[j] += xi * crow[j];
         }
@@ -82,16 +90,27 @@ void project_tiles(const float* xs, const float* c, std::size_t count,
   }
 }
 
+/// Copies each tile's outputs to out, ncols floats per vector.
+auto store_rows(float* out, std::size_t ncols) {
+  return [=](std::size_t p0, std::size_t pb, std::size_t j0, std::size_t jb,
+             const float (*acc)[kColBlock]) {
+    for (std::size_t p = 0; p < pb; ++p)
+      std::memcpy(out + (p0 + p) * ncols + j0, acc[p], jb * sizeof(float));
+  };
+}
+
 void project_cols_scalar(const float* xs, const float* c, std::size_t count,
                          std::size_t input_dim, std::size_t c_stride,
                          std::size_t ncols, float* out) {
-  project_tiles(xs, c, count, input_dim, c_stride, ncols,
-                [&](std::size_t p0, std::size_t pb, std::size_t j0,
-                    std::size_t jb, const float (*acc)[kColBlock]) {
-                  for (std::size_t p = 0; p < pb; ++p)
-                    std::memcpy(out + (p0 + p) * ncols + j0, acc[p],
-                                jb * sizeof(float));
-                });
+  project_tiles(xs, c, nullptr, count, input_dim, c_stride, ncols,
+                store_rows(out, ncols));
+}
+
+void affine_cols_scalar(const float* xs, const float* c, const float* bias,
+                        std::size_t count, std::size_t input_dim,
+                        std::size_t c_stride, std::size_t ncols, float* out) {
+  project_tiles(xs, c, bias, count, input_dim, c_stride, ncols,
+                store_rows(out, ncols));
 }
 
 /// Packs `nbits` sign bits (proj[j] >= 0, so +0/-0 both hash to 1 and NaN to
@@ -115,7 +134,7 @@ void sign_hash_cols_scalar(const float* xs, const float* c, std::size_t count,
                            std::size_t input_dim, std::size_t c_stride,
                            std::size_t k, std::uint64_t* sig_words) {
   const std::size_t wps = (k + 63) / 64;
-  project_tiles(xs, c, count, input_dim, c_stride, k,
+  project_tiles(xs, c, nullptr, count, input_dim, c_stride, k,
                 [&](std::size_t p0, std::size_t pb, std::size_t j0,
                     std::size_t jb, const float (*acc)[kColBlock]) {
                   for (std::size_t p = 0; p < pb; ++p)
@@ -144,8 +163,9 @@ void gaussian_pair_exact(double u1, double u2, double stddev, float* out) {
 
 const Kernels& scalar_kernels() {
   static const Kernels k = {hamming_prefix_scalar, hamming_many_scalar,
-                            project_cols_scalar, sign_hash_cols_scalar,
-                            pack_signs_scalar,   gaussian_pairs_scalar};
+                            project_cols_scalar,   affine_cols_scalar,
+                            sign_hash_cols_scalar, pack_signs_scalar,
+                            gaussian_pairs_scalar};
   return k;
 }
 

@@ -1,5 +1,6 @@
 #include "nn/conv2d.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.hpp"
@@ -16,81 +17,104 @@ Conv2D::Conv2D(std::string name, ConvSpec spec, std::uint64_t seed)
   rng.fill_gaussian(weights_.data(), weights_.size(), std);
 }
 
+namespace {
+
+/// Transposed im2col of image `n`: row (c·kh + ky)·kw + kx of `cols` holds
+/// that patch element — the input pixel, or 0 in the padding — for every
+/// output pixel oy·ow + ox. Column j is extract_patch's patch at pixel j.
+void im2col_transposed(const Tensor& in, std::size_t n, const ConvSpec& spec,
+                       std::size_t oh, std::size_t ow, float* cols) {
+  const Shape& s = in.shape();
+  const auto pad = static_cast<std::ptrdiff_t>(spec.pad);
+  for (std::size_t c = 0; c < s.c; ++c) {
+    const float* plane = in.data() + (n * s.c + c) * s.h * s.w;
+    for (std::size_t ky = 0; ky < spec.kernel_h; ++ky) {
+      for (std::size_t kx = 0; kx < spec.kernel_w; ++kx) {
+        for (std::size_t oy = 0; oy < oh; ++oy, cols += ow) {
+          const std::ptrdiff_t iy =
+              static_cast<std::ptrdiff_t>(oy * spec.stride + ky) - pad;
+          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(s.h)) {
+            std::fill_n(cols, ow, 0.0f);
+            continue;
+          }
+          const float* row = plane + static_cast<std::size_t>(iy) * s.w;
+          for (std::size_t ox = 0; ox < ow; ++ox) {
+            const std::ptrdiff_t ix =
+                static_cast<std::ptrdiff_t>(ox * spec.stride + kx) - pad;
+            cols[ox] = ix < 0 || ix >= static_cast<std::ptrdiff_t>(s.w)
+                           ? 0.0f
+                           : row[ix];
+          }
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
 Tensor Conv2D::infer(const Tensor& in) const {
+  return infer(in, codelet::kernels());
+}
+
+Tensor Conv2D::infer(const Tensor& in, const codelet::Kernels& kernels) const {
   const Shape& s = in.shape();
   DEEPCAM_CHECK_MSG(s.c == spec_.in_channels, "conv input channel mismatch");
   const std::size_t oh = spec_.out_h(s.h);
   const std::size_t ow = spec_.out_w(s.w);
-  Tensor out({s.n, spec_.out_channels, oh, ow});
+  const std::size_t pixels = oh * ow;
   const std::size_t plen = spec_.patch_len();
-  std::vector<float> patch(plen);
+  const std::size_t oc = spec_.out_channels;
+  Tensor out({s.n, oc, oh, ow});
+  // Local, not a member: infer is const and runs on engine workers at once.
+  std::vector<float> cols(plen * pixels);
   for (std::size_t n = 0; n < s.n; ++n) {
-    for (std::size_t oy = 0; oy < oh; ++oy) {
-      for (std::size_t ox = 0; ox < ow; ++ox) {
-        extract_patch(in, n, oy, ox, spec_.kernel_h, spec_.kernel_w,
-                      spec_.stride, spec_.pad, patch);
-        for (std::size_t oc = 0; oc < spec_.out_channels; ++oc) {
-          const float* w = &weights_[oc * plen];
-          float acc = bias_[oc];
-          for (std::size_t i = 0; i < plen; ++i) acc += w[i] * patch[i];
-          out.at(n, oc, oy, ox) = acc;
-        }
-      }
-    }
+    im2col_transposed(in, n, spec_, oh, ow, cols.data());
+    kernels.affine_cols(weights_.data(), cols.data(), bias_.data(), oc, plen,
+                        pixels, pixels, out.data() + n * oc * pixels);
   }
   return out;
 }
 
 Tensor Conv2D::forward(const Tensor& in, bool train) {
-  if (!train) return infer(in);
+  Tensor out = infer(in);
+  if (!train) return out;
+  if (noise_scale_ > 0.0f) add_training_noise(in, out);
+  cached_in_ = in;
+  has_cache_ = true;
+  return out;
+}
+
+void Conv2D::add_training_noise(const Tensor& in, Tensor& out) {
   const Shape& s = in.shape();
-  DEEPCAM_CHECK_MSG(s.c == spec_.in_channels, "conv input channel mismatch");
-  const std::size_t oh = spec_.out_h(s.h);
-  const std::size_t ow = spec_.out_w(s.w);
-  Tensor out({s.n, spec_.out_channels, oh, ow});
+  const std::size_t oh = out.shape().h;
+  const std::size_t ow = out.shape().w;
   const std::size_t plen = spec_.patch_len();
-  std::vector<float> patch(plen);
-  const bool noisy = noise_scale_ > 0.0f;
-  // Per-kernel norms for the noise model (only when noise is enabled).
-  std::vector<float> w_norms;
-  if (noisy) {
-    w_norms.resize(spec_.out_channels);
-    for (std::size_t oc = 0; oc < spec_.out_channels; ++oc) {
-      double ss = 0.0;
-      for (std::size_t i = 0; i < plen; ++i) {
-        const float w = weights_[oc * plen + i];
-        ss += double(w) * w;
-      }
-      w_norms[oc] = static_cast<float>(std::sqrt(ss));
+  std::vector<float> w_norms(spec_.out_channels);
+  for (std::size_t oc = 0; oc < spec_.out_channels; ++oc) {
+    double ss = 0.0;
+    for (std::size_t i = 0; i < plen; ++i) {
+      const float w = weights_[oc * plen + i];
+      ss += double(w) * w;
     }
+    w_norms[oc] = static_cast<float>(std::sqrt(ss));
   }
+  std::vector<float> patch(plen);
   for (std::size_t n = 0; n < s.n; ++n) {
     for (std::size_t oy = 0; oy < oh; ++oy) {
       for (std::size_t ox = 0; ox < ow; ++ox) {
         extract_patch(in, n, oy, ox, spec_.kernel_h, spec_.kernel_w,
                       spec_.stride, spec_.pad, patch);
-        float patch_norm = 0.0f;
-        if (noisy) {
-          double ss = 0.0;
-          for (std::size_t i = 0; i < plen; ++i)
-            ss += double(patch[i]) * patch[i];
-          patch_norm = static_cast<float>(std::sqrt(ss));
-        }
-        for (std::size_t oc = 0; oc < spec_.out_channels; ++oc) {
-          const float* w = &weights_[oc * plen];
-          float acc = bias_[oc];
-          for (std::size_t i = 0; i < plen; ++i) acc += w[i] * patch[i];
-          if (noisy)
-            acc += noise_scale_ * patch_norm * w_norms[oc] *
-                   static_cast<float>(noise_rng_.gaussian());
-          out.at(n, oc, oy, ox) = acc;
-        }
+        double ss = 0.0;
+        for (std::size_t i = 0; i < plen; ++i)
+          ss += double(patch[i]) * patch[i];
+        const float patch_norm = static_cast<float>(std::sqrt(ss));
+        for (std::size_t oc = 0; oc < spec_.out_channels; ++oc)
+          out.at(n, oc, oy, ox) += noise_scale_ * patch_norm * w_norms[oc] *
+                                   static_cast<float>(noise_rng_.gaussian());
       }
     }
   }
-  cached_in_ = in;
-  has_cache_ = true;
-  return out;
 }
 
 Tensor Conv2D::backward(const Tensor& grad_out) {

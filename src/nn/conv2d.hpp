@@ -1,14 +1,18 @@
 // 2-D convolution layer with training support.
 //
-// Forward uses im2col patch extraction plus an inner dot-product loop; the
-// same patch layout is what the DeepCAM context generator hashes (paper
-// Fig. 4 reshapes a kernel of size C×kh×kw into one context vector).
+// Forward builds the transposed im2col matrix of each image (one column per
+// output pixel) and runs it through the affine_cols codelet against the
+// weights: per output, bias + Σ w[i]·patch[i] in ascending i, unfused — the
+// plain per-patch dot-product loop, bit for bit, at GEMM speed. The patch
+// layout is what the DeepCAM context generator hashes (paper Fig. 4
+// reshapes a kernel of size C×kh×kw into one context vector).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "codelet/codelet.hpp"
 #include "common/rng.hpp"
 #include "nn/layer.hpp"
 
@@ -25,11 +29,12 @@ struct ConvSpec {
 
   /// Context/patch vector length n = C·kh·kw.
   std::size_t patch_len() const { return in_channels * kernel_h * kernel_w; }
+  /// Output extent; throws when the kernel does not fit the padded input.
   std::size_t out_h(std::size_t in_h) const {
-    return (in_h + 2 * pad - kernel_h) / stride + 1;
+    return window_out_size(in_h, pad, kernel_h, stride);
   }
   std::size_t out_w(std::size_t in_w) const {
-    return (in_w + 2 * pad - kernel_w) / stride + 1;
+    return window_out_size(in_w, pad, kernel_w, stride);
   }
 };
 
@@ -44,6 +49,9 @@ class Conv2D final : public Layer {
 
   Tensor forward(const Tensor& in, bool train) override;
   Tensor infer(const Tensor& in) const override;
+  /// infer through one ISA's codelet table instead of the dispatched one
+  /// (every table gives the same bits; benches compare their speed).
+  Tensor infer(const Tensor& in, const codelet::Kernels& kernels) const;
   Tensor backward(const Tensor& grad_out) override;
   void update(float lr) override;
   std::size_t param_count() const override {
@@ -67,6 +75,10 @@ class Conv2D final : public Layer {
   const std::vector<float>& bias() const { return bias_; }
 
  private:
+  /// Adds the training noise to `out` = infer(in), output by output in
+  /// (n, oy, ox, oc) order.
+  void add_training_noise(const Tensor& in, Tensor& out);
+
   std::string name_;
   ConvSpec spec_;
   std::vector<float> weights_;  // [out_c][in_c*kh*kw]

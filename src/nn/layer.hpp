@@ -29,6 +29,20 @@ enum class LayerKind {
 /// Human-readable name of a LayerKind.
 const char* layer_kind_name(LayerKind kind);
 
+/// Output extent of a `window` sliding `stride` at a time over `in`
+/// elements padded by `pad` on each side: (in + 2·pad − window) / stride + 1.
+/// Throws when the window is empty or larger than the padded input (the
+/// unsigned formula would wrap to a huge extent) or the stride is zero.
+inline std::size_t window_out_size(std::size_t in, std::size_t pad,
+                                   std::size_t window, std::size_t stride) {
+  DEEPCAM_CHECK_MSG(stride > 0, "window stride must be positive");
+  DEEPCAM_CHECK_MSG(window > 0 && window <= in + 2 * pad,
+                    "window of " + std::to_string(window) +
+                        " does not fit an input of " + std::to_string(in) +
+                        " padded by " + std::to_string(pad));
+  return (in + 2 * pad - window) / stride + 1;
+}
+
 class Layer {
  public:
   virtual ~Layer() = default;

@@ -7,8 +7,8 @@ namespace deepcam::nn {
 Tensor MaxPool::pool(const Tensor& in,
                      std::vector<std::size_t>* argmax) const {
   const Shape& s = in.shape();
-  const std::size_t oh = (s.h - window_) / stride_ + 1;
-  const std::size_t ow = (s.w - window_) / stride_ + 1;
+  const std::size_t oh = window_out_size(s.h, 0, window_, stride_);
+  const std::size_t ow = window_out_size(s.w, 0, window_, stride_);
   Tensor out({s.n, s.c, oh, ow});
   if (argmax != nullptr) argmax->assign(out.numel(), 0);
   std::size_t oidx = 0;
@@ -61,8 +61,8 @@ Tensor AvgPool::forward(const Tensor& in, bool /*train*/) {
 
 Tensor AvgPool::infer(const Tensor& in) const {
   const Shape& s = in.shape();
-  const std::size_t oh = (s.h - window_) / stride_ + 1;
-  const std::size_t ow = (s.w - window_) / stride_ + 1;
+  const std::size_t oh = window_out_size(s.h, 0, window_, stride_);
+  const std::size_t ow = window_out_size(s.w, 0, window_, stride_);
   Tensor out({s.n, s.c, oh, ow});
   const float inv = 1.0f / static_cast<float>(window_ * window_);
   for (std::size_t n = 0; n < s.n; ++n)

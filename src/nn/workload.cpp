@@ -35,14 +35,14 @@ std::vector<Shape> infer_shapes(const Model& model, Shape input_shape) {
       }
       case LayerKind::kMaxPool: {
         const auto& p = static_cast<const MaxPool&>(layer);
-        out = {in.n, in.c, (in.h - p.window()) / p.stride() + 1,
-               (in.w - p.window()) / p.stride() + 1};
+        out = {in.n, in.c, window_out_size(in.h, 0, p.window(), p.stride()),
+               window_out_size(in.w, 0, p.window(), p.stride())};
         break;
       }
       case LayerKind::kAvgPool: {
         const auto& p = static_cast<const AvgPool&>(layer);
-        out = {in.n, in.c, (in.h - p.window()) / p.stride() + 1,
-               (in.w - p.window()) / p.stride() + 1};
+        out = {in.n, in.c, window_out_size(in.h, 0, p.window(), p.stride()),
+               window_out_size(in.w, 0, p.window(), p.stride())};
         break;
       }
       case LayerKind::kFlatten:

@@ -97,15 +97,15 @@ ModelGeometry extract_geometry(const nn::Model& model, nn::Shape input) {
       }
       case nn::LayerKind::kMaxPool: {
         const auto& pool = static_cast<const nn::MaxPool&>(layer);
-        out.h = (in.h - pool.window()) / pool.stride() + 1;
-        out.w = (in.w - pool.window()) / pool.stride() + 1;
+        out.h = nn::window_out_size(in.h, 0, pool.window(), pool.stride());
+        out.w = nn::window_out_size(in.w, 0, pool.window(), pool.stride());
         geo.peripheral_elems.push_back(out.numel());
         break;
       }
       case nn::LayerKind::kAvgPool: {
         const auto& pool = static_cast<const nn::AvgPool&>(layer);
-        out.h = (in.h - pool.window()) / pool.stride() + 1;
-        out.w = (in.w - pool.window()) / pool.stride() + 1;
+        out.h = nn::window_out_size(in.h, 0, pool.window(), pool.stride());
+        out.w = nn::window_out_size(in.w, 0, pool.window(), pool.stride());
         geo.peripheral_elems.push_back(out.numel());
         break;
       }

@@ -129,6 +129,52 @@ TEST(Spec, ValidateRejectsBadSpecs) {
                Error);  // closed-loop clients block real threads
 }
 
+TEST(Spec, ValidateRejectsWindowsLargerThanTheirInput) {
+  // The inline stack's shapes are walked from the input geometry: a kernel
+  // or pool window larger than its padded input is named by layer.
+  const auto message = [](SpecBuilder b) {
+    try {
+      b.build();
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  const std::string conv = message(SpecBuilder("x")
+                                       .custom_workload("net", 1, 3, 3)
+                                       .conv2d("c", 1, 4, 5)
+                                       .flatten()
+                                       .linear("fc", 4, 2));
+  EXPECT_NE(conv.find("workload net layer 0 \"conv2d\": kernel 5 does not "
+                      "fit its 3x3 input"),
+            std::string::npos)
+      << conv;
+  const std::string pool = message(SpecBuilder("x")
+                                       .custom_workload("net", 1, 8, 8)
+                                       .conv2d("c", 1, 4, 3, 2)  // 8 -> 3
+                                       .maxpool(4, 4)
+                                       .flatten()
+                                       .linear("fc", 4, 2));
+  EXPECT_NE(pool.find("workload net layer 1 \"maxpool\": window 4 does not "
+                      "fit its 3x3 input"),
+            std::string::npos)
+      << pool;
+  EXPECT_NE(message(SpecBuilder("x")
+                        .custom_workload("net", 1, 2, 2)
+                        .avgpool(4, 4)
+                        .flatten()
+                        .linear("fc", 1, 2))
+                .find("layer 0 \"avgpool\": window 4"),
+            std::string::npos);
+  // Padding counts: 5 fits 3 + 2·1, and the output is 1×1.
+  EXPECT_EQ(message(SpecBuilder("x")
+                        .custom_workload("net", 1, 3, 3)
+                        .conv2d("c", 1, 4, 5, 1, 1)
+                        .flatten()
+                        .linear("fc", 4, 2)),
+            "accepted");
+}
+
 TEST(Spec, ModeNames) {
   EXPECT_EQ(mode_from_name("offline"), Mode::kOffline);
   EXPECT_EQ(mode_from_name("run"), Mode::kOffline);  // CLI alias

@@ -7,7 +7,9 @@
 // NaN / ±0 / denormal edge cases, and the fused sign_hash_cols identical to
 // scalar project_cols + pack_signs. Word-boundary hash lengths (63/64/65),
 // unaligned row/column/patch counts and counts on both sides of the pack
-// threshold (every leftover tile width) are swept explicitly. gaussian_pairs
+// threshold (every leftover tile width) are swept explicitly. affine_cols
+// must give its defining loop's floats (bias, then every product added in
+// ascending order, zeros included) bit for bit on every ISA. gaussian_pairs
 // must give the scalar (glibc) floats bit for bit on adversarial uniforms,
 // on values next to a float rounding boundary (where the SIMD rounding test
 // must hand the pair to the scalar path) and on 50 M random pairs.
@@ -331,6 +333,137 @@ TEST(Codelet, ZeroInputSkipsInfAndNanInC) {
                   0)
             << deepcam::codelet::isa_name(isa) << " dim=" << dim
             << " count=" << count;
+      }
+    }
+  }
+}
+
+/// affine_cols' defining loop: acc = bias[p], then acc += x·c for every i
+/// in ascending order, no skip.
+std::vector<float> affine_oracle(const std::vector<float>& xs,
+                                 const std::vector<float>& c,
+                                 const std::vector<float>& bias,
+                                 std::size_t count, std::size_t dim,
+                                 std::size_t c_stride, std::size_t ncols) {
+  std::vector<float> out(count * ncols);
+  for (std::size_t p = 0; p < count; ++p)
+    for (std::size_t j = 0; j < ncols; ++j) {
+      float acc = bias[p];
+      for (std::size_t i = 0; i < dim; ++i)
+        acc += xs[p * dim + i] * c[i * c_stride + j];
+      out[p * ncols + j] = acc;
+    }
+  return out;
+}
+
+/// True when a and b have the same bits, or are both NaN. Where two NaNs
+/// with different payloads meet in an add, which one survives is the first
+/// operand's on x86, and the compiler orders a commutative add's operands as
+/// it likes: the scalar codelet's SSE code keeps the product's, the SIMD
+/// codelets the accumulator's (project_cols behaves the same).
+bool same_float(float a, float b) {
+  return (std::isnan(a) && std::isnan(b)) ||
+         std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+/// Runs affine_cols on every reachable ISA and expects the oracle's bits
+/// (same_float), with nothing written past the output.
+void expect_affine_matches(const std::vector<float>& xs,
+                           const std::vector<float>& c,
+                           const std::vector<float>& bias, std::size_t count,
+                           std::size_t dim, std::size_t c_stride,
+                           std::size_t ncols) {
+  const auto want = affine_oracle(xs, c, bias, count, dim, c_stride, ncols);
+  for (Isa isa : reachable_isas()) {
+    std::vector<float> got(want.size() + 1, -1.0f);
+    deepcam::codelet::kernels_for(isa)->affine_cols(
+        xs.data(), c.data(), bias.data(), count, dim, c_stride, ncols,
+        got.data());
+    ASSERT_EQ(got.back(), -1.0f)
+        << deepcam::codelet::isa_name(isa) << " wrote past the end";
+    for (std::size_t o = 0; o < want.size(); ++o)
+      ASSERT_TRUE(same_float(got[o], want[o]))
+          << deepcam::codelet::isa_name(isa) << " output " << o
+          << " count=" << count << " dim=" << dim << " c_stride=" << c_stride
+          << " ncols=" << ncols << ": " << got[o] << " vs " << want[o];
+  }
+}
+
+TEST(Codelet, AffineColsBitwiseMatchesOracle) {
+  std::mt19937 rng(43);
+  // Every count from 1 to 37 (each register-tile leftover width, both sides
+  // of kPackMinCount) on short inputs; a spread of counts on tall ones, up
+  // to and past kPackMinRows. Columns cover full and partial panels of both
+  // SIMD widths. C is tight (stride == ncols: at most 64 columns is one
+  // dense panel) for odd counts and strided for even ones. edge_floats
+  // brings ±0, denormals and ±3.4e38 (whose sums overflow to inf) into xs,
+  // c and the bias.
+  constexpr std::size_t kPack = deepcam::codelet::kPackMinCount;
+  constexpr std::size_t kRows = deepcam::codelet::kPackMinRows;
+  const std::size_t ncols_list[] = {1, 4, 15, 16, 17, 63, 64, 65, 1024};
+  std::vector<std::pair<std::size_t, std::size_t>> shapes;  // count, dim
+  for (std::size_t count = 1; count <= 37; ++count)
+    for (std::size_t dim : {1, 2, 5, 37}) shapes.emplace_back(count, dim);
+  for (std::size_t count : {std::size_t{1}, std::size_t{6}, std::size_t{7},
+                            kPack - 1, kPack, kPack + 5})
+    for (std::size_t dim : {std::size_t{150}, kRows, std::size_t{600}})
+      shapes.emplace_back(count, dim);
+  static_assert(kRows <= 600 && kPack + 5 <= 37);
+  // Shapes above kMaxMacs are skipped to keep the oracle (and the sanitizer
+  // builds) quick; tall packed panels still run up to 65 columns.
+  constexpr std::size_t kMaxMacs = 2'000'000;
+  for (const auto& [count, dim] : shapes) {
+    for (std::size_t ncols : ncols_list) {
+      if (count * ncols * dim > kMaxMacs) continue;
+      const std::size_t c_stride = count % 2 == 1 ? ncols : ncols + 3;
+      const auto xs = edge_floats(count * dim, rng);
+      const auto c = edge_floats(dim * c_stride, rng);
+      const auto bias = edge_floats(count, rng);
+      expect_affine_matches(xs, c, bias, count, dim, c_stride, ncols);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(Codelet, AffineColsAddsEveryProduct) {
+  // No zero skip: a zero weight times an inf/NaN entry of C is NaN and
+  // must reach the output, and rows whose inputs are all zero are still
+  // added. Rows i % 4 == 0 of xs are zero for every vector (an all-zero
+  // row, which the projection kernels skip), C holds inf/NaN on rows
+  // i % 4 == 0 and 1, and the bias carries inf, NaN and -0. Short and tall
+  // inputs, few and many vectors, dense and strided C.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::mt19937 rng(47);
+  std::uniform_real_distribution<float> uni(-2.0f, 2.0f);
+  for (std::size_t dim : {std::size_t{9}, deepcam::codelet::kPackMinRows}) {
+    for (std::size_t count :
+         {std::size_t{3}, deepcam::codelet::kPackMinCount + 5}) {
+      for (std::size_t ncols : {std::size_t{4}, std::size_t{100}}) {
+        const std::size_t c_stride = ncols + (ncols > 64 ? 1 : 0);
+        std::vector<float> xs(count * dim), c(dim * c_stride);
+        std::vector<float> bias(count);
+        for (std::size_t p = 0; p < count; ++p) {
+          for (std::size_t i = 0; i < dim; ++i)
+            xs[p * dim + i] = i % 4 == 0 ? (p % 2 == 0 ? 0.0f : -0.0f)
+                                         : uni(rng);
+          const float specials[] = {inf, -inf, nan, -0.0f, 0.0f, uni(rng)};
+          bias[p] = specials[p % std::size(specials)];
+        }
+        for (std::size_t i = 0; i < dim; ++i)
+          for (std::size_t j = 0; j < c_stride; ++j)
+            c[i * c_stride + j] =
+                i % 4 <= 1 && j % 3 == 0 ? (j % 2 == 0 ? inf : nan)
+                : i % 5 == 2              ? 0.0f
+                                          : uni(rng);
+        const auto want =
+            affine_oracle(xs, c, bias, count, dim, c_stride, ncols);
+        // The zero inputs on rows i % 4 == 0 meet C's inf: column 0 is NaN
+        // for every vector, so no kernel may skip those rows.
+        for (std::size_t p = 0; p < count; ++p)
+          ASSERT_TRUE(std::isnan(want[p * ncols]));
+        expect_affine_matches(xs, c, bias, count, dim, c_stride, ncols);
+        if (HasFatalFailure()) return;
       }
     }
   }

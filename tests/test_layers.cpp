@@ -2,14 +2,17 @@
 
 #include <cmath>
 #include <cstring>
+#include <random>
 #include <vector>
 
+#include "codelet/codelet.hpp"
 #include "common/rng.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "nn/pointwise.hpp"
 #include "nn/pooling.hpp"
 #include "nn/topologies.hpp"
+#include "sim/backend.hpp"
 
 namespace deepcam::nn {
 namespace {
@@ -65,6 +68,47 @@ std::uint64_t model_weight_digest(const std::string& name) {
   return h;
 }
 
+/// Digest of every node output of Model::infer_all over the zoo model's
+/// first two probe inputs (sim::make_probe_batch, the planner's probes).
+std::uint64_t infer_all_digest(const std::string& name) {
+  const auto model = make_model(name, 1);
+  std::uint64_t h = kFnvBasis;
+  for (const Tensor& probe :
+       sim::make_probe_batch(input_spec_for(name).shape(), 2))
+    for (const Tensor& out : model->infer_all(probe))
+      fnv1a(h, std::vector<float>(out.flat().begin(), out.flat().end()));
+  return h;
+}
+
+/// Conv2D::infer as the per-patch loop it replaced: bias, then
+/// acc += w[i]·patch[i] over the im2col patch, output by output.
+Tensor per_patch_conv(const Conv2D& conv, const Tensor& in) {
+  const ConvSpec& sp = conv.spec();
+  const Shape& s = in.shape();
+  const std::size_t oh = sp.out_h(s.h), ow = sp.out_w(s.w);
+  const std::size_t plen = sp.patch_len();
+  Tensor out({s.n, sp.out_channels, oh, ow});
+  std::vector<float> patch(plen);
+  for (std::size_t n = 0; n < s.n; ++n)
+    for (std::size_t oy = 0; oy < oh; ++oy)
+      for (std::size_t ox = 0; ox < ow; ++ox) {
+        extract_patch(in, n, oy, ox, sp.kernel_h, sp.kernel_w, sp.stride,
+                      sp.pad, patch);
+        for (std::size_t oc = 0; oc < sp.out_channels; ++oc) {
+          const float* w = &conv.weights()[oc * plen];
+          float acc = conv.bias()[oc];
+          for (std::size_t i = 0; i < plen; ++i) acc += w[i] * patch[i];
+          out.at(n, oc, oy, ox) = acc;
+        }
+      }
+  return out;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
 TEST(Layers, UpdateBeforeBackwardLeavesWeightsBitwise) {
   // Gradients are allocated by the first backward(); until then update()
   // is a no-op, exactly like subtracting lr·0.
@@ -93,6 +137,21 @@ TEST(Layers, TrainingStepsArePinned) {
             0xbff25d003c3aab7dULL);
 }
 
+TEST(Layers, NoisyTrainingForwardIsPinned) {
+  // Hash-noise-aware training adds its noise after the exact outputs, in
+  // (n, oy, ox, oc) order; digest of three train-mode forwards from the
+  // build that added it inside the per-patch loop (g++ 12 / glibc 2.36).
+  Conv2D conv("c", ConvSpec{3, 5, 3, 2, 2, 1}, 7);
+  conv.set_training_noise(0.1f, 99);
+  std::uint64_t h = kFnvBasis;
+  for (std::uint64_t step = 0; step < 3; ++step) {
+    const Tensor out =
+        conv.forward(gaussian_tensor(Shape{2, 3, 9, 7}, 50 + step), true);
+    fnv1a(h, std::vector<float>(out.flat().begin(), out.flat().end()));
+  }
+  EXPECT_EQ(h, 0x2d989a14278e77a1ULL);
+}
+
 TEST(Layers, ZooWeightsArePinned) {
   // Every Conv2D / Linear weight of the zoo models is a He-init Gaussian
   // draw; these digests (scalar Box–Muller loop, g++ 12 / glibc 2.36,
@@ -101,7 +160,73 @@ TEST(Layers, ZooWeightsArePinned) {
   EXPECT_EQ(model_weight_digest("vgg11"), 0x32fcdf2d78604a9bULL);
 }
 
+TEST(Layers, InferAllDigestsArePinned) {
+  // Every node output of the exact float forward on the planner's probes,
+  // from the build whose Conv2D::infer was a per-patch scalar loop (g++ 12 /
+  // glibc 2.36, x86_64). The affine_cols path must keep all of them.
+  EXPECT_EQ(infer_all_digest("lenet5"), 0x70bfd478cb42d067ULL);
+  EXPECT_EQ(infer_all_digest("vgg11"), 0x32efb2db56d52825ULL);
+  EXPECT_EQ(infer_all_digest("resnet18"), 0x443e669cdbf0b760ULL);
+}
+
 // ---------------------------------------------------------------- Conv2D --
+
+TEST(Conv2D, InferMatchesPerPatchLoopOnRandomSpecs) {
+  // Seeded random geometries: rectangular kernels 1–5, stride 1–3, pad 0–2,
+  // batch 1–3, inputs from the smallest that fits (1×1 outputs) up, with
+  // ReLU-like zeros in the input and a random bias. Every reachable ISA's
+  // table must give the per-patch loop's bits.
+  std::mt19937 rng(57);
+  const auto pick = [&](std::size_t lo, std::size_t hi) {
+    return std::uniform_int_distribution<std::size_t>(lo, hi)(rng);
+  };
+  bool saw_1x1 = false;
+  for (int trial = 0; trial < 60; ++trial) {
+    ConvSpec sp;
+    sp.in_channels = pick(1, 4);
+    sp.out_channels = pick(1, 13);
+    sp.kernel_h = pick(1, 5);
+    sp.kernel_w = pick(1, 5);
+    sp.stride = pick(1, 3);
+    sp.pad = pick(0, 2);
+    // The smallest input the kernel fits, plus 0..8 (0 gives a 1×1 output).
+    const auto fit = [&](std::size_t k) {
+      return std::max<std::size_t>(1, k > 2 * sp.pad ? k - 2 * sp.pad : 1) +
+             (trial % 4 == 0 ? 0 : pick(0, 8));
+    };
+    const Shape shape{pick(1, 3), sp.in_channels, fit(sp.kernel_h),
+                      fit(sp.kernel_w)};
+    Conv2D conv("c", sp, 100 + static_cast<std::uint64_t>(trial));
+    for (float& b : conv.bias())
+      b = std::uniform_real_distribution<float>(-1.0f, 1.0f)(rng);
+    Tensor in = gaussian_tensor(shape, 200 + static_cast<std::uint64_t>(trial));
+    for (std::size_t i = 0; i < in.numel(); ++i)
+      if (in[i] < 0.0f) in[i] = 0.0f;
+    const Tensor want = per_patch_conv(conv, in);
+    saw_1x1 |= want.shape().h == 1 && want.shape().w == 1;
+    EXPECT_TRUE(same_bits(conv.infer(in), want)) << "trial " << trial;
+    for (codelet::Isa isa :
+         {codelet::Isa::kScalar, codelet::Isa::kAvx2, codelet::Isa::kAvx512}) {
+      if (!codelet::isa_supported(isa)) continue;
+      EXPECT_TRUE(same_bits(conv.infer(in, *codelet::kernels_for(isa)), want))
+          << "trial " << trial << " " << codelet::isa_name(isa);
+    }
+  }
+  EXPECT_TRUE(saw_1x1);
+}
+
+TEST(Conv2D, KernelLargerThanPaddedInputThrows) {
+  // (in + 2·pad − kernel) would wrap in size_t: a 5×5 kernel on 3×3 used to
+  // give a 2^64 − 1 extent.
+  Conv2D conv("c", ConvSpec{1, 2, 5, 5, 1, 0}, 1);
+  EXPECT_THROW(conv.infer(Tensor({1, 1, 3, 3})), Error);
+  EXPECT_THROW(conv.forward(Tensor({1, 1, 3, 3}), true), Error);
+  EXPECT_THROW(conv.spec().out_h(3), Error);
+  Conv2D wide("w", ConvSpec{1, 2, 1, 5, 1, 1}, 1);  // fits 3 + 2, not 2 + 2
+  EXPECT_EQ(wide.infer(Tensor({1, 1, 2, 3})).shape(), (Shape{1, 2, 4, 1}));
+  EXPECT_THROW(wide.infer(Tensor({1, 1, 3, 2})), Error);
+}
+
 
 TEST(Conv2D, KnownKernelConvolution) {
   Conv2D conv("c", ConvSpec{1, 1, 2, 2, 1, 0}, 1);
@@ -359,6 +484,20 @@ TEST(MaxPool, BackwardRoutesToArgmax) {
   EXPECT_EQ(gin[0], 0.0f);
   EXPECT_EQ(gin[1], 3.0f);
   EXPECT_EQ(gin[2], 0.0f);
+}
+
+TEST(MaxPool, WindowLargerThanInputThrows) {
+  MaxPool pool("p", 4, 4);
+  EXPECT_THROW(pool.infer(Tensor({1, 1, 2, 2})), Error);
+  EXPECT_THROW(pool.forward(Tensor({1, 1, 2, 2}), true), Error);
+  EXPECT_EQ(pool.infer(Tensor({1, 1, 4, 4})).shape(), (Shape{1, 1, 1, 1}));
+}
+
+TEST(AvgPool, WindowLargerThanInputThrows) {
+  AvgPool pool("p", 4, 4);
+  EXPECT_THROW(pool.infer(Tensor({1, 1, 2, 2})), Error);
+  EXPECT_THROW(pool.infer(Tensor({1, 1, 4, 3})), Error);
+  EXPECT_EQ(pool.infer(Tensor({1, 1, 4, 4})).shape(), (Shape{1, 1, 1, 1}));
 }
 
 TEST(AvgPool, Averages) {

@@ -70,6 +70,20 @@ TEST(Workload, ChannelMismatchDetected) {
   EXPECT_THROW(infer_shapes(m, {1, 3, 8, 8}), Error);
 }
 
+TEST(InferShapes, WindowLargerThanInputThrows) {
+  // The size_t formula (in + 2·pad − window) / stride + 1 used to wrap:
+  // h = w = 2^64 − 1 for this conv, 2^62 for the pool.
+  Model conv("conv");
+  conv.add(std::make_unique<Conv2D>("c", ConvSpec{1, 2, 5, 5, 1, 0}, 1));
+  EXPECT_THROW(infer_shapes(conv, {1, 1, 3, 3}), Error);
+  Model pool("pool");
+  pool.add(std::make_unique<MaxPool>("p", 4, 4));
+  EXPECT_THROW(infer_shapes(pool, {1, 1, 2, 2}), Error);
+  Model avg("avg");
+  avg.add(std::make_unique<AvgPool>("p", 4, 4));
+  EXPECT_THROW(infer_shapes(avg, {1, 1, 2, 2}), Error);
+}
+
 TEST(Workload, StrideAndPadPropagate) {
   Model m("s");
   m.add(std::make_unique<Conv2D>("c", ConvSpec{1, 2, 3, 3, 2, 1}, 1));
