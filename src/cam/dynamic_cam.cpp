@@ -94,6 +94,13 @@ void DynamicCam::search_into(const BitVec& key, SearchResult& out) const {
 
 void DynamicCam::search_flat(std::span<const std::uint64_t> key_words,
                              FlatSearchResult& out) const {
+  if (out.row_hd.size() < occupied_count_) out.row_hd.resize(occupied_count_);
+  search_flat(key_words, out.row_hd.data());
+  out.occupied = occupied_count_;
+}
+
+void DynamicCam::search_flat(std::span<const std::uint64_t> key_words,
+                             std::uint16_t* out_hd) const {
   const std::size_t k = active_bits();
   DEEPCAM_CHECK_MSG(key_words.size() * 64 >= k,
                     "search key shorter than active word");
@@ -104,18 +111,14 @@ void DynamicCam::search_flat(std::span<const std::uint64_t> key_words,
   DEEPCAM_CHECK_MSG(sense_amp_.config().mode == SenseMode::kIdeal ||
                         sense_amp_.config().tau_unit_bins <= 0xFFFF,
                     "quantized sense-amp tau exceeds uint16 HD range");
-  out.occupied = occupied_count_;
-  if (out.row_hd.size() < occupied_count_) out.row_hd.resize(occupied_count_);
   // Row-blocked Hamming codelet: dense uint16 HDs over the contiguous row
   // arena in one dispatched call. The ideal sense amp is the identity, so
   // the measure() pass only runs in quantized mode.
   codelet::kernels().hamming_many(key_words.data(), row_words_.data(),
-                                  words_per_row_, occupied_count_, k,
-                                  out.row_hd.data());
+                                  words_per_row_, occupied_count_, k, out_hd);
   if (sense_amp_.config().mode != SenseMode::kIdeal)
     for (std::size_t r = 0; r < occupied_count_; ++r)
-      out.row_hd[r] = static_cast<std::uint16_t>(
-          sense_amp_.measure(out.row_hd[r]));
+      out_hd[r] = static_cast<std::uint16_t>(sense_amp_.measure(out_hd[r]));
 }
 
 void DynamicCam::inject_bit_fault(std::size_t row, std::size_t bit) {

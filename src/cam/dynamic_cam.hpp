@@ -92,6 +92,12 @@ class DynamicCam {
   void search_flat(std::span<const std::uint64_t> key_words,
                    FlatSearchResult& out) const;
 
+  /// search_flat into caller storage: writes the occupied_rows() measured
+  /// HDs to out_hd[0 .. occupied_rows()). The engine searches every
+  /// streamed context of a pass into one HD block this way.
+  void search_flat(std::span<const std::uint64_t> key_words,
+                   std::uint16_t* out_hd) const;
+
   /// Flips one stored bit (FeFET retention/program fault model) and records
   /// the (row, bit) pair so clear_faults() can undo it later. Injecting the
   /// same bit twice cancels out — the XOR restores the cell and the record

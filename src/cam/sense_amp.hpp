@@ -16,6 +16,7 @@
 //                 fidelity/failure-injection studies.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 namespace deepcam::cam {
@@ -39,6 +40,14 @@ class SenseAmp {
 
   /// Measured Hamming distance for a row whose true distance is `true_hd`.
   std::size_t measure(std::size_t true_hd) const;
+
+  /// Largest distance measure() can report for a `k`-bit word: k when
+  /// ideal; when quantized, the reconstruction saturates at tau_unit_bins,
+  /// which can lie above k.
+  std::size_t max_reported(std::size_t k) const {
+    return cfg_.mode == SenseMode::kIdeal ? k
+                                          : std::max(k, cfg_.tau_unit_bins);
+  }
 
   /// Sense window length in system clock cycles (latency of one search's
   /// sensing phase under this configuration).

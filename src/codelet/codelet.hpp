@@ -1,16 +1,18 @@
-// SIMD codelet layer: per-ISA variants of the six hot kernels behind
+// SIMD codelet layer: per-ISA variants of the seven hot kernels behind
 // one-time runtime CPU dispatch.
 //
-// The engine's inner loops spend their time in four primitives — the
+// The engine's inner loops spend their time in five primitives — the
 // prefix-masked XOR+popcount Hamming reduce (BitVec::hamming_prefix) and its
 // row-arena form (DynamicCam::search_flat), the fused SimHash sign kernel
-// (RandomProjection::sign_hash_batch), and the float projection GEMM plus
+// (RandomProjection::sign_hash_batch), the float projection GEMM plus
 // sign-bit packing behind the per-vector reference path
-// (RandomProjection::project / sign_hash). Building a model or a projection
-// matrix spends its time in a fifth: the Box–Muller transform behind
+// (RandomProjection::project / sign_hash), and finish_dots, which turns one
+// CAM row's Hamming distances into dot products (the post-processing unit:
+// cosine, two norm multiplies, bias add). Building a model or a projection
+// matrix spends its time in a sixth: the Box–Muller transform behind
 // Rng::fill_gaussian (gaussian_pairs). The exact float forward
 // (Conv2D::infer, behind the planner's and the tuner's reference outputs)
-// spends its time in a sixth: affine_cols, the same GEMM started at a bias
+// spends its time in a seventh: affine_cols, the same GEMM started at a bias
 // and without the zero skip. This layer gives each primitive a
 // narrow, hand-written codelet per ISA (scalar / AVX2 / AVX-512),
 // poplibs-style: the scalar codelet is the reference semantics and the
@@ -18,7 +20,22 @@
 // it bit for bit.
 //
 // Bitwise contract. Every kernel is bitwise deterministic and ISA-invariant:
-//  * Hamming kernels are integer, so equivalence is trivial.
+//  * Hamming kernels are integer, so equivalence is trivial. For rows of at
+//    most four words (k <= 256) the SIMD hamming_many tables run scalar
+//    popcnt per word instead of a per-row vector popcount and horizontal
+//    sum.
+//  * finish_dots computes out[j] = (scale * norms[j]) * cos_table[hd[j]] +
+//    bias in double: two multiplies and an add, each rounded once, in that
+//    order (the TUs are built with -ffp-contract=off, so no FMA fuses them;
+//    the SIMD tables gather the cosine per lane). The cosine depends only
+//    on (HD, k), so a layer fills cos_table once, with entry h =
+//    hash::approx_dot(1, 1, h, k, use_pwl) — cos(π·h/k) or its PWL form —
+//    and every output is bitwise the per-dot
+//    approx_dot(scale, norms[j], h, k, use_pwl) + bias.
+//    Table bound: cos_table must hold an entry for every hd[j]: h <= k for
+//    an ideal sense amp, h <= max(k, tau_unit_bins) for a quantized one,
+//    whose reconstructed HD can exceed k (cam::SenseAmp::max_reported).
+//    The codelet does not check it.
 //  * The projection (project_cols, and the sums behind sign_hash_cols)
 //    accumulates each output (p, j) over i in ascending order with UNFUSED
 //    multiply-then-add (the codelet translation units are compiled with
@@ -36,12 +53,13 @@
 //    `acc += w[i] * x[i]` loop does). Its outputs are bitwise
 //    bias[p] + xs[p][0]·c[0][j] + xs[p][1]·c[1][j] + ..., summed left to
 //    right with unfused multiply-then-add, on every ISA.
-//  * NaN payloads are the one exception, in both GEMMs: where two NaNs with
-//    different payloads (say a NaN bias and the default NaN of 0·inf) meet
-//    in an add, x86 keeps the first operand's, and the compiler orders a
-//    commutative add as it likes — the scalar codelet's SSE code keeps the
-//    product's, the SIMD codelets the accumulator's. The result is a NaN on
-//    every ISA; only its sign and payload bits may differ.
+//  * NaN payloads are the one exception, in both GEMMs and in finish_dots:
+//    where two NaNs with different payloads (say a NaN bias and the default
+//    NaN of 0·inf) meet in an add, x86 keeps the first operand's, and the
+//    compiler orders a commutative add as it likes — the scalar codelet's
+//    SSE code keeps the product's, the SIMD codelets the accumulator's. The
+//    result is a NaN on every ISA; only its sign and payload bits may
+//    differ.
 //  * Signs use ordered >= 0 compares: +0/-0 pack as 1, NaN as 0, on every
 //    ISA. sign_hash_cols is exactly project_cols followed by pack_signs per
 //    vector, without materializing the floats.
@@ -184,6 +202,16 @@ struct Kernels {
   /// u1 in (1e-300, 1) and u2 in [0, 1); other inputs take the scalar path.
   void (*gaussian_pairs)(const double* u1, const double* u2,
                          std::size_t pairs, double stddev, float* out);
+
+  /// Post-processing of one CAM row: out[j] = (scale * norms[j]) *
+  /// cos_table[hd[j]] + bias for j < count, each operation rounded once
+  /// (no FMA). Every hd[j] must index cos_table (see the table bound above).
+  /// With scale = one context's norm, norms = the other side's norms and
+  /// cos_table[h] = hash::approx_dot(1, 1, h, k, use_pwl), out[j] is bitwise
+  /// hash::approx_dot(scale, norms[j], hd[j], k, use_pwl) + bias.
+  void (*finish_dots)(const std::uint16_t* hd, const double* cos_table,
+                      double scale, const double* norms, double bias,
+                      std::size_t count, double* out);
 };
 
 /// The table compiled in for `isa`, or nullptr when its translation unit was

@@ -5,7 +5,9 @@
 // compilation against the build system.
 #pragma once
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 
 #include "codelet/codelet.hpp"
 
@@ -81,6 +83,63 @@ inline constexpr double kRelErr = 0x1p-40;
 inline constexpr double kAbsErr = 0x1p-78;
 
 }  // namespace gauss
+
+// Helpers each SIMD TU compiles with its own codegen flags. The anonymous
+// namespace gives every TU a private copy: a shared inline instantiation
+// could be merged by the linker into the AVX-512 TU's copy and then fault
+// when the AVX2 table runs on a CPU without AVX-512.
+namespace {
+
+/// hamming_many over rows of W words (W = ceil(k/64)): scalar popcnt per
+/// word of query XOR row, the last word masked to k's remainder. For short
+/// rows this beats a per-row vector popcount, whose horizontal sum costs
+/// more than the popcount itself.
+template <std::size_t W>
+void hamming_many_words(const std::uint64_t* query, const std::uint64_t* rows,
+                        std::size_t row_stride_words, std::size_t row_count,
+                        std::size_t k, std::uint16_t* out_hd) {
+  std::uint64_t q[W];
+  for (std::size_t i = 0; i < W; ++i) q[i] = query[i];
+  const std::size_t rem = k & 63;
+  const std::uint64_t last = rem == 0 ? ~0ULL : (1ULL << rem) - 1;
+  const std::uint64_t* row = rows;
+  for (std::size_t r = 0; r < row_count; ++r, row += row_stride_words) {
+    int d = std::popcount((q[W - 1] ^ row[W - 1]) & last);
+    for (std::size_t i = 0; i + 1 < W; ++i) d += std::popcount(q[i] ^ row[i]);
+    out_hd[r] = static_cast<std::uint16_t>(d);
+  }
+}
+
+/// The short-word path of the SIMD hamming_many tables: runs it and returns
+/// true for 1 <= k <= 256 (at most four words per row), else returns false.
+inline bool hamming_many_short(const std::uint64_t* query,
+                               const std::uint64_t* rows,
+                               std::size_t row_stride_words,
+                               std::size_t row_count, std::size_t k,
+                               std::uint16_t* out_hd) {
+  switch ((k + 63) / 64) {
+    case 1:
+      hamming_many_words<1>(query, rows, row_stride_words, row_count, k,
+                            out_hd);
+      return true;
+    case 2:
+      hamming_many_words<2>(query, rows, row_stride_words, row_count, k,
+                            out_hd);
+      return true;
+    case 3:
+      hamming_many_words<3>(query, rows, row_stride_words, row_count, k,
+                            out_hd);
+      return true;
+    case 4:
+      hamming_many_words<4>(query, rows, row_stride_words, row_count, k,
+                            out_hd);
+      return true;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
 
 /// Always present: the reference semantics and test oracle.
 const Kernels& scalar_kernels();

@@ -16,6 +16,8 @@
 //    and NaN cases — are bit-identical.
 //  * pack_signs: vcmpps with _CMP_GE_OQ matches scalar `>= 0.0f` (+0/-0
 //    pack as 1, NaN as 0); vmovmskps harvests 8 sign bits at a time.
+//  * finish_dots: vmulpd, vmulpd, vaddpd per lane in the scalar order
+//    (no FMA here either), with the cosine gathered from the same table.
 //  * gaussian_pairs: a double-precision Box–Muller whose floats are proven
 //    equal to the scalar codelet's by a rounding test, lane by lane; lanes
 //    the test cannot decide are recomputed by the scalar codelet (see
@@ -83,6 +85,8 @@ std::size_t hamming_prefix_avx2(const std::uint64_t* a, const std::uint64_t* b,
 void hamming_many_avx2(const std::uint64_t* query, const std::uint64_t* rows,
                        std::size_t row_stride_words, std::size_t row_count,
                        std::size_t k, std::uint16_t* out_hd) {
+  if (hamming_many_short(query, rows, row_stride_words, row_count, k, out_hd))
+    return;
   const std::uint64_t* row = rows;
   for (std::size_t r = 0; r < row_count; ++r, row += row_stride_words)
     out_hd[r] = static_cast<std::uint16_t>(hamming_prefix_avx2(query, row, k));
@@ -550,13 +554,39 @@ void gaussian_pairs_avx2(const double* u1, const double* u2,
     gaussian_pair_exact(u1[p], u2[p], stddev, out + 2 * p);
 }
 
+/// Four outputs per step: the four HDs widen to 32-bit gather indices,
+/// vgatherdpd reads their cosines, then vmulpd, vmulpd, vaddpd in the
+/// scalar order. The tail runs the scalar expression. The gather is the
+/// masked intrinsic with an all-lanes mask: the unmasked one passes an
+/// undefined source that trips GCC 12's -Wmaybe-uninitialized.
+void finish_dots_avx2(const std::uint16_t* hd, const double* cos_table,
+                      double scale, const double* norms, double bias,
+                      std::size_t count, double* out) {
+  const __m256d vscale = _mm256_set1_pd(scale);
+  const __m256d vbias = _mm256_set1_pd(bias);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  std::size_t j = 0;
+  for (; j + 4 <= count; j += 4) {
+    const __m128i h = _mm_cvtepu16_epi32(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(hd + j)));
+    const __m256d c = _mm256_mask_i32gather_pd(zero, cos_table, h, all, 8);
+    const __m256d scaled =
+        _mm256_mul_pd(vscale, _mm256_loadu_pd(norms + j));
+    _mm256_storeu_pd(out + j,
+                     _mm256_add_pd(_mm256_mul_pd(scaled, c), vbias));
+  }
+  for (; j < count; ++j)
+    out[j] = (scale * norms[j]) * cos_table[hd[j]] + bias;
+}
+
 }  // namespace
 
 const Kernels* avx2_kernels() {
   static const Kernels k = {hamming_prefix_avx2,  hamming_many_avx2,
                             project_cols_avx2,    affine_cols_avx2,
                             sign_hash_cols_avx2,  pack_signs_avx2,
-                            gaussian_pairs_avx2};
+                            gaussian_pairs_avx2,  finish_dots_avx2};
   return &k;
 }
 

@@ -11,8 +11,9 @@
 // in the projection and affine sums (-ffp-contract=off pins it), the
 // projection's xi == 0.0f skip as a zero-masked vaddps (a masked-off lane
 // keeps its value, exactly like the scalar `continue`), and _CMP_GE_OQ sign
-// compares matching scalar `>= 0.0f`. gaussian_pairs is exact by its rounding test instead (see
-// codelet.hpp), so its polynomials may use vfmadd.
+// compares matching scalar `>= 0.0f`; finish_dots is unfused vmulpd, vmulpd,
+// vaddpd per lane over gathered cosines. gaussian_pairs is exact by its
+// rounding test instead (see codelet.hpp), so its polynomials may use vfmadd.
 #include "codelet/kernels.hpp"
 
 #if defined(DEEPCAM_CODELET_AVX512)
@@ -115,6 +116,8 @@ std::size_t hamming_prefix_avx512(const std::uint64_t* a,
 void hamming_many_avx512(const std::uint64_t* query, const std::uint64_t* rows,
                          std::size_t row_stride_words, std::size_t row_count,
                          std::size_t k, std::uint16_t* out_hd) {
+  if (hamming_many_short(query, rows, row_stride_words, row_count, k, out_hd))
+    return;
   const std::uint64_t* row = rows;
   for (std::size_t r = 0; r < row_count; ++r, row += row_stride_words)
     out_hd[r] =
@@ -571,13 +574,45 @@ void gaussian_pairs_avx512(const double* u1, const double* u2,
     gaussian_pair_exact(u1[p], u2[p], stddev, out + 2 * p);
 }
 
+/// Eight outputs per step, the last step masked: the HDs widen to 32-bit
+/// gather indices, vgatherdpd reads their cosines, then vmulpd, vmulpd,
+/// vaddpd in the scalar order (unfused: -ffp-contract=off).
+void finish_dots_avx512(const std::uint16_t* hd, const double* cos_table,
+                        double scale, const double* norms, double bias,
+                        std::size_t count, double* out) {
+  const __m512d vscale = _mm512_set1_pd(scale);
+  const __m512d vbias = _mm512_set1_pd(bias);
+  const __m512d zero = _mm512_setzero_pd();
+  std::size_t j = 0;
+  for (; j + 8 <= count; j += 8) {
+    const __m256i h = _mm256_cvtepu16_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(hd + j)));
+    const __m512d c =
+        _mm512_mask_i32gather_pd(zero, static_cast<__mmask8>(0xFF), h,
+                                 cos_table, 8);
+    const __m512d scaled =
+        _mm512_mul_pd(vscale, _mm512_loadu_pd(norms + j));
+    _mm512_storeu_pd(out + j,
+                     _mm512_add_pd(_mm512_mul_pd(scaled, c), vbias));
+  }
+  if (j < count) {
+    const __mmask8 m = static_cast<__mmask8>((1u << (count - j)) - 1);
+    const __m256i h = _mm256_cvtepu16_epi32(_mm_maskz_loadu_epi16(m, hd + j));
+    const __m512d c = _mm512_mask_i32gather_pd(zero, m, h, cos_table, 8);
+    const __m512d scaled =
+        _mm512_mul_pd(vscale, _mm512_maskz_loadu_pd(m, norms + j));
+    _mm512_mask_storeu_pd(out + j, m,
+                          _mm512_add_pd(_mm512_mul_pd(scaled, c), vbias));
+  }
+}
+
 }  // namespace
 
 const Kernels* avx512_kernels() {
   static const Kernels k = {hamming_prefix_avx512, hamming_many_avx512,
                             project_cols_avx512,   affine_cols_avx512,
                             sign_hash_cols_avx512, pack_signs_avx512,
-                            gaussian_pairs_avx512};
+                            gaussian_pairs_avx512, finish_dots_avx512};
   return &k;
 }
 

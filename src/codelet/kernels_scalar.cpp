@@ -12,7 +12,8 @@
 // tile loop with a sign-packing epilogue, so it is project_cols + pack_signs
 // by construction. affine_cols is the same tile loop started at the bias
 // and without the zero skip: Conv2D::infer's per-output loop, reordered only
-// across outputs.
+// across outputs. finish_dots is hash::approx_dot's product, with the cosine
+// read from the caller's table, plus the bias.
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -149,6 +150,13 @@ void gaussian_pairs_scalar(const double* u1, const double* u2,
     gaussian_pair_exact(u1[p], u2[p], stddev, out + 2 * p);
 }
 
+void finish_dots_scalar(const std::uint16_t* hd, const double* cos_table,
+                        double scale, const double* norms, double bias,
+                        std::size_t count, double* out) {
+  for (std::size_t j = 0; j < count; ++j)
+    out[j] = (scale * norms[j]) * cos_table[hd[j]] + bias;
+}
+
 }  // namespace
 
 void gaussian_pair_exact(double u1, double u2, double stddev, float* out) {
@@ -165,7 +173,7 @@ const Kernels& scalar_kernels() {
   static const Kernels k = {hamming_prefix_scalar, hamming_many_scalar,
                             project_cols_scalar,   affine_cols_scalar,
                             sign_hash_cols_scalar, pack_signs_scalar,
-                            gaussian_pairs_scalar};
+                            gaussian_pairs_scalar, finish_dots_scalar};
   return k;
 }
 

@@ -4,7 +4,8 @@
 // CAM-based approximate geometric dot-product pipeline:
 //
 //   contexts -> DynamicCam search (Hamming distances, O(1) per search)
-//            -> PostProcessingUnit (PWL cosine x minifloat norms + bias)
+//            -> post-processing (PWL cosine x minifloat norms + bias: the
+//               layer's cosine table through the finish_dots codelet)
 //            -> digital peripherals (ReLU/pool/BN run exactly, costs charged)
 //            -> online activation-context generation for the next CAM layer
 //

@@ -157,6 +157,8 @@ CompiledModel::CompiledModel(const nn::Model& model, DeepCamConfig cfg)
     DEEPCAM_CHECK_MSG(k >= 1 && k <= hash::kMaxHashBits,
                       "hash length out of range");
     cam_layers_[i].hash_bits = k;
+    cam_layers_[i].cos_table = PostProcessingUnit(cfg_.postproc).cosine_table(
+        k, cam::SenseAmp(cfg_.sense).max_reported(k));
   }
 }
 

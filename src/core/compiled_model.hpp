@@ -6,13 +6,14 @@
 //   CompiledModel  — everything derivable from (model, config) alone:
 //                    CAM-layer enumeration, per-layer ContextGenerators,
 //                    pre-hashed weight contexts (the paper's offline
-//                    software step), resolved hash lengths and bias copies.
+//                    software step), resolved hash lengths, bias copies and
+//                    the post-processing unit's per-layer cosine tables.
 //                    Built once, immutable afterwards, shareable across any
 //                    number of threads without synchronization.
 //
-//   Worker         — the per-run mutable state (a DynamicCam instance, a
-//                    PostProcessingUnit, reusable scratch buffers). One per
-//                    thread. See core/engine.hpp.
+//   Worker         — the per-run mutable state (a DynamicCam instance and
+//                    reusable scratch buffers). One per thread. See
+//                    core/engine.hpp.
 //
 //   InferenceEngine— a std::thread pool of Workers executing batches
 //                    against one CompiledModel. See core/engine.hpp.
@@ -130,6 +131,9 @@ class CompiledModel {
     ContextBatch weight_ctx;   // pre-hashed kernels, SoA arena
     std::vector<float> bias;   // copy of the layer's bias vector
     std::size_t hash_bits = 0; // resolved hash length k
+    /// PostProcessingUnit::cosine_table at k, covering every HD the
+    /// configured sense amp can report (SenseAmp::max_reported).
+    std::vector<double> cos_table;
   };
 
   CompiledModel(const nn::Model& model, DeepCamConfig cfg);

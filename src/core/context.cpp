@@ -22,54 +22,6 @@ Context ContextGenerator::make_context(std::span<const float> v) const {
   return ctx;
 }
 
-std::vector<Context> ContextGenerator::weight_contexts(
-    const nn::Conv2D& conv) const {
-  const nn::ConvSpec& spec = conv.spec();
-  const std::size_t plen = spec.patch_len();
-  DEEPCAM_CHECK(plen == hasher_.input_dim());
-  std::vector<Context> out;
-  out.reserve(spec.out_channels);
-  for (std::size_t oc = 0; oc < spec.out_channels; ++oc) {
-    std::span<const float> kernel(&conv.weights()[oc * plen], plen);
-    out.push_back(make_context(kernel));
-  }
-  return out;
-}
-
-std::vector<Context> ContextGenerator::weight_contexts(
-    const nn::Linear& fc) const {
-  const std::size_t in = fc.in_features();
-  DEEPCAM_CHECK(in == hasher_.input_dim());
-  std::vector<Context> out;
-  out.reserve(fc.out_features());
-  for (std::size_t o = 0; o < fc.out_features(); ++o) {
-    std::span<const float> row(&fc.weights()[o * in], in);
-    out.push_back(make_context(row));
-  }
-  return out;
-}
-
-std::vector<Context> ContextGenerator::activation_contexts(
-    const nn::Tensor& input, const nn::ConvSpec& spec, std::size_t n) const {
-  const nn::Shape& s = input.shape();
-  DEEPCAM_CHECK(s.c == spec.in_channels);
-  const std::size_t oh = spec.out_h(s.h);
-  const std::size_t ow = spec.out_w(s.w);
-  const std::size_t plen = spec.patch_len();
-  DEEPCAM_CHECK(plen == hasher_.input_dim());
-  std::vector<float> patch(plen);
-  std::vector<Context> out;
-  out.reserve(oh * ow);
-  for (std::size_t oy = 0; oy < oh; ++oy) {
-    for (std::size_t ox = 0; ox < ow; ++ox) {
-      nn::extract_patch(input, n, oy, ox, spec.kernel_h, spec.kernel_w,
-                        spec.stride, spec.pad, patch);
-      out.push_back(make_context(patch));
-    }
-  }
-  return out;
-}
-
 void ContextGenerator::contexts_into(const float* xs, std::size_t count,
                                      ContextBatch& out,
                                      std::size_t hash_bits) const {
@@ -80,8 +32,10 @@ void ContextGenerator::contexts_into(const float* xs, std::size_t count,
   proj.sign_hash_batch(xs, count, k, out.words_.data());
   for (std::size_t p = 0; p < count; ++p) {
     const double norm = hash::l2_norm(std::span<const float>(xs + p * dim, dim));
+    const std::uint8_t code = MiniFloat::encode(static_cast<float>(norm));
     out.exact_norm_[p] = norm;
-    out.norm_code_[p] = MiniFloat::encode(static_cast<float>(norm));
+    out.norm_code_[p] = code;
+    out.norm_[p] = MiniFloat::decode(code);
   }
 }
 
@@ -135,15 +89,6 @@ ContextBatch ContextGenerator::weight_context_batch(
   contexts_into(fc.weights().data(), fc.out_features(), out);
   out.release_scratch();
   return out;
-}
-
-Context ContextGenerator::activation_context_flat(const nn::Tensor& input,
-                                                  std::size_t n) const {
-  const nn::Shape& s = input.shape();
-  const std::size_t feat = s.c * s.h * s.w;
-  DEEPCAM_CHECK(feat == hasher_.input_dim());
-  std::span<const float> v(input.data() + n * feat, feat);
-  return make_context(v);
 }
 
 }  // namespace deepcam::core

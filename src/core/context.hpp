@@ -38,20 +38,10 @@ struct Context {
   double norm() const { return MiniFloat::decode(norm_code); }
 };
 
-/// Borrowed view of one context stored in a ContextBatch: a pointer into the
-/// batch's signature word arena plus the two norm encodings. Cheap to copy;
-/// valid only while the owning batch is alive and unmodified.
-struct ContextRef {
-  const std::uint64_t* sig = nullptr;  ///< words_per_sig() packed words
-  std::uint8_t norm_code = 0;
-  double exact_norm = 0.0;
-
-  /// The norm as hardware would decode it.
-  double norm() const { return MiniFloat::decode(norm_code); }
-};
-
 /// Structure-of-arrays arena of contexts: one contiguous word buffer for all
-/// signatures plus flat norm-code / exact-norm arrays. This replaces
+/// signatures plus flat norm-code / decoded-norm / exact-norm arrays (the
+/// minifloat code is decoded once per context, not once per dot product
+/// that uses it). This replaces
 /// std::vector<Context> on the execution hot path — reset() never shrinks
 /// capacity, so a Worker that reuses one batch across layers and samples
 /// performs no steady-state heap allocation of its own (the scratch for the
@@ -68,6 +58,7 @@ class ContextBatch {
     wps_ = (sig_bits + 63) / 64;
     if (words_.size() < count * wps_) words_.resize(count * wps_);
     if (norm_code_.size() < count) norm_code_.resize(count);
+    if (norm_.size() < count) norm_.resize(count);
     if (exact_norm_.size() < count) exact_norm_.resize(count);
   }
 
@@ -87,8 +78,11 @@ class ContextBatch {
   std::uint8_t norm_code(std::size_t i) const { return norm_code_[i]; }
   double exact_norm(std::size_t i) const { return exact_norm_[i]; }
 
-  ContextRef operator[](std::size_t i) const {
-    return ContextRef{sig(i), norm_code_[i], exact_norm_[i]};
+  /// All size() norms as the post-processing unit multiplies them: the
+  /// decoded minifloat norms (MiniFloat::decode of each code), or the exact
+  /// norms when `minifloat` is false (the fp32-norm ablation).
+  const double* norms(bool minifloat) const {
+    return minifloat ? norm_.data() : exact_norm_.data();
   }
 
   /// Frees the scratch (the im2col matrix) while keeping the contexts. Call
@@ -107,6 +101,7 @@ class ContextBatch {
   std::size_t wps_ = 0;
   std::vector<std::uint64_t> words_;      // count × wps_
   std::vector<std::uint8_t> norm_code_;   // count
+  std::vector<double> norm_;              // count, decoded norm_code_
   std::vector<double> exact_norm_;        // count
   std::vector<float> patch_scratch_;      // im2col patch matrix (P × n)
 };
@@ -120,31 +115,15 @@ class ContextGenerator {
   std::size_t input_dim() const { return hasher_.input_dim(); }
   const hash::SimHasher& hasher() const { return hasher_; }
 
-  /// Context of a single raw vector.
+  /// Context of a single raw vector: the per-vector reference path
+  /// (SimHasher::hash) the batch pipeline below must match bitwise.
   Context make_context(std::span<const float> v) const;
-
-  /// Contexts of all kernels of a convolution (one per output channel).
-  std::vector<Context> weight_contexts(const nn::Conv2D& conv) const;
-
-  /// Contexts of all rows of a linear layer's weight matrix.
-  std::vector<Context> weight_contexts(const nn::Linear& fc) const;
-
-  /// Contexts of every im2col patch of `input` (batch image `n`), in
-  /// (oy, ox) row-major order — the dot-product order the output map needs.
-  std::vector<Context> activation_contexts(const nn::Tensor& input,
-                                           const nn::ConvSpec& spec,
-                                           std::size_t n = 0) const;
-
-  /// Context of a flattened activation vector (for linear layers).
-  Context activation_context_flat(const nn::Tensor& input,
-                                  std::size_t n = 0) const;
 
   // ---- allocation-free SoA batch pipeline -------------------------------
   // The *_into functions are the execution hot path: one fused batch hash
   // (RandomProjection::sign_hash_batch) over a contiguous patch matrix
   // instead of a GEMV + BitVec per patch. Outputs are bitwise identical to
-  // the per-Context methods above (which stay as the reference
-  // implementation and test oracle).
+  // make_context() per vector.
 
   /// Hashes `count` contiguous row-major vectors (count × input_dim) into
   /// `out`, with `hash_bits` signature bits (0 = full width). Signatures are
@@ -155,21 +134,24 @@ class ContextGenerator {
   void contexts_into(const float* xs, std::size_t count, ContextBatch& out,
                      std::size_t hash_bits = 0) const;
 
-  /// Batch equivalent of activation_contexts(): contexts of every im2col
-  /// patch in (oy, ox) row-major order, built from a patch matrix assembled
-  /// once per layer in `out`'s reusable scratch.
+  /// Contexts of every im2col patch of `input` (batch image `n`) in (oy, ox)
+  /// row-major order — the dot-product order the output map needs — built
+  /// from a patch matrix assembled once per layer in `out`'s reusable
+  /// scratch.
   void activation_contexts_into(const nn::Tensor& input,
                                 const nn::ConvSpec& spec, ContextBatch& out,
                                 std::size_t n = 0,
                                 std::size_t hash_bits = 0) const;
 
-  /// Batch equivalent of activation_context_flat(): a one-context batch.
+  /// The context of a flattened activation vector (for linear layers): a
+  /// one-context batch.
   void activation_context_flat_into(const nn::Tensor& input, ContextBatch& out,
                                     std::size_t n = 0,
                                     std::size_t hash_bits = 0) const;
 
-  /// Batch equivalents of weight_contexts() (kernels are already stored as
-  /// contiguous rows, so these are a single contexts_into call).
+  /// Contexts of all kernels of a convolution (one per output channel) or
+  /// all rows of a linear layer's weight matrix (kernels are already stored
+  /// as contiguous rows, so these are a single contexts_into call).
   ContextBatch weight_context_batch(const nn::Conv2D& conv) const;
   ContextBatch weight_context_batch(const nn::Linear& fc) const;
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <utility>
 
+#include "codelet/codelet.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "nn/pointwise.hpp"
@@ -12,8 +13,7 @@ namespace deepcam::core {
 
 Worker::Worker(const CompiledModel& compiled)
     : compiled_(&compiled),
-      cam_(cam_config(compiled.config()), compiled.config().sense),
-      postproc_(compiled.config().postproc) {}
+      cam_(cam_config(compiled.config()), compiled.config().sense) {}
 
 namespace {
 
@@ -42,17 +42,27 @@ LayerReport Worker::simulate_cam_layer(std::size_t cam_idx,
   const bool ws = cfg.dataflow == Dataflow::kWeightStationary;
   const ContextBatch& stationary = ws ? w_ctx : act_ctx;
   const ContextBatch& streamed = ws ? act_ctx : w_ctx;
+  const std::size_t S = streamed.size();
+  const double* w_norm = w_ctx.norms(cfg.postproc.minifloat_norms);
+  const double* a_norm = act_ctx.norms(cfg.postproc.minifloat_norms);
+  const auto finish_dots = codelet::kernels().finish_dots;
 
   cam_.set_hash_length(k_bits);
   // Resize-only scratch: every [kernel][patch] cell is written by the pass
-  // loop below, so a zero-fill would be pure overhead.
+  // loop below, so a zero-fill would be pure overhead. The HD block holds
+  // one pass's distances, [search][row] under activation-stationary and
+  // transposed to [row][search] under weight-stationary, so that both
+  // dataflows finish one kernel's outputs over contiguous patches per call.
   if (flat_.size() < K * P) flat_.resize(K * P);
+  const std::size_t max_rows = std::min(R, stationary.size());
+  if (hd_block_.size() < S * max_rows) hd_block_.resize(S * max_rows);
+  if (ws && hd_row_.size() < max_rows) hd_row_.resize(max_rows);
 
-  // kFull stage profiling: accumulate per-stage wall time across the
-  // interleaved pass loop with predicted branches (the loop itself is not
-  // restructured), then emit the three stages as back-to-back packed spans
-  // from the loop's start time. `tracing` is hoisted so the disabled path
-  // pays one atomic load, not one per iteration.
+  // kFull stage profiling: accumulate per-stage wall time over the passes
+  // (three checkpoints per pass: write, search, finish), then emit the three
+  // stages as back-to-back packed spans from the loop's start time.
+  // `tracing` is hoisted so the disabled path pays one atomic load, not one
+  // per pass.
   auto& trec = obs::TraceRecorder::instance();
   const bool tracing = trec.enabled(obs::TraceLevel::kFull);
   std::uint64_t write_ns = 0, search_ns = 0, post_ns = 0;
@@ -72,25 +82,39 @@ LayerReport Worker::simulate_cam_layer(std::size_t cam_idx,
     const std::size_t count = std::min(R, stationary.size() - base);
     ++counts.passes;
     counts.rows_written += count;
-    counts.searches += streamed.size();
-    counts.dot_products += count * streamed.size();
+    counts.searches += S;
+    counts.dot_products += count * S;
     util_sum += static_cast<double>(count) / static_cast<double>(R);
     cam_.clear();
     for (std::size_t r = 0; r < count; ++r)
       cam_.write_row(r, stationary.sig_span(base + r));
     if (tracing) checkpoint(write_ns);
-    for (std::size_t sidx = 0; sidx < streamed.size(); ++sidx) {
-      cam_.search_flat(streamed.sig_span(sidx), search_buf_);
-      if (tracing) checkpoint(search_ns);
-      const std::uint16_t* hd = search_buf_.row_hd.data();
-      for (std::size_t r = 0; r < count; ++r) {
-        const std::size_t kernel = ws ? (base + r) : sidx;
-        const std::size_t patch = ws ? sidx : (base + r);
-        flat_[kernel * P + patch] = postproc_.finish_dot_product(
-            w_ctx[kernel], act_ctx[patch], hd[r], k_bits, cl.bias[kernel]);
+    std::uint16_t* hd = hd_block_.data();
+    for (std::size_t sidx = 0; sidx < S; ++sidx) {
+      if (ws) {
+        cam_.search_flat(streamed.sig_span(sidx), hd_row_.data());
+        for (std::size_t r = 0; r < count; ++r) hd[r * S + sidx] = hd_row_[r];
+      } else {
+        cam_.search_flat(streamed.sig_span(sidx), hd + sidx * count);
       }
-      if (tracing) checkpoint(post_ns);
     }
+    if (tracing) checkpoint(search_ns);
+    if (ws) {
+      // Row r holds kernel base + r against every patch.
+      for (std::size_t r = 0; r < count; ++r) {
+        const std::size_t kernel = base + r;
+        finish_dots(hd + r * S, cl.cos_table.data(), w_norm[kernel], a_norm,
+                    static_cast<double>(cl.bias[kernel]), P,
+                    flat_.data() + kernel * P);
+      }
+    } else {
+      // Search `kernel` holds that kernel against patches base .. base+count.
+      for (std::size_t kernel = 0; kernel < K; ++kernel)
+        finish_dots(hd + kernel * count, cl.cos_table.data(), w_norm[kernel],
+                    a_norm + base, static_cast<double>(cl.bias[kernel]),
+                    count, flat_.data() + kernel * P + base);
+    }
+    if (tracing) checkpoint(post_ns);
     base += count;
   }
 

@@ -1,7 +1,7 @@
 // Batched multi-threaded DeepCAM inference engine.
 //
 // Worker owns the per-run mutable half of the simulator state — a DynamicCam
-// instance, a PostProcessingUnit, and reusable search/scratch buffers — and
+// instance and reusable search/scratch buffers — and
 // executes single samples against a shared-immutable CompiledModel (see
 // core/compiled_model.hpp for the architecture overview).
 //
@@ -34,13 +34,12 @@
 
 #include "cam/dynamic_cam.hpp"
 #include "core/compiled_model.hpp"
-#include "core/postproc.hpp"
 #include "obs/trace.hpp"
 
 namespace deepcam::core {
 
-/// Per-run mutable execution state: one CAM array, one post-processing unit
-/// and the scratch buffers a single in-flight sample needs. NOT thread-safe
+/// Per-run mutable execution state: one CAM array and the scratch buffers a
+/// single in-flight sample needs. NOT thread-safe
 /// itself — the engine gives each thread its own Worker; sharing is done at
 /// the CompiledModel level.
 class Worker {
@@ -65,14 +64,16 @@ class Worker {
 
   const CompiledModel* compiled_;
   cam::DynamicCam cam_;
-  PostProcessingUnit postproc_;
   // Reusable scratch (per-run buffers; avoid per-search/per-layer heap
   // allocation on the hot path). act_ctx_ is the SoA arena the online
   // context generator fills layer after layer, sample after sample; flat_
-  // grows monotonically and is fully overwritten each layer, so it is never
-  // zero-filled.
+  // and hd_block_ (one pass's HDs, streamed × rows) grow monotonically and
+  // are fully overwritten before they are read, so they are never
+  // zero-filled. hd_row_ holds one weight-stationary search before its
+  // transpose into hd_block_.
   ContextBatch act_ctx_;
-  cam::DynamicCam::FlatSearchResult search_buf_;
+  std::vector<std::uint16_t> hd_block_;
+  std::vector<std::uint16_t> hd_row_;
   std::vector<double> flat_;
   std::vector<nn::Tensor> outs_;
 };

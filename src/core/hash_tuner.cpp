@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "codelet/codelet.hpp"
-#include "hash/cosine_approx.hpp"
 #include "nn/pointwise.hpp"
 
 namespace deepcam::core {
@@ -19,36 +18,6 @@ std::vector<std::size_t> cam_nodes(const nn::Model& model) {
       nodes.push_back(i);
   }
   return nodes;
-}
-
-/// Approximate outputs [K][P] of one CAM layer from pre-hashed contexts at
-/// hash length k (software evaluation — identical math to the hardware).
-std::vector<double> approx_layer_out(const ContextBatch& w_ctx,
-                                     const ContextBatch& a_ctx,
-                                     const std::vector<float>& bias,
-                                     std::size_t k, const TunerConfig& cfg) {
-  const std::size_t K = w_ctx.size();
-  const std::size_t P = a_ctx.size();
-  std::vector<double> out(K * P);
-  // Row-blocked Hamming codelet over the activation batch's contiguous
-  // signature arena: one dispatched call per weight context instead of P
-  // per-pair hamming_prefix_words calls.
-  std::vector<std::uint16_t> hd(P);
-  for (std::size_t kk = 0; kk < K; ++kk) {
-    const ContextRef w = w_ctx[kk];
-    const double nw = cfg.minifloat_norms ? w.norm() : w.exact_norm;
-    if (P > 0)
-      codelet::kernels().hamming_many(w.sig, a_ctx.sig(0),
-                                      a_ctx.words_per_sig(), P, k, hd.data());
-    for (std::size_t p = 0; p < P; ++p) {
-      const ContextRef a = a_ctx[p];
-      const double na = cfg.minifloat_norms ? a.norm() : a.exact_norm;
-      out[kk * P + p] = hash::approx_dot(nw, na, hd[p], k,
-                                         cfg.use_pwl_cosine) +
-                        static_cast<double>(bias[kk]);
-    }
-  }
-  return out;
 }
 
 /// Re-evaluates graph nodes (from+1 .. end) after outs[from] was replaced.
@@ -81,6 +50,32 @@ struct LayerContexts {
 
 }  // namespace
 
+std::vector<double> approx_layer_out(const ContextBatch& w_ctx,
+                                     const ContextBatch& a_ctx,
+                                     const std::vector<float>& bias,
+                                     std::size_t k,
+                                     const PostProcessingUnit::Options& pp) {
+  const std::size_t K = w_ctx.size();
+  const std::size_t P = a_ctx.size();
+  const codelet::Kernels& kern = codelet::kernels();
+  const std::vector<double> cos_table =
+      PostProcessingUnit(pp).cosine_table(k, k);
+  const double* w_norm = w_ctx.norms(pp.minifloat_norms);
+  const double* a_norm = a_ctx.norms(pp.minifloat_norms);
+  std::vector<double> out(K * P);
+  // Row-blocked Hamming codelet over the activation batch's contiguous
+  // signature arena, then one finish_dots call per weight context.
+  std::vector<std::uint16_t> hd(P);
+  for (std::size_t kk = 0; kk < K; ++kk) {
+    if (P > 0)
+      kern.hamming_many(w_ctx.sig(kk), a_ctx.sig(0), a_ctx.words_per_sig(), P,
+                        k, hd.data());
+    kern.finish_dots(hd.data(), cos_table.data(), w_norm[kk], a_norm,
+                     static_cast<double>(bias[kk]), P, out.data() + kk * P);
+  }
+  return out;
+}
+
 double TuneResult::mean_hash_bits() const {
   if (hash_bits.empty()) return 0.0;
   double s = 0.0;
@@ -99,6 +94,8 @@ TuneResult tune_hash_lengths(const nn::Model& model,
   exact.reserve(probes.size());
   for (const auto& p : probes) exact.push_back(model.infer_all(p));
 
+  const PostProcessingUnit::Options pp{cfg.use_pwl_cosine,
+                                       cfg.minifloat_norms};
   TuneResult result;
   for (std::size_t li = 0; li < nodes.size(); ++li) {
     const std::size_t node = nodes[li];
@@ -156,7 +153,7 @@ TuneResult tune_hash_lengths(const nn::Model& model,
         double err_sum = 0.0;
         for (std::size_t pi = 0; pi < probes.size(); ++pi) {
           const auto approx = approx_layer_out(lc.weights, lc.activations[pi],
-                                               lc.bias, k, cfg);
+                                               lc.bias, k, pp);
           const nn::Tensor& ref = *lc.exact_out[pi];
           DEEPCAM_CHECK(ref.numel() == approx.size());
           double num = 0.0, den = 0.0;
@@ -177,7 +174,7 @@ TuneResult tune_hash_lengths(const nn::Model& model,
         std::size_t agree = 0;
         for (std::size_t pi = 0; pi < probes.size(); ++pi) {
           const auto approx = approx_layer_out(lc.weights, lc.activations[pi],
-                                               lc.bias, k, cfg);
+                                               lc.bias, k, pp);
           std::vector<nn::Tensor> outs = exact[pi];
           nn::Tensor spliced(lc.exact_out[pi]->shape());
           for (std::size_t i = 0; i < spliced.numel(); ++i)

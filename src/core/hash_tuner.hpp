@@ -61,6 +61,18 @@ struct TuneResult {
   double mean_hash_bits() const;
 };
 
+/// Approximate outputs [K][P] of one CAM layer from pre-hashed weight and
+/// activation contexts at hash length k, with the post-processing unit's
+/// options: the hardware's math in software (hamming_many, then
+/// finish_dots over the layer's cosine table, per weight context). The
+/// tuner's and the planner's error metrics compare it with the exact
+/// outputs.
+std::vector<double> approx_layer_out(const ContextBatch& w_ctx,
+                                     const ContextBatch& a_ctx,
+                                     const std::vector<float>& bias,
+                                     std::size_t k,
+                                     const PostProcessingUnit::Options& pp);
+
 /// Runs the tuner over `probes` (each a {1,C,H,W} input). The model is only
 /// read (const inference + weight hashing): planning never perturbs weights.
 TuneResult tune_hash_lengths(const nn::Model& model,

@@ -9,15 +9,15 @@
 //     norm, and the NVM crossbar hasher (random matrix C as synaptic
 //     weights, sign sensed by SAs instead of ADCs).
 //
-// The functional math lives in hash/; this class applies it with the
-// configured ablation options. What the unit costs is priced per layer by
-// core::price_cam_layer (core/compiled_model.hpp).
+// The cosine depends only on (HD, k), and k is fixed per layer, so this
+// unit only builds each layer's cosine table; the codelet finish_dots
+// (codelet/codelet.hpp) applies it, the norms and the bias row by row. The
+// functional math lives in hash/. What the unit costs is priced per layer
+// by core::price_cam_layer (core/compiled_model.hpp).
 #pragma once
 
 #include <cstddef>
-
-#include "core/context.hpp"
-#include "hash/cosine_approx.hpp"
+#include <vector>
 
 namespace deepcam::core {
 
@@ -33,17 +33,10 @@ class PostProcessingUnit {
 
   const Options& options() const { return opts_; }
 
-  /// Final approximate dot-product from a measured Hamming distance:
-  /// cosine unit + 2 minifloat multiplies + bias add.
-  double finish_dot_product(const Context& weight, const Context& activation,
-                            std::size_t hamming, std::size_t hash_len,
-                            float bias) const;
-
-  /// ContextBatch-view overload for the allocation-free engine path; same
-  /// math as the Context overload.
-  double finish_dot_product(const ContextRef& weight,
-                            const ContextRef& activation, std::size_t hamming,
-                            std::size_t hash_len, float bias) const;
+  /// The cosine of every Hamming distance h in [0, max_hd] at hash length
+  /// k: entry h is hash::approx_dot(1, 1, h, k, use_pwl_cosine). max_hd is
+  /// the largest distance the sense amp can report (SenseAmp::max_reported).
+  std::vector<double> cosine_table(std::size_t k, std::size_t max_hd) const;
 
  private:
   Options opts_ = {};

@@ -34,6 +34,9 @@
 #include "core/hash_tuner.hpp"
 #include "core/report_io.hpp"
 
+// SimHash math: the approximate dot product of two contexts (eq. 3-5).
+#include "hash/cosine_approx.hpp"
+
 // Workloads: the paper topologies plus the layer zoo for inline models.
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"

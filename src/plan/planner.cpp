@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "codelet/codelet.hpp"
 #include "common/error.hpp"
-#include "hash/cosine_approx.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "sim/backend.hpp"
@@ -55,31 +53,15 @@ struct LayerSamples {
 double rel_error_at(const LayerSamples& s, std::size_t k,
                     const core::PostProcessingUnit::Options& pp) {
   double err_sum = 0.0;
-  const std::size_t K = s.weights.size();
-  std::vector<std::uint16_t> hd;
   for (std::size_t pi = 0; pi < s.acts.size(); ++pi) {
-    const core::ContextBatch& a_ctx = s.acts[pi];
-    const std::size_t m = a_ctx.size();
-    hd.resize(m);
+    const std::vector<double> approx =
+        core::approx_layer_out(s.weights, s.acts[pi], s.bias, k, pp);
     double num = 0.0, den = 0.0;
-    for (std::size_t kk = 0; kk < K; ++kk) {
-      const core::ContextRef w = s.weights[kk];
-      const double nw = pp.minifloat_norms ? w.norm() : w.exact_norm;
-      if (m > 0)
-        codelet::kernels().hamming_many(w.sig, a_ctx.sig(0),
-                                        a_ctx.words_per_sig(), m, k,
-                                        hd.data());
-      for (std::size_t j = 0; j < m; ++j) {
-        const core::ContextRef a = a_ctx[j];
-        const double na = pp.minifloat_norms ? a.norm() : a.exact_norm;
-        const double approx =
-            hash::approx_dot(nw, na, hd[j], k, pp.use_pwl_cosine) +
-            static_cast<double>(s.bias[kk]);
-        const double ref = s.refs[pi][kk * m + j];
-        const double d = approx - ref;
-        num += d * d;
-        den += ref * ref;
-      }
+    for (std::size_t i = 0; i < approx.size(); ++i) {
+      const double ref = s.refs[pi][i];
+      const double d = approx[i] - ref;
+      num += d * d;
+      den += ref * ref;
     }
     err_sum += std::sqrt(num / (den + 1e-30));
   }

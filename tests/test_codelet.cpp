@@ -9,7 +9,9 @@
 // unaligned row/column/patch counts and counts on both sides of the pack
 // threshold (every leftover tile width) are swept explicitly. affine_cols
 // must give its defining loop's floats (bias, then every product added in
-// ascending order, zeros included) bit for bit on every ISA. gaussian_pairs
+// ascending order, zeros included) bit for bit on every ISA, and so must
+// finish_dots its defining expression's doubles; the short-word
+// hamming_many path must give hamming_prefix's counts. gaussian_pairs
 // must give the scalar (glibc) floats bit for bit on adversarial uniforms,
 // on values next to a float rounding boundary (where the SIMD rounding test
 // must hand the pair to the scalar path) and on 50 M random pairs.
@@ -151,6 +153,46 @@ TEST(Codelet, HammingManyStridedArenaMatchesScalar) {
         ASSERT_EQ(got, want)
             << deepcam::codelet::isa_name(isa) << " rows=" << rows
             << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(Codelet, HammingManyShortWordsMatchHammingPrefix) {
+  // Rows of at most four words take the SIMD tables' scalar-popcnt path.
+  // Every row's HD must be hamming_prefix's, for word-boundary lengths, a
+  // tight (4-word) and a loose (16-word) row stride and every row count up
+  // to 130 (past two 64-row CAM passes). Row 0 repeats the query (HD 0) and
+  // row 1 is its complement (HD k).
+  std::mt19937_64 rng(13);
+  for (std::size_t stride : {4u, 16u}) {
+    constexpr std::size_t kMaxRows = 130;
+    std::vector<std::uint64_t> arena(kMaxRows * stride);
+    for (auto& w : arena) w = rng();
+    std::vector<std::uint64_t> query(stride);
+    for (auto& w : query) w = rng();
+    for (std::size_t i = 0; i < stride; ++i) {
+      arena[i] = query[i];
+      arena[stride + i] = ~query[i];
+    }
+    for (std::size_t k : {1u, 63u, 64u, 65u, 255u, 256u}) {
+      for (std::size_t rows = 0; rows <= kMaxRows; ++rows) {
+        std::vector<std::uint16_t> want(rows + 1, 0xbeef);
+        for (std::size_t r = 0; r < rows; ++r)
+          want[r] = static_cast<std::uint16_t>(scalar().hamming_prefix(
+              query.data(), arena.data() + r * stride, k));
+        if (rows >= 2) {
+          ASSERT_EQ(want[0], 0u);
+          ASSERT_EQ(want[1], k);
+        }
+        for (Isa isa : reachable_isas()) {
+          std::vector<std::uint16_t> got(rows + 1, 0xbeef);
+          deepcam::codelet::kernels_for(isa)->hamming_many(
+              query.data(), arena.data(), stride, rows, k, got.data());
+          ASSERT_EQ(got, want)
+              << deepcam::codelet::isa_name(isa) << " stride=" << stride
+              << " rows=" << rows << " k=" << k;
+        }
       }
     }
   }
@@ -464,6 +506,76 @@ TEST(Codelet, AffineColsAddsEveryProduct) {
           ASSERT_TRUE(std::isnan(want[p * ncols]));
         expect_affine_matches(xs, c, bias, count, dim, c_stride, ncols);
         if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+/// finish_dots' defining expression, term for term.
+std::vector<double> finish_oracle(const std::vector<std::uint16_t>& hd,
+                                  const std::vector<double>& table,
+                                  double scale,
+                                  const std::vector<double>& norms,
+                                  double bias) {
+  std::vector<double> out(hd.size());
+  for (std::size_t j = 0; j < hd.size(); ++j)
+    out[j] = (scale * norms[j]) * table[hd[j]] + bias;
+  return out;
+}
+
+/// True when a and b have the same bits, or are both NaN (a NaN bias meets
+/// a NaN product only in its payload; see same_float).
+bool same_double(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) ||
+         std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(Codelet, FinishDotsBitwiseMatchesOracle) {
+  // Every count from 0 to 67 (all SIMD tails), HDs at both table ends,
+  // norms that are 0, minifloat subnormals (k·2^-9), the minifloat maximum
+  // 480 and exact (fp32-ablation) doubles, and biases of ±0, ±inf and NaN.
+  std::mt19937_64 rng(29);
+  constexpr std::size_t kTable = 1025;  // k = 1024: h in [0, 1024]
+  std::vector<double> table(kTable);
+  std::uniform_real_distribution<double> cosine(-1.0, 1.0);
+  for (auto& c : table) c = cosine(rng);
+  table[0] = 1.0;
+  table[kTable - 1] = -1.0;
+  table[512] = -0.0;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double special_norms[] = {0.0, 0x1p-9, 3 * 0x1p-9, 7 * 0x1p-9,
+                                  480.0};
+  const double biases[] = {0.0, -0.0, inf, -inf, nan, 0.3125, -1.7};
+  std::uniform_real_distribution<double> exact(0.0, 50.0);
+  std::uniform_int_distribution<std::size_t> pick_h(0, kTable - 1);
+  auto norm = [&] {
+    return rng() % 3 == 0 ? special_norms[rng() % std::size(special_norms)]
+                          : exact(rng);
+  };
+  for (std::size_t count = 0; count <= 67; ++count) {
+    for (double bias : biases) {
+      std::vector<std::uint16_t> hd(count);
+      std::vector<double> norms(count);
+      for (std::size_t j = 0; j < count; ++j) {
+        hd[j] = static_cast<std::uint16_t>(
+            j % 5 == 0 ? 0 : j % 5 == 1 ? kTable - 1 : pick_h(rng));
+        norms[j] = norm();
+      }
+      const double scale = norm();
+      const auto want = finish_oracle(hd, table, scale, norms, bias);
+      for (Isa isa : reachable_isas()) {
+        std::vector<double> got(count + 1, -7.0);
+        deepcam::codelet::kernels_for(isa)->finish_dots(
+            hd.data(), table.data(), scale, norms.data(), bias, count,
+            got.data());
+        ASSERT_EQ(got.back(), -7.0)
+            << deepcam::codelet::isa_name(isa) << " wrote past the end";
+        for (std::size_t j = 0; j < count; ++j)
+          ASSERT_TRUE(same_double(got[j], want[j]))
+              << deepcam::codelet::isa_name(isa) << " count=" << count
+              << " j=" << j << " bias=" << bias << ": " << got[j] << " vs "
+              << want[j];
       }
     }
   }

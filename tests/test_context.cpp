@@ -9,6 +9,55 @@
 namespace deepcam::core {
 namespace {
 
+// Array-of-structs oracles: one make_context() (the per-vector SimHasher
+// path) per kernel, patch or flattened input. The ContextBatch pipeline
+// must reproduce them bitwise.
+
+std::vector<Context> weight_contexts(const ContextGenerator& gen,
+                                     const nn::Conv2D& conv) {
+  const std::size_t plen = conv.spec().patch_len();
+  std::vector<Context> out;
+  for (std::size_t oc = 0; oc < conv.spec().out_channels; ++oc)
+    out.push_back(gen.make_context(
+        std::span<const float>(&conv.weights()[oc * plen], plen)));
+  return out;
+}
+
+std::vector<Context> weight_contexts(const ContextGenerator& gen,
+                                     const nn::Linear& fc) {
+  const std::size_t in = fc.in_features();
+  std::vector<Context> out;
+  for (std::size_t o = 0; o < fc.out_features(); ++o)
+    out.push_back(gen.make_context(
+        std::span<const float>(&fc.weights()[o * in], in)));
+  return out;
+}
+
+/// Contexts of every im2col patch of image 0, in (oy, ox) row-major order.
+std::vector<Context> activation_contexts(const ContextGenerator& gen,
+                                         const nn::Tensor& input,
+                                         const nn::ConvSpec& spec) {
+  const std::size_t oh = spec.out_h(input.shape().h);
+  const std::size_t ow = spec.out_w(input.shape().w);
+  std::vector<float> patch(spec.patch_len());
+  std::vector<Context> out;
+  for (std::size_t oy = 0; oy < oh; ++oy) {
+    for (std::size_t ox = 0; ox < ow; ++ox) {
+      nn::extract_patch(input, 0, oy, ox, spec.kernel_h, spec.kernel_w,
+                        spec.stride, spec.pad, patch);
+      out.push_back(gen.make_context(patch));
+    }
+  }
+  return out;
+}
+
+Context activation_context_flat(const ContextGenerator& gen,
+                                const nn::Tensor& input) {
+  const nn::Shape& s = input.shape();
+  return gen.make_context(
+      std::span<const float>(input.data(), s.c * s.h * s.w));
+}
+
 TEST(Context, NormQuantizedToMiniFloat) {
   ContextGenerator gen(4, 1);
   std::vector<float> v = {3.0f, 4.0f, 0.0f, 0.0f};
@@ -32,7 +81,7 @@ TEST(Context, NormQuantizationErrorBounded) {
 TEST(Context, WeightContextsOnePerKernel) {
   nn::Conv2D conv("c", nn::ConvSpec{2, 5, 3, 3, 1, 1}, 4);
   ContextGenerator gen(conv.spec().patch_len(), 5);
-  const auto ctxs = gen.weight_contexts(conv);
+  const auto ctxs = weight_contexts(gen, conv);
   ASSERT_EQ(ctxs.size(), 5u);
   // Each context's norm equals the L2 norm of that kernel.
   for (std::size_t oc = 0; oc < 5; ++oc) {
@@ -48,7 +97,7 @@ TEST(Context, WeightContextsOnePerKernel) {
 TEST(Context, LinearWeightContexts) {
   nn::Linear fc("f", 8, 3, 6);
   ContextGenerator gen(8, 7);
-  const auto ctxs = gen.weight_contexts(fc);
+  const auto ctxs = weight_contexts(gen, fc);
   EXPECT_EQ(ctxs.size(), 3u);
 }
 
@@ -58,7 +107,7 @@ TEST(Context, ActivationContextsPatchOrder) {
   ContextGenerator gen(spec.patch_len(), 8);
   nn::Tensor in({1, 1, 3, 3});
   for (std::size_t i = 0; i < 9; ++i) in[i] = static_cast<float>(i + 1);
-  const auto ctxs = gen.activation_contexts(in, spec);
+  const auto ctxs = activation_contexts(gen, in, spec);
   ASSERT_EQ(ctxs.size(), 4u);  // 2x2 output positions
   // Patch (0,0) = {1,2,4,5}: norm sqrt(1+4+16+25).
   EXPECT_NEAR(ctxs[0].exact_norm, std::sqrt(46.0), 1e-5);
@@ -70,7 +119,7 @@ TEST(Context, FlatActivationContext) {
   ContextGenerator gen(12, 9);
   nn::Tensor in({1, 3, 2, 2});
   in.fill(2.0f);
-  const Context c = gen.activation_context_flat(in);
+  const Context c = activation_context_flat(gen, in);
   EXPECT_NEAR(c.exact_norm, std::sqrt(12.0 * 4.0), 1e-5);
 }
 
@@ -79,7 +128,8 @@ TEST(Context, DimensionMismatchThrows) {
   std::vector<float> wrong(5, 0.0f);
   EXPECT_THROW(gen.make_context(wrong), deepcam::Error);
   nn::Tensor in({1, 2, 2, 2});
-  EXPECT_THROW(gen.activation_context_flat(in), deepcam::Error);
+  ContextBatch batch;
+  EXPECT_THROW(gen.activation_context_flat_into(in, batch), deepcam::Error);
 }
 
 TEST(Context, LayerHashSeedDistinctPerNode) {
@@ -108,8 +158,9 @@ void expect_ctx_equal(const ContextBatch& batch, std::size_t i,
     ASSERT_EQ(batch.sig(i)[w], ref.bits.data()[w]) << "ctx " << i;
   EXPECT_EQ(batch.norm_code(i), ref.norm_code);
   EXPECT_EQ(batch.exact_norm(i), ref.exact_norm);
-  const ContextRef view = batch[i];
-  EXPECT_EQ(view.norm(), ref.norm());
+  // The norms finish_dots multiplies: decoded once per context.
+  EXPECT_EQ(batch.norms(true)[i], ref.norm());
+  EXPECT_EQ(batch.norms(false)[i], ref.exact_norm);
 }
 
 TEST(ContextBatch, ActivationContextsMatchScalarPath) {
@@ -119,7 +170,7 @@ TEST(ContextBatch, ActivationContextsMatchScalarPath) {
   Rng rng(12);
   for (std::size_t i = 0; i < in.numel(); ++i)
     in[i] = (i % 4 == 0) ? 0.0f : static_cast<float>(rng.gaussian());
-  const auto ref = gen.activation_contexts(in, spec);
+  const auto ref = activation_contexts(gen, in, spec);
   ContextBatch batch;
   gen.activation_contexts_into(in, spec, batch);
   ASSERT_EQ(batch.size(), ref.size());
@@ -130,7 +181,7 @@ TEST(ContextBatch, ActivationContextsMatchScalarPath) {
 TEST(ContextBatch, WeightContextsMatchScalarPath) {
   nn::Conv2D conv("c", nn::ConvSpec{2, 5, 3, 3, 1, 1}, 4);
   ContextGenerator gen(conv.spec().patch_len(), 5);
-  const auto ref = gen.weight_contexts(conv);
+  const auto ref = weight_contexts(gen, conv);
   const ContextBatch batch = gen.weight_context_batch(conv);
   ASSERT_EQ(batch.size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i)
@@ -138,7 +189,7 @@ TEST(ContextBatch, WeightContextsMatchScalarPath) {
 
   nn::Linear fc("f", 8, 3, 6);
   ContextGenerator fgen(8, 7);
-  const auto fref = fgen.weight_contexts(fc);
+  const auto fref = weight_contexts(fgen, fc);
   const ContextBatch fbatch = fgen.weight_context_batch(fc);
   ASSERT_EQ(fbatch.size(), fref.size());
   for (std::size_t i = 0; i < fref.size(); ++i)
@@ -150,7 +201,7 @@ TEST(ContextBatch, FlatActivationMatchesScalarPath) {
   nn::Tensor in({1, 3, 2, 2});
   for (std::size_t i = 0; i < in.numel(); ++i)
     in[i] = static_cast<float>(i) - 5.5f;
-  const Context ref = gen.activation_context_flat(in);
+  const Context ref = activation_context_flat(gen, in);
   ContextBatch batch;
   gen.activation_context_flat_into(in, batch);
   ASSERT_EQ(batch.size(), 1u);
@@ -197,13 +248,13 @@ TEST(ContextBatch, ArenaReuseAcrossLayerShapes) {
   ContextBatch batch;
   big.activation_contexts_into(big_in, big_spec, batch);
   small.activation_contexts_into(small_in, small_spec, batch);
-  const auto small_ref = small.activation_contexts(small_in, small_spec);
+  const auto small_ref = activation_contexts(small, small_in, small_spec);
   ASSERT_EQ(batch.size(), small_ref.size());
   for (std::size_t i = 0; i < small_ref.size(); ++i)
     expect_ctx_equal(batch, i, small_ref[i]);
 
   big.activation_contexts_into(big_in, big_spec, batch);
-  const auto big_ref = big.activation_contexts(big_in, big_spec);
+  const auto big_ref = activation_contexts(big, big_in, big_spec);
   ASSERT_EQ(batch.size(), big_ref.size());
   for (std::size_t i = 0; i < big_ref.size(); ++i)
     expect_ctx_equal(batch, i, big_ref[i]);
