@@ -4,14 +4,18 @@
 // order, taken from the build that finished every dot product one call at a
 // time (PostProcessingUnit::finish_dot_product over hash::approx_dot; g++ 12
 // / glibc 2.36, x86_64). The table-driven finish_dots codelet and the
-// short-word Hamming path must keep every bit, on every ISA table.
+// short-word Hamming path must keep every bit, on every ISA table. The
+// hash_seed 7 and kEndToEnd rows come from the later build in which the
+// engine, the planner and the tuner each built their own per-layer
+// generators and weight contexts.
 //
 // Engine configs: a wide conv+fc net (conv 1->64 3x3 on 32x32, maxpool 4,
 // fc 4096->10 — the offline benchmark's geometry) and LeNet-5, over
 // {activation-, weight-stationary} x {PWL, exact cosine} x {minifloat, fp32
 // norms} x k in {256, 1024}, plus a quantized sense amp whose HD can exceed
 // k (tau_unit_bins = 1024 at k = 256). Three seeded inputs per config, the
-// third with ReLU-style zeros.
+// third with ReLU-style zeros. Rows with a non-default hash_seed (7) pin
+// that the seed reaches the engine, the planner and the tuner unchanged.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -87,6 +91,7 @@ struct EngineCase {
   std::size_t k;
   bool quantized;
   std::uint64_t digest;
+  std::uint64_t hash_seed = 42;
 };
 
 std::string case_name(const EngineCase& c) {
@@ -96,6 +101,7 @@ std::string case_name(const EngineCase& c) {
   s += c.minifloat ? "/mf" : "/fp32";
   s += "/k" + std::to_string(c.k);
   if (c.quantized) s += "/quantized";
+  if (c.hash_seed != 42) s += "/seed" + std::to_string(c.hash_seed);
   return s;
 }
 
@@ -109,6 +115,7 @@ std::uint64_t engine_digest(const EngineCase& c) {
   cfg.postproc.use_pwl_cosine = c.pwl;
   cfg.postproc.minifloat_norms = c.minifloat;
   cfg.default_hash_bits = c.k;
+  cfg.hash_seed = c.hash_seed;
   if (c.quantized) {
     cfg.sense.mode = cam::SenseMode::kQuantized;
     cfg.sense.tau_unit_bins = 1024;
@@ -125,7 +132,7 @@ using core::Dataflow;
 constexpr Dataflow kAs = Dataflow::kActivationStationary;
 constexpr Dataflow kWs = Dataflow::kWeightStationary;
 
-// {lenet, dataflow, pwl, minifloat, k, quantized, digest}
+// {lenet, dataflow, pwl, minifloat, k, quantized, digest[, hash_seed]}
 const EngineCase kEngineCases[] = {
     {false, kAs, true, true, 256, false, 0xeabfbcc7940b8dcaULL},
     {false, kAs, true, true, 1024, false, 0x7e3fbea2843c2d9eULL},
@@ -160,6 +167,10 @@ const EngineCase kEngineCases[] = {
     {true, kWs, false, false, 256, false, 0x30535add0db145b3ULL},
     {true, kWs, false, false, 1024, false, 0xc056a1ec13a0b2daULL},
     {false, kAs, true, true, 256, true, 0x404a3bee551987c0ULL},
+    {false, kAs, true, true, 256, false, 0xfe6ae80a447c939aULL, 7},
+    {false, kWs, true, true, 1024, false, 0x418cb2786339d542ULL, 7},
+    {true, kAs, true, true, 256, false, 0x8e4395580cc10989ULL, 7},
+    {true, kWs, false, false, 1024, false, 0xeb008148b19f8618ULL, 7},
 };
 
 TEST(CamDigests, EngineLogitsArePinned) {
@@ -182,14 +193,23 @@ struct MetricCase {
   bool minifloat;
   std::uint64_t planner;
   std::uint64_t tuner;
+  std::uint64_t hash_seed = 42;
+  core::TunerMode mode = core::TunerMode::kLayerLocal;  // tuner only
 };
 
-// {pwl, minifloat, planner digest, tuner digest}
+constexpr core::TunerMode kEndToEnd = core::TunerMode::kEndToEnd;
+
+// {pwl, minifloat, planner digest, tuner digest[, hash_seed[, tuner mode]]}
 const MetricCase kMetricCases[] = {
     {true, true, 0x2b2c26418ae01b14ULL, 0x63cbcba0500ffe1dULL},
     {true, false, 0x66c994fe9b3e6fbdULL, 0xd7916edb35d1e11eULL},
     {false, true, 0x0ab12ffd3375c48bULL, 0xe2a446fa569600e8ULL},
     {false, false, 0x01e82bc7e50ff4d6ULL, 0x58c3754941027228ULL},
+    {true, true, 0xe8c9fc79b0868eb8ULL, 0x3272af4fed55d330ULL, 7},
+    {false, false, 0x89b5f3cabc5abbb1ULL, 0x850fbb4eec62c87eULL, 7},
+    {true, true, 0x2b2c26418ae01b14ULL, 0xacbde8ee48516c99ULL, 42, kEndToEnd},
+    {false, false, 0x01e82bc7e50ff4d6ULL, 0xacbde8ee48516c99ULL, 42, kEndToEnd},
+    {true, true, 0xe8c9fc79b0868eb8ULL, 0x0120a319857c98b8ULL, 7, kEndToEnd},
 };
 
 TEST(CamDigests, PlannerAccuracyMetricsArePinned) {
@@ -201,15 +221,18 @@ TEST(CamDigests, PlannerAccuracyMetricsArePinned) {
     plan::PlannerConfig cfg;
     cfg.base.postproc.use_pwl_cosine = c.pwl;
     cfg.base.postproc.minifloat_norms = c.minifloat;
+    cfg.base.hash_seed = c.hash_seed;
     cfg.max_rel_error = 0.05;  // forces measurements past k = 256
     EXPECT_EQ(hex(tune_digest(planner.guided_tune(cfg))), hex(c.planner))
-        << "pwl=" << c.pwl << " minifloat=" << c.minifloat;
+        << "pwl=" << c.pwl << " minifloat=" << c.minifloat
+        << " seed=" << c.hash_seed;
   }
 }
 
 TEST(CamDigests, TunerLayerLocalMetricsArePinned) {
   // kLayerLocal metrics are relative L2 errors of approx_layer_out against
-  // the exact layer output, at every candidate k.
+  // the exact layer output, at every candidate k; the kEndToEnd rows pin
+  // the Top-1 agreement with approx_layer_out spliced into the forward.
   const auto model = nn::make_lenet5(7);
   const std::vector<nn::Tensor> probes =
       sim::make_probe_batch(nn::input_spec_for("lenet5").shape(), 2);
@@ -217,9 +240,12 @@ TEST(CamDigests, TunerLayerLocalMetricsArePinned) {
     core::TunerConfig cfg;
     cfg.use_pwl_cosine = c.pwl;
     cfg.minifloat_norms = c.minifloat;
+    cfg.hash_seed = c.hash_seed;
+    cfg.mode = c.mode;
     EXPECT_EQ(hex(tune_digest(core::tune_hash_lengths(*model, probes, cfg))),
               hex(c.tuner))
-        << "pwl=" << c.pwl << " minifloat=" << c.minifloat;
+        << "pwl=" << c.pwl << " minifloat=" << c.minifloat
+        << " seed=" << c.hash_seed << " mode=" << static_cast<int>(c.mode);
   }
 }
 
