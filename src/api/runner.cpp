@@ -215,20 +215,22 @@ Outcome run_serve(const Spec& spec) {
   serve::Server server(cfg);
   TraceSession tracing(spec.outputs, cfg.clock);
 
-  // Sessions: every workload compiled at every hash tier. The models must
-  // outlive the server (CompiledModel only points at them).
+  // Sessions: every workload compiled at every hash tier, all tiers from
+  // one hashing of its weights. The models must outlive the server
+  // (CompiledModel only points at them).
   std::vector<std::unique_ptr<nn::Model>> models;
   std::vector<std::string> session_names;
   std::vector<nn::Shape> session_shapes;
   for (const Workload& w : spec.workloads) {
     models.push_back(build_model(w));
+    core::DeepCamConfig dc = spec.accelerator.config();
+    dc.layer_hash_bits.clear();  // tiers are homogeneous hash lengths
+    const auto hashed = core::hash_weights(*models.back(), dc.hash_seed);
     std::string prev_session;
     for (const std::size_t k : srv.hash_tiers) {
-      core::DeepCamConfig dc = spec.accelerator.config();
       dc.default_hash_bits = k;
-      dc.layer_hash_bits.clear();  // tiers are homogeneous hash lengths
-      auto compiled =
-          std::make_shared<const core::CompiledModel>(*models.back(), dc);
+      auto compiled = std::make_shared<const core::CompiledModel>(
+          *models.back(), hashed, dc);
       const std::string session =
           w.display_name() + "-k" + std::to_string(k);
       server.sessions().add_session(session, std::move(compiled),

@@ -15,7 +15,6 @@
 // across outputs. finish_dots is hash::approx_dot's product, with the cosine
 // read from the caller's table, plus the bias.
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -25,17 +24,24 @@ namespace deepcam::codelet::detail {
 
 namespace {
 
+/// Branch-free SWAR popcount. This TU is built without -mpopcnt, where
+/// std::popcount becomes a libgcc call per word.
+inline std::size_t popcount64(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return static_cast<std::size_t>((x * 0x0101010101010101ULL) >> 56);
+}
+
 std::size_t hamming_prefix_scalar(const std::uint64_t* a,
                                   const std::uint64_t* b, std::size_t k) {
   std::size_t d = 0;
   const std::size_t full_words = k >> 6;
-  for (std::size_t i = 0; i < full_words; ++i)
-    d += static_cast<std::size_t>(std::popcount(a[i] ^ b[i]));
+  for (std::size_t i = 0; i < full_words; ++i) d += popcount64(a[i] ^ b[i]);
   const std::size_t rem = k & 63;
   if (rem != 0) {
     const std::uint64_t mask = (1ULL << rem) - 1;
-    d += static_cast<std::size_t>(
-        std::popcount((a[full_words] ^ b[full_words]) & mask));
+    d += popcount64((a[full_words] ^ b[full_words]) & mask);
   }
   return d;
 }

@@ -40,10 +40,9 @@ namespace deepcam::core {
 
 class DeepCamAccelerator {
  public:
-  /// Prepares the accelerator for `model`: builds one ContextGenerator per
-  /// CAM-mapped layer and pre-hashes all weight contexts (the paper's
-  /// offline software step). `model` must outlive the accelerator; it is
-  /// only ever read.
+  /// Prepares the accelerator for `model`: hashes every CAM-mapped layer's
+  /// weights (hash_weights, the paper's offline software step) and compiles
+  /// them. `model` must outlive the accelerator; it is only ever read.
   DeepCamAccelerator(const nn::Model& model, DeepCamConfig cfg);
   /// A temporary Model would dangle (the compilation stores a pointer to
   /// it) — reject it at compile time.

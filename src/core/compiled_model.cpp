@@ -3,8 +3,6 @@
 #include "cam/energy_model.hpp"
 #include "common/digital_sqrt.hpp"
 #include "common/tech.hpp"
-#include "nn/conv2d.hpp"
-#include "nn/linear.hpp"
 
 namespace deepcam::core {
 
@@ -120,45 +118,36 @@ double RunReport::time_seconds() const {
 }
 
 CompiledModel::CompiledModel(const nn::Model& model, DeepCamConfig cfg)
-    : model_(&model), cfg_(std::move(cfg)) {
+    : CompiledModel(model, hash_weights(model, cfg.hash_seed), cfg) {}
+
+CompiledModel::CompiledModel(const nn::Model& model,
+                             std::shared_ptr<const HashedWeights> weights,
+                             DeepCamConfig cfg)
+    : model_(&model), cfg_(std::move(cfg)), weights_(std::move(weights)) {
   DEEPCAM_CHECK_MSG(cfg_.cam_rows > 0, "CAM needs rows");
-  // Enumerate CAM-mapped layers and pre-hash their weights (the paper's
-  // offline software step).
-  for (std::size_t i = 0; i < model_->node_count(); ++i) {
-    const nn::Layer& layer = model_->layer(i);
-    if (layer.kind() == nn::LayerKind::kConv2D) {
-      const auto& conv = static_cast<const nn::Conv2D&>(layer);
-      CamLayer cl;
-      cl.node_index = i;
-      cl.ctxgen = std::make_unique<ContextGenerator>(
-          conv.spec().patch_len(), layer_hash_seed(cfg_.hash_seed, i));
-      cl.weight_ctx = cl.ctxgen->weight_context_batch(conv);
-      cl.bias = conv.bias();
-      cam_layers_.push_back(std::move(cl));
-    } else if (layer.kind() == nn::LayerKind::kLinear) {
-      const auto& fc = static_cast<const nn::Linear&>(layer);
-      CamLayer cl;
-      cl.node_index = i;
-      cl.ctxgen = std::make_unique<ContextGenerator>(
-          fc.in_features(), layer_hash_seed(cfg_.hash_seed, i));
-      cl.weight_ctx = cl.ctxgen->weight_context_batch(fc);
-      cl.bias = fc.bias();
-      cam_layers_.push_back(std::move(cl));
-    }
-  }
+  DEEPCAM_CHECK(weights_ != nullptr);
+  DEEPCAM_CHECK_MSG(weights_->model == model_,
+                    "HashedWeights were hashed from another model");
+  DEEPCAM_CHECK_MSG(weights_->hash_seed == cfg_.hash_seed,
+                    "HashedWeights were hashed at hash_seed " +
+                        std::to_string(weights_->hash_seed) +
+                        ", the config asks for hash_seed " +
+                        std::to_string(cfg_.hash_seed));
+  const std::vector<HashedLayer>& layers = weights_->layers;
   if (!cfg_.layer_hash_bits.empty()) {
-    DEEPCAM_CHECK_MSG(cfg_.layer_hash_bits.size() == cam_layers_.size(),
+    DEEPCAM_CHECK_MSG(cfg_.layer_hash_bits.size() == layers.size(),
                       "layer_hash_bits arity != CAM layer count");
   }
-  for (std::size_t i = 0; i < cam_layers_.size(); ++i) {
+  for (std::size_t i = 0; i < layers.size(); ++i) {
     const std::size_t k = cfg_.layer_hash_bits.empty()
                               ? cfg_.default_hash_bits
                               : cfg_.layer_hash_bits[i];
     DEEPCAM_CHECK_MSG(k >= 1 && k <= hash::kMaxHashBits,
                       "hash length out of range");
-    cam_layers_[i].hash_bits = k;
-    cam_layers_[i].cos_table = PostProcessingUnit(cfg_.postproc).cosine_table(
-        k, cam::SenseAmp(cfg_.sense).max_reported(k));
+    cam_layers_.push_back(
+        {&layers[i], k,
+         PostProcessingUnit(cfg_.postproc).cosine_table(
+             k, cam::SenseAmp(cfg_.sense).max_reported(k))});
   }
 }
 
@@ -166,12 +155,12 @@ std::vector<std::string> CompiledModel::cam_layer_names() const {
   std::vector<std::string> names;
   names.reserve(cam_layers_.size());
   for (const auto& cl : cam_layers_)
-    names.push_back(model_->layer(cl.node_index).name());
+    names.push_back(model_->layer(cl.hashed->node_index).name());
   return names;
 }
 
 std::size_t CompiledModel::context_len(std::size_t i) const {
-  return cam_layer(i).ctxgen->input_dim();
+  return cam_layer(i).hashed->ctxgen.input_dim();
 }
 
 }  // namespace deepcam::core

@@ -3,10 +3,13 @@
 // The engine splits the simulator state the way poplibs-style
 // estimator/engine designs do:
 //
-//   CompiledModel  — everything derivable from (model, config) alone:
-//                    CAM-layer enumeration, per-layer ContextGenerators,
-//                    pre-hashed weight contexts (the paper's offline
-//                    software step), resolved hash lengths, bias copies and
+//   CompiledModel  — everything derivable from (model, config) alone: the
+//                    model's HashedWeights (core/context.hpp: per CAM layer
+//                    the generator, the pre-hashed weight contexts — the
+//                    paper's offline software step — and a bias copy, all
+//                    built by hash_cam_layer, the single hashing recipe,
+//                    and shareable across configs at one hash_seed), plus
+//                    the config-dependent part: resolved hash lengths and
 //                    the post-processing unit's per-layer cosine tables.
 //                    Built once, immutable afterwards, shareable across any
 //                    number of threads without synchronization.
@@ -126,17 +129,22 @@ class CompiledModel {
  public:
   /// One CAM-mapped (Conv2D/Linear) layer, fully prepared for execution.
   struct CamLayer {
-    std::size_t node_index;  // in the model graph
-    std::unique_ptr<ContextGenerator> ctxgen;
-    ContextBatch weight_ctx;   // pre-hashed kernels, SoA arena
-    std::vector<float> bias;   // copy of the layer's bias vector
-    std::size_t hash_bits = 0; // resolved hash length k
+    const HashedLayer* hashed;  // generator, weight contexts, bias
+    std::size_t hash_bits = 0;  // resolved hash length k
     /// PostProcessingUnit::cosine_table at k, covering every HD the
     /// configured sense amp can report (SenseAmp::max_reported).
     std::vector<double> cos_table;
   };
 
+  /// Hashes the model's weights at cfg.hash_seed and compiles from them.
   CompiledModel(const nn::Model& model, DeepCamConfig cfg);
+  /// Compiles from already hashed weights, which any number of configs of
+  /// the same model at the same hash_seed can share (a server's hash
+  /// tiers). Throws an Error if `weights` was hashed from another model or
+  /// at a seed other than cfg.hash_seed.
+  CompiledModel(const nn::Model& model,
+                std::shared_ptr<const HashedWeights> weights,
+                DeepCamConfig cfg);
   /// A temporary Model would dangle (only a pointer is stored) — reject it
   /// at compile time.
   CompiledModel(nn::Model&&, DeepCamConfig) = delete;
@@ -154,13 +162,10 @@ class CompiledModel {
   std::vector<std::string> cam_layer_names() const;
   /// Context length n of CAM layer `i`.
   std::size_t context_len(std::size_t i) const;
-  /// Resolved hash length k of CAM layer `i`.
-  std::size_t hash_bits_for(std::size_t i) const {
-    return cam_layer(i).hash_bits;
-  }
  private:
   const nn::Model* model_;
   DeepCamConfig cfg_;
+  std::shared_ptr<const HashedWeights> weights_;
   std::vector<CamLayer> cam_layers_;
 };
 

@@ -1,5 +1,7 @@
 #include "core/context.hpp"
 
+#include <string>
+
 #include "common/error.hpp"
 
 namespace deepcam::core {
@@ -73,22 +75,55 @@ void ContextGenerator::activation_context_flat_into(const nn::Tensor& input,
 }
 
 ContextBatch ContextGenerator::weight_context_batch(
-    const nn::Conv2D& conv) const {
-  const nn::ConvSpec& spec = conv.spec();
-  DEEPCAM_CHECK(spec.patch_len() == hasher_.input_dim());
+    std::span<const float> kernels) const {
+  DEEPCAM_CHECK(kernels.size() % hasher_.input_dim() == 0);
   ContextBatch out;
-  contexts_into(conv.weights().data(), spec.out_channels, out);
+  contexts_into(kernels.data(), kernels.size() / hasher_.input_dim(), out);
   out.release_scratch();  // weight batches live as long as the model
   return out;
 }
 
-ContextBatch ContextGenerator::weight_context_batch(
-    const nn::Linear& fc) const {
-  DEEPCAM_CHECK(fc.in_features() == hasher_.input_dim());
-  ContextBatch out;
-  contexts_into(fc.weights().data(), fc.out_features(), out);
-  out.release_scratch();
-  return out;
+std::vector<std::size_t> cam_nodes(const nn::Model& model) {
+  std::vector<std::size_t> nodes;
+  for (std::size_t i = 0; i < model.node_count(); ++i) {
+    const auto kind = model.layer(i).kind();
+    if (kind == nn::LayerKind::kConv2D || kind == nn::LayerKind::kLinear)
+      nodes.push_back(i);
+  }
+  return nodes;
+}
+
+HashedLayer hash_cam_layer(const nn::Model& model, std::size_t node,
+                           std::uint64_t hash_seed) {
+  // The layer kinds differ only in their context length n.
+  const auto hash = [&](const auto& layer, std::size_t n) {
+    HashedLayer hl{node, ContextGenerator(n, layer_hash_seed(hash_seed, node)),
+                   {}, layer.bias()};
+    hl.weights = hl.ctxgen.weight_context_batch(layer.weights());
+    return hl;
+  };
+  DEEPCAM_CHECK(node < model.node_count());
+  const nn::Layer& layer = model.layer(node);
+  if (layer.kind() == nn::LayerKind::kConv2D) {
+    const auto& conv = static_cast<const nn::Conv2D&>(layer);
+    return hash(conv, conv.spec().patch_len());
+  }
+  DEEPCAM_CHECK_MSG(layer.kind() == nn::LayerKind::kLinear,
+                    "node " + std::to_string(node) + " (" + layer.name() +
+                        ") is not a CAM layer");
+  const auto& fc = static_cast<const nn::Linear&>(layer);
+  return hash(fc, fc.in_features());
+}
+
+std::shared_ptr<const HashedWeights> hash_weights(const nn::Model& model,
+                                                  std::uint64_t hash_seed) {
+  const std::vector<std::size_t> nodes = cam_nodes(model);
+  auto hw =
+      std::make_shared<HashedWeights>(HashedWeights{&model, hash_seed, {}});
+  hw->layers.reserve(nodes.size());
+  for (const std::size_t node : nodes)
+    hw->layers.push_back(hash_cam_layer(model, node, hash_seed));
+  return hw;
 }
 
 }  // namespace deepcam::core

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/bitvec.hpp"
@@ -19,13 +20,15 @@
 #include "hash/simhash.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
+#include "nn/model.hpp"
 #include "nn/tensor.hpp"
 
 namespace deepcam::core {
 
 /// Derives the projection-matrix seed of the CAM layer at graph node
-/// `node_index`. Shared by the accelerator and the hash-length tuner so both
-/// always use identical projection matrices.
+/// `node_index`. Called only by hash_cam_layer (below), the single recipe
+/// every consumer (CompiledModel, the planner, the tuner) hashes through,
+/// so all of them use identical projection matrices.
 std::uint64_t layer_hash_seed(std::uint64_t base, std::size_t node_index);
 
 /// One CAM-resident entry: signature bits + minifloat-coded L2 norm.
@@ -149,14 +152,50 @@ class ContextGenerator {
                                     std::size_t n = 0,
                                     std::size_t hash_bits = 0) const;
 
-  /// Contexts of all kernels of a convolution (one per output channel) or
-  /// all rows of a linear layer's weight matrix (kernels are already stored
-  /// as contiguous rows, so these are a single contexts_into call).
-  ContextBatch weight_context_batch(const nn::Conv2D& conv) const;
-  ContextBatch weight_context_batch(const nn::Linear& fc) const;
+  /// Contexts of a layer's kernels, stored as contiguous rows of
+  /// input_dim weights: a convolution's weights (one row per output
+  /// channel) or a linear layer's weight matrix.
+  ContextBatch weight_context_batch(std::span<const float> kernels) const;
 
  private:
   hash::SimHasher hasher_;
 };
+
+/// CAM-mapped (Conv2D/Linear) graph nodes of `model`, in execution order.
+std::vector<std::size_t> cam_nodes(const nn::Model& model);
+
+/// One CAM layer's offline hashing: its generator (projection matrix C),
+/// its kernels' full-width (1024-bit) weight contexts — every hash length
+/// k reads their prefix — and a copy of its bias.
+struct HashedLayer {
+  std::size_t node_index;  // in the model graph
+  ContextGenerator ctxgen;
+  ContextBatch weights;
+  std::vector<float> bias;
+};
+
+/// The single recipe for hashing CAM layer `node` of `model`: C is seeded
+/// by layer_hash_seed from `hash_seed` and `node`, so activations hashed
+/// with the returned generator are comparable with the returned weight
+/// contexts.
+/// Throws an Error if `node` is not a Conv2D/Linear node.
+HashedLayer hash_cam_layer(const nn::Model& model, std::size_t node,
+                           std::uint64_t hash_seed);
+
+/// Every CAM layer of one model hashed at one seed, in cam_nodes order.
+/// Immutable once built and shared (shared_ptr) by every CompiledModel
+/// compiled from it, e.g. one per hash tier. Like CompiledModel it
+/// snapshots the weights; the model must outlive it.
+struct HashedWeights {
+  const nn::Model* model;
+  std::uint64_t hash_seed;
+  std::vector<HashedLayer> layers;
+};
+
+std::shared_ptr<const HashedWeights> hash_weights(const nn::Model& model,
+                                                  std::uint64_t hash_seed);
+/// Only a pointer to the model is stored: reject a temporary.
+std::shared_ptr<const HashedWeights> hash_weights(nn::Model&&,
+                                                  std::uint64_t) = delete;
 
 }  // namespace deepcam::core

@@ -33,7 +33,7 @@ LayerReport Worker::simulate_cam_layer(std::size_t cam_idx,
                                        bool online_ctxgen) {
   const DeepCamConfig& cfg = compiled_->config();
   const CompiledModel::CamLayer& cl = compiled_->cam_layer(cam_idx);
-  const ContextBatch& w_ctx = cl.weight_ctx;
+  const ContextBatch& w_ctx = cl.hashed->weights;
   const std::size_t P = act_ctx.size();
   const std::size_t K = w_ctx.size();
   const std::size_t k_bits = cl.hash_bits;
@@ -104,14 +104,14 @@ LayerReport Worker::simulate_cam_layer(std::size_t cam_idx,
       for (std::size_t r = 0; r < count; ++r) {
         const std::size_t kernel = base + r;
         finish_dots(hd + r * S, cl.cos_table.data(), w_norm[kernel], a_norm,
-                    static_cast<double>(cl.bias[kernel]), P,
+                    static_cast<double>(cl.hashed->bias[kernel]), P,
                     flat_.data() + kernel * P);
       }
     } else {
       // Search `kernel` holds that kernel against patches base .. base+count.
       for (std::size_t kernel = 0; kernel < K; ++kernel)
         finish_dots(hd + kernel * count, cl.cos_table.data(), w_norm[kernel],
-                    a_norm + base, static_cast<double>(cl.bias[kernel]),
+                    a_norm + base, static_cast<double>(cl.hashed->bias[kernel]),
                     count, flat_.data() + kernel * P + base);
     }
     if (tracing) checkpoint(post_ns);
@@ -141,9 +141,9 @@ LayerReport Worker::simulate_cam_layer(std::size_t cam_idx,
   counts.utilization =
       counts.passes == 0 ? 0.0
                          : util_sum / static_cast<double>(counts.passes);
-  return price_cam_layer(compiled_->model().layer(cl.node_index).name(), P,
-                         K, cl.ctxgen->input_dim(), k_bits, counts,
-                         online_ctxgen, cfg);
+  return price_cam_layer(
+      compiled_->model().layer(cl.hashed->node_index).name(), P, K,
+      cl.hashed->ctxgen.input_dim(), k_bits, counts, online_ctxgen, cfg);
 }
 
 nn::Tensor Worker::run(const nn::Tensor& input, RunReport* report) {
@@ -170,48 +170,33 @@ nn::Tensor Worker::run(const nn::Tensor& input, RunReport* report) {
     };
     const nn::Tensor& in = fetch(inputs[0]);
 
-    if (layer.kind() == nn::LayerKind::kConv2D) {
-      const auto& conv = static_cast<const nn::Conv2D&>(layer);
-      const nn::ConvSpec& spec = conv.spec();
+    const auto* conv = layer.kind() == nn::LayerKind::kConv2D
+                           ? static_cast<const nn::Conv2D*>(&layer)
+                           : nullptr;
+    if (conv != nullptr || layer.kind() == nn::LayerKind::kLinear) {
       const CompiledModel::CamLayer& cl = compiled_->cam_layer(cam_idx);
-      DEEPCAM_CHECK(cl.node_index == i);
+      const ContextGenerator& gen = cl.hashed->ctxgen;
+      DEEPCAM_CHECK(cl.hashed->node_index == i);
       // Hash straight to this layer's resolved length: prefix-of-iid-columns
       // makes the k-bit signature bitwise identical to the first k bits of
       // the full hash, at k/1024 of the GEMM cost.
       {
         obs::Span hash_sp = kernel_span("hash", cam_idx);
-        cl.ctxgen->activation_contexts_into(in, spec, act_ctx_, 0,
-                                            cl.hash_bits);
+        if (conv != nullptr)
+          gen.activation_contexts_into(in, conv->spec(), act_ctx_, 0,
+                                       cl.hash_bits);
+        else
+          gen.activation_context_flat_into(in, act_ctx_, 0, cl.hash_bits);
       }
-      LayerReport lrep =
-          simulate_cam_layer(cam_idx, act_ctx_, !first_cam_layer);
-      const std::size_t oh = spec.out_h(in.shape().h);
-      const std::size_t ow = spec.out_w(in.shape().w);
-      nn::Tensor out({1, spec.out_channels, oh, ow});
-      for (std::size_t oc = 0; oc < spec.out_channels; ++oc)
-        for (std::size_t p = 0; p < oh * ow; ++p)
-          out[oc * oh * ow + p] =
-              static_cast<float>(flat_[oc * oh * ow + p]);
+      rep.layers.push_back(
+          simulate_cam_layer(cam_idx, act_ctx_, !first_cam_layer));
+      // flat_ holds [K][P]: a conv's output maps, a linear layer's features.
+      nn::Tensor out({1, cl.hashed->weights.size(),
+                      conv ? conv->spec().out_h(in.shape().h) : 1,
+                      conv ? conv->spec().out_w(in.shape().w) : 1});
+      for (std::size_t j = 0; j < out.numel(); ++j)
+        out[j] = static_cast<float>(flat_[j]);
       outs_.push_back(std::move(out));
-      rep.layers.push_back(std::move(lrep));
-      first_cam_layer = false;
-      ++cam_idx;
-    } else if (layer.kind() == nn::LayerKind::kLinear) {
-      const auto& fc = static_cast<const nn::Linear&>(layer);
-      const CompiledModel::CamLayer& cl = compiled_->cam_layer(cam_idx);
-      DEEPCAM_CHECK(cl.node_index == i);
-      {
-        obs::Span hash_sp = kernel_span("hash", cam_idx);
-        cl.ctxgen->activation_context_flat_into(in, act_ctx_, 0,
-                                                cl.hash_bits);
-      }
-      LayerReport lrep =
-          simulate_cam_layer(cam_idx, act_ctx_, !first_cam_layer);
-      nn::Tensor out({1, fc.out_features(), 1, 1});
-      for (std::size_t o = 0; o < fc.out_features(); ++o)
-        out[o] = static_cast<float>(flat_[o]);
-      outs_.push_back(std::move(out));
-      rep.layers.push_back(std::move(lrep));
       first_cam_layer = false;
       ++cam_idx;
     } else if (inputs.size() == 2) {

@@ -9,17 +9,6 @@ namespace deepcam::core {
 
 namespace {
 
-/// CAM-mapped node indices of a model, in execution order.
-std::vector<std::size_t> cam_nodes(const nn::Model& model) {
-  std::vector<std::size_t> nodes;
-  for (std::size_t i = 0; i < model.node_count(); ++i) {
-    const auto kind = model.layer(i).kind();
-    if (kind == nn::LayerKind::kConv2D || kind == nn::LayerKind::kLinear)
-      nodes.push_back(i);
-  }
-  return nodes;
-}
-
 /// Re-evaluates graph nodes (from+1 .. end) after outs[from] was replaced.
 nn::Tensor recompute_suffix(const nn::Model& model, const nn::Tensor& input,
                             std::vector<nn::Tensor>& outs, std::size_t from) {
@@ -39,14 +28,6 @@ nn::Tensor recompute_suffix(const nn::Model& model, const nn::Tensor& input,
   }
   return outs.back();
 }
-
-struct LayerContexts {
-  ContextBatch weights;
-  std::vector<ContextBatch> activations;  // per probe
-  std::vector<float> bias;
-  std::vector<const nn::Tensor*> exact_out;  // per probe (borrowed)
-  nn::Shape out_shape;
-};
 
 }  // namespace
 
@@ -103,95 +84,60 @@ TuneResult tune_hash_lengths(const nn::Model& model,
     const int in_node = model.inputs_of(node)[0];
 
     // Build contexts once per probe; every candidate k reuses the prefixes.
-    LayerContexts lc;
-    std::unique_ptr<ContextGenerator> gen;
-    if (layer.kind() == nn::LayerKind::kConv2D) {
-      const auto& conv = static_cast<const nn::Conv2D&>(layer);
-      gen = std::make_unique<ContextGenerator>(
-          conv.spec().patch_len(), layer_hash_seed(cfg.hash_seed, node));
-      lc.weights = gen->weight_context_batch(conv);
-      lc.bias = conv.bias();
-      for (std::size_t pi = 0; pi < probes.size(); ++pi) {
-        const nn::Tensor& in = in_node == nn::kModelInput
-                                   ? probes[pi]
-                                   : exact[pi][static_cast<std::size_t>(in_node)];
-        ContextBatch acts;
-        gen->activation_contexts_into(in, conv.spec(), acts);
-        acts.release_scratch();  // cached for the whole k sweep
-        lc.activations.push_back(std::move(acts));
-        lc.exact_out.push_back(&exact[pi][node]);
-      }
-    } else {
-      const auto& fc = static_cast<const nn::Linear&>(layer);
-      gen = std::make_unique<ContextGenerator>(
-          fc.in_features(), layer_hash_seed(cfg.hash_seed, node));
-      lc.weights = gen->weight_context_batch(fc);
-      lc.bias = fc.bias();
-      for (std::size_t pi = 0; pi < probes.size(); ++pi) {
-        const nn::Tensor& in = in_node == nn::kModelInput
-                                   ? probes[pi]
-                                   : exact[pi][static_cast<std::size_t>(in_node)];
-        ContextBatch acts;
-        gen->activation_context_flat_into(in, acts);
-        acts.release_scratch();
-        lc.activations.push_back(std::move(acts));
-        lc.exact_out.push_back(&exact[pi][node]);
-      }
+    const HashedLayer hl = hash_cam_layer(model, node, cfg.hash_seed);
+    std::vector<ContextBatch> acts(probes.size());
+    for (std::size_t pi = 0; pi < probes.size(); ++pi) {
+      const nn::Tensor& in = in_node == nn::kModelInput
+                                 ? probes[pi]
+                                 : exact[pi][static_cast<std::size_t>(in_node)];
+      if (layer.kind() == nn::LayerKind::kConv2D)
+        hl.ctxgen.activation_contexts_into(
+            in, static_cast<const nn::Conv2D&>(layer).spec(), acts[pi]);
+      else
+        hl.ctxgen.activation_context_flat_into(in, acts[pi]);
+      acts[pi].release_scratch();  // cached for the whole k sweep
     }
 
     LayerSensitivity sens;
     sens.layer_name = layer.name();
-    sens.context_len = gen->input_dim();
+    sens.context_len = hl.ctxgen.input_dim();
     sens.chosen_bits = hash::kMaxHashBits;
 
+    const bool local = cfg.mode == TunerMode::kLayerLocal;
     bool chosen = false;
     for (int ki = 0; ki < hash::kNumHashLengths; ++ki) {
       const std::size_t k = static_cast<std::size_t>(hash::kHashLengths[ki]);
-      double metric;
-      if (cfg.mode == TunerMode::kLayerLocal) {
-        // Mean relative L2 error over probes.
-        double err_sum = 0.0;
-        for (std::size_t pi = 0; pi < probes.size(); ++pi) {
-          const auto approx = approx_layer_out(lc.weights, lc.activations[pi],
-                                               lc.bias, k, pp);
-          const nn::Tensor& ref = *lc.exact_out[pi];
-          DEEPCAM_CHECK(ref.numel() == approx.size());
+      // kLayerLocal: mean relative L2 error over probes. kEndToEnd: Top-1
+      // agreement with only this layer approximated.
+      double sum = 0.0;
+      for (std::size_t pi = 0; pi < probes.size(); ++pi) {
+        const auto approx =
+            approx_layer_out(hl.weights, acts[pi], hl.bias, k, pp);
+        const nn::Tensor& ref = exact[pi][node];
+        DEEPCAM_CHECK(ref.numel() == approx.size());
+        if (local) {
           double num = 0.0, den = 0.0;
           for (std::size_t i = 0; i < approx.size(); ++i) {
             const double d = approx[i] - static_cast<double>(ref[i]);
             num += d * d;
             den += static_cast<double>(ref[i]) * ref[i];
           }
-          err_sum += std::sqrt(num / (den + 1e-30));
-        }
-        metric = err_sum / static_cast<double>(probes.size());
-        if (!chosen && metric <= cfg.max_rel_error) {
-          sens.chosen_bits = k;
-          chosen = true;
-        }
-      } else {
-        // End-to-end Top-1 agreement with only this layer approximated.
-        std::size_t agree = 0;
-        for (std::size_t pi = 0; pi < probes.size(); ++pi) {
-          const auto approx = approx_layer_out(lc.weights, lc.activations[pi],
-                                               lc.bias, k, pp);
+          sum += std::sqrt(num / (den + 1e-30));
+        } else {
           std::vector<nn::Tensor> outs = exact[pi];
-          nn::Tensor spliced(lc.exact_out[pi]->shape());
-          for (std::size_t i = 0; i < spliced.numel(); ++i)
-            spliced[i] = static_cast<float>(approx[i]);
-          outs[node] = std::move(spliced);
-          const nn::Tensor final_out =
-              recompute_suffix(model, probes[pi], outs, node);
-          if (nn::argmax_class(final_out) ==
+          for (std::size_t i = 0; i < approx.size(); ++i)
+            outs[node][i] = static_cast<float>(approx[i]);
+          if (nn::argmax_class(recompute_suffix(model, probes[pi], outs,
+                                                node)) ==
               nn::argmax_class(exact[pi].back()))
-            ++agree;
+            sum += 1.0;
         }
-        metric = static_cast<double>(agree) /
-                 static_cast<double>(probes.size());
-        if (!chosen && metric >= cfg.min_agreement) {
-          sens.chosen_bits = k;
-          chosen = true;
-        }
+      }
+      const double metric = sum / static_cast<double>(probes.size());
+      if (!chosen && (local ? metric <= cfg.max_rel_error
+                            : metric >= cfg.min_agreement)) {
+        sens.chosen_bits = k;
+        chosen = true;
       }
       sens.metric.push_back(metric);
     }

@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "nn/conv2d.hpp"
-#include "nn/linear.hpp"
 #include "sim/backend.hpp"
 
 namespace deepcam::plan {
@@ -37,12 +36,11 @@ core::DeepCamConfig Plan::config(const core::DeepCamConfig& base) const {
 
 namespace {
 
-/// Sampled sensitivity data of one CAM layer: contexts hashed once at the
-/// full 1024 bits (every shorter k is a bit prefix) plus the exact outputs
-/// they approximate.
+/// Sampled sensitivity data of one CAM layer: its hashed weights plus
+/// activation contexts hashed once at the full 1024 bits (every shorter k
+/// is a bit prefix) and the exact outputs they approximate.
 struct LayerSamples {
-  core::ContextBatch weights;
-  std::vector<float> bias;
+  core::HashedLayer layer;
   std::vector<core::ContextBatch> acts;       // per probe
   std::vector<std::vector<double>> refs;      // per probe, [K][m] row-major
 };
@@ -54,8 +52,8 @@ double rel_error_at(const LayerSamples& s, std::size_t k,
                     const core::PostProcessingUnit::Options& pp) {
   double err_sum = 0.0;
   for (std::size_t pi = 0; pi < s.acts.size(); ++pi) {
-    const std::vector<double> approx =
-        core::approx_layer_out(s.weights, s.acts[pi], s.bias, k, pp);
+    const std::vector<double> approx = core::approx_layer_out(
+        s.layer.weights, s.acts[pi], s.layer.bias, k, pp);
     double num = 0.0, den = 0.0;
     for (std::size_t i = 0; i < approx.size(); ++i) {
       const double ref = s.refs[pi][i];
@@ -99,20 +97,17 @@ std::vector<LayerFloor> Planner::accuracy_floors(
 
   for (std::size_t li = 0; li < geo.cam_layers.size(); ++li) {
     const CamLayerGeometry& cl = geo.cam_layers[li];
-    const nn::Layer& layer = model_->layer(cl.node_index);
     const int in_node = model_->inputs_of(cl.node_index)[0];
 
     // Gather sampled contexts (hashed once, at the maximum length) and
     // their exact reference outputs.
-    LayerSamples samples;
-    core::ContextGenerator gen(
-        cl.context_len,
-        core::layer_hash_seed(cfg.base.hash_seed, cl.node_index));
+    LayerSamples samples{
+        core::hash_cam_layer(*model_, cl.node_index, cfg.base.hash_seed), {},
+        {}};
+    const core::ContextGenerator& gen = samples.layer.ctxgen;
     if (cl.is_conv) {
-      const auto& conv = static_cast<const nn::Conv2D&>(layer);
-      const nn::ConvSpec& spec = conv.spec();
-      samples.weights = gen.weight_context_batch(conv);
-      samples.bias = conv.bias();
+      const nn::ConvSpec& spec =
+          static_cast<const nn::Conv2D&>(model_->layer(cl.node_index)).spec();
       const std::size_t P = cl.patches;
       const std::size_t m =
           std::min(P, std::max<std::size_t>(1, cfg.max_sample_patches));
@@ -143,9 +138,6 @@ std::vector<LayerFloor> Planner::accuracy_floors(
         samples.refs.push_back(std::move(ref));
       }
     } else {
-      const auto& fc = static_cast<const nn::Linear&>(layer);
-      samples.weights = gen.weight_context_batch(fc);
-      samples.bias = fc.bias();
       for (std::size_t pi = 0; pi < probes.size(); ++pi) {
         const nn::Tensor& in =
             in_node == nn::kModelInput

@@ -1,6 +1,7 @@
 #include "sim/comparison.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -57,19 +58,13 @@ std::vector<std::pair<std::string, std::size_t>> ComparisonReport::cells()
 
 ComparisonRunner::ComparisonRunner(const BackendRegistry& registry,
                                    ComparisonOptions opts)
-    : registry_(&registry), opts_(std::move(opts)) {}
-
-core::TuneResult ComparisonRunner::tune_workload(
-    const WorkloadSpec& spec) const {
-  auto model = nn::make_model(spec.model_name, spec.seed);
-  return tune_model(*model, nn::input_spec_for(spec.model_name).shape());
-}
-
-core::TuneResult ComparisonRunner::tune_model(const nn::Model& model,
-                                              nn::Shape input_shape) const {
-  const auto probes =
-      make_probe_batch(input_shape, opts_.vhl_probes, kProbeSeed);
-  return core::tune_hash_lengths(model, probes, opts_.tuner);
+    : registry_(&registry), opts_(std::move(opts)) {
+  DEEPCAM_CHECK_MSG(
+      !opts_.include_vhl_deepcam ||
+          opts_.tuner.hash_seed == opts_.deepcam_config.hash_seed,
+      "deepcam-vhl would be tuned at hash_seed " +
+          std::to_string(opts_.tuner.hash_seed) + " but run at hash_seed " +
+          std::to_string(opts_.deepcam_config.hash_seed));
 }
 
 ComparisonReport ComparisonRunner::run(
@@ -84,7 +79,9 @@ ComparisonReport ComparisonRunner::run(
     // Tune once per workload, reused across its batch sizes.
     std::unique_ptr<DeepCamBackend> vhl;
     if (opts_.include_vhl_deepcam) {
-      report.vhl_tuning.push_back(tune_model(*model, shape));
+      report.vhl_tuning.push_back(core::tune_hash_lengths(
+          *model, make_probe_batch(shape, opts_.vhl_probes, kProbeSeed),
+          opts_.tuner));
       const core::TuneResult& tuned = report.vhl_tuning.back();
       DeepCamBackend::Options dc;
       dc.config = opts_.deepcam_config;

@@ -36,6 +36,9 @@ struct ComparisonOptions {
   /// Tuner settings, honored as given. The default mode (kLayerLocal) is
   /// cheap enough for any topology; kEndToEnd costs a model forward per
   /// (layer, hash length, probe) — reasonable on LeNet-scale nets only.
+  /// With include_vhl_deepcam, its hash_seed must equal
+  /// deepcam_config.hash_seed (the constructor throws otherwise): lengths
+  /// tuned on one projection say nothing about another.
   core::TunerConfig tuner = {};
   /// Base config for the VHL variant (layer_hash_bits is overwritten with
   /// the tuner's choice) — keep equal to the registry's "deepcam" config to
@@ -73,16 +76,7 @@ class ComparisonRunner {
   /// Runs every (workload, batch, backend) combination.
   ComparisonReport run(const std::vector<WorkloadSpec>& workloads) const;
 
-  /// The tuner result for `spec`'s model (what "deepcam-vhl" would use).
-  /// Builds the model itself; inside run() the already-built model goes
-  /// through tune_model() instead, and the result lands in
-  /// ComparisonReport::vhl_tuning.
-  core::TuneResult tune_workload(const WorkloadSpec& spec) const;
-
  private:
-  core::TuneResult tune_model(const nn::Model& model,
-                              nn::Shape input_shape) const;
-
   const BackendRegistry* registry_;
   ComparisonOptions opts_;
 };

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "core/engine.hpp"
 #include "cpu/cpu_model.hpp"
@@ -208,6 +209,28 @@ TEST_F(BackendContractTest, ComparisonRunnerCoversEveryCell) {
   const std::string summary = comparison_summary(report);
   for (const auto& name : registry_->names())
     EXPECT_NE(summary.find(name), std::string::npos) << name;
+}
+
+TEST_F(BackendContractTest, ComparisonRunnerRejectsVhlSeedMismatch) {
+  // The deepcam-vhl row is tuned with opts.tuner and run with
+  // opts.deepcam_config: lengths tuned on one projection matrix must not be
+  // run on another.
+  ComparisonOptions opts;
+  opts.include_vhl_deepcam = true;
+  opts.tuner.hash_seed = 7;
+  opts.deepcam_config.hash_seed = 42;
+  try {
+    const ComparisonRunner runner(*registry_, opts);
+    FAIL() << "a tuner/config seed mismatch must throw";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("hash_seed 7"), std::string::npos) << what;
+    EXPECT_NE(what.find("hash_seed 42"), std::string::npos) << what;
+    EXPECT_NE(what.find("comparison.cpp"), std::string::npos) << what;
+  }
+  // Without the vhl row the tuner is unused, so the seeds may differ.
+  opts.include_vhl_deepcam = false;
+  EXPECT_NO_THROW(ComparisonRunner(*registry_, opts));
 }
 
 }  // namespace

@@ -182,7 +182,7 @@ TEST(ContextBatch, WeightContextsMatchScalarPath) {
   nn::Conv2D conv("c", nn::ConvSpec{2, 5, 3, 3, 1, 1}, 4);
   ContextGenerator gen(conv.spec().patch_len(), 5);
   const auto ref = weight_contexts(gen, conv);
-  const ContextBatch batch = gen.weight_context_batch(conv);
+  const ContextBatch batch = gen.weight_context_batch(conv.weights());
   ASSERT_EQ(batch.size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i)
     expect_ctx_equal(batch, i, ref[i]);
@@ -190,7 +190,7 @@ TEST(ContextBatch, WeightContextsMatchScalarPath) {
   nn::Linear fc("f", 8, 3, 6);
   ContextGenerator fgen(8, 7);
   const auto fref = weight_contexts(fgen, fc);
-  const ContextBatch fbatch = fgen.weight_context_batch(fc);
+  const ContextBatch fbatch = fgen.weight_context_batch(fc.weights());
   ASSERT_EQ(fbatch.size(), fref.size());
   for (std::size_t i = 0; i < fref.size(); ++i)
     expect_ctx_equal(fbatch, i, fref[i]);

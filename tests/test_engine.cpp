@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
 
 #include "common/rng.hpp"
@@ -282,6 +283,71 @@ TEST(InferenceEngine, LenetPipelineMatchesSequential) {
     cycles += seq_reports[i].total_cycles();
   }
   EXPECT_EQ(br.aggregate.total_cycles(), cycles);
+}
+
+// --- CompiledModels sharing one HashedWeights ------------------------------
+
+TEST(SharedHashedWeights, TiersMatchSeparateCompilesBitwise) {
+  // A server's k = 1024 and k = 256 tiers compiled from one hashing of the
+  // weights behave exactly like two independent compiles, at any thread
+  // count, and read the same weight arena.
+  auto m = tiny_cnn(40);
+  DeepCamConfig cfg;
+  cfg.cam_rows = 16;
+  cfg.hash_seed = 7;
+  const auto hashed = hash_weights(*m, cfg.hash_seed);
+  const auto inputs = random_batch(5, {1, 1, 8, 8}, 41);
+  std::vector<std::shared_ptr<const CompiledModel>> tiers;
+  for (const std::size_t k : {1024u, 256u}) {
+    cfg.default_hash_bits = k;
+    tiers.push_back(std::make_shared<const CompiledModel>(*m, hashed, cfg));
+    const auto separate = std::make_shared<const CompiledModel>(*m, cfg);
+    for (const std::size_t threads : {1u, 4u}) {
+      BatchReport shared_br, separate_br;
+      const auto shared_out =
+          InferenceEngine(tiers.back(), threads).run_batch(inputs, &shared_br);
+      const auto separate_out =
+          InferenceEngine(separate, threads).run_batch(inputs, &separate_br);
+      ASSERT_EQ(shared_out.size(), separate_out.size());
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        expect_bitwise_equal(shared_out[i], separate_out[i]);
+        expect_reports_equal(shared_br.per_sample[i],
+                             separate_br.per_sample[i]);
+      }
+      expect_reports_equal(shared_br.aggregate, separate_br.aggregate);
+      EXPECT_EQ(shared_br.samples, separate_br.samples);
+      EXPECT_EQ(shared_br.threads, separate_br.threads);
+    }
+  }
+  ASSERT_EQ(tiers[0]->cam_layer_count(), hashed->layers.size());
+  for (std::size_t i = 0; i < hashed->layers.size(); ++i) {
+    EXPECT_EQ(tiers[0]->cam_layer(i).hashed, &hashed->layers[i]);
+    EXPECT_EQ(tiers[1]->cam_layer(i).hashed, &hashed->layers[i]);
+    EXPECT_EQ(tiers[0]->cam_layer(i).hashed->weights.sig(0),
+              tiers[1]->cam_layer(i).hashed->weights.sig(0));
+  }
+}
+
+TEST(SharedHashedWeights, SeedMismatchNamesBothSeeds) {
+  auto m = tiny_cnn(40);
+  DeepCamConfig cfg;  // hash_seed 42
+  const auto hashed = hash_weights(*m, 7);
+  try {
+    const CompiledModel compiled(*m, hashed, cfg);
+    FAIL() << "a seed mismatch must throw";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("hash_seed 7"), std::string::npos) << what;
+    EXPECT_NE(what.find("hash_seed 42"), std::string::npos) << what;
+  }
+}
+
+TEST(SharedHashedWeights, WeightsOfAnotherModelThrow) {
+  auto m = tiny_cnn(40);
+  auto other = tiny_cnn(40);  // same weights, different instance
+  const auto hashed = hash_weights(*other, 42);
+  EXPECT_THROW(CompiledModel(*m, hashed, DeepCamConfig{}), Error);
+  EXPECT_THROW(CompiledModel(*m, nullptr, DeepCamConfig{}), Error);
 }
 
 // --- submit()/BatchFuture path (PR 4) --------------------------------------
