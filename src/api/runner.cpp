@@ -215,9 +215,8 @@ Outcome run_serve(const Spec& spec) {
   serve::Server server(cfg);
   TraceSession tracing(spec.outputs, cfg.clock);
 
-  // Sessions: every workload compiled at every hash tier, all tiers from
-  // one hashing of its weights. The models must outlive the server
-  // (CompiledModel only points at them).
+  // Sessions: every workload at every hash tier, all compiled from one
+  // hashing of its weights. The models must outlive the server.
   std::vector<std::unique_ptr<nn::Model>> models;
   std::vector<std::string> session_names;
   std::vector<nn::Shape> session_shapes;

@@ -1,5 +1,7 @@
 #include "core/compiled_model.hpp"
 
+#include <algorithm>
+
 #include "cam/energy_model.hpp"
 #include "common/digital_sqrt.hpp"
 #include "common/tech.hpp"
@@ -117,8 +119,24 @@ double RunReport::time_seconds() const {
   return static_cast<double>(total_cycles()) * tech::kCycleSeconds;
 }
 
+namespace {
+
+/// The widest hash length `cfg` reads, clamped into [1, 1024]; the
+/// compiling constructor rejects out-of-range lengths.
+std::size_t widest_hash_bits(const DeepCamConfig& cfg) {
+  const std::vector<std::size_t>& ks = cfg.layer_hash_bits;
+  const std::size_t k = ks.empty() ? cfg.default_hash_bits
+                                   : *std::max_element(ks.begin(), ks.end());
+  return std::clamp<std::size_t>(k, 1, hash::kMaxHashBits);
+}
+
+}  // namespace
+
+// Weights hashed for one config need only the bits it reads: a prefix.
 CompiledModel::CompiledModel(const nn::Model& model, DeepCamConfig cfg)
-    : CompiledModel(model, hash_weights(model, cfg.hash_seed), cfg) {}
+    : CompiledModel(model,
+                    hash_weights(model, cfg.hash_seed, widest_hash_bits(cfg)),
+                    cfg) {}
 
 CompiledModel::CompiledModel(const nn::Model& model,
                              std::shared_ptr<const HashedWeights> weights,
@@ -142,8 +160,11 @@ CompiledModel::CompiledModel(const nn::Model& model,
     const std::size_t k = cfg_.layer_hash_bits.empty()
                               ? cfg_.default_hash_bits
                               : cfg_.layer_hash_bits[i];
-    DEEPCAM_CHECK_MSG(k >= 1 && k <= hash::kMaxHashBits,
-                      "hash length out of range");
+    DEEPCAM_CHECK_MSG(k >= 1 && k <= layers[i].weights.sig_bits(),
+                      "hash length " + std::to_string(k) +
+                          " out of range: weights hashed to " +
+                          std::to_string(layers[i].weights.sig_bits()) +
+                          " bits");
     cam_layers_.push_back(
         {&layers[i], k,
          PostProcessingUnit(cfg_.postproc).cosine_table(

@@ -136,12 +136,13 @@ class CompiledModel {
     std::vector<double> cos_table;
   };
 
-  /// Hashes the model's weights at cfg.hash_seed and compiles from them.
+  /// Hashes the model's weights at cfg.hash_seed, to the widest hash length
+  /// the config reads, and compiles from them.
   CompiledModel(const nn::Model& model, DeepCamConfig cfg);
   /// Compiles from already hashed weights, which any number of configs of
   /// the same model at the same hash_seed can share (a server's hash
-  /// tiers). Throws an Error if `weights` was hashed from another model or
-  /// at a seed other than cfg.hash_seed.
+  /// tiers). Throws an Error if `weights` was hashed from another model, at
+  /// a seed other than cfg.hash_seed, or narrower than a length cfg reads.
   CompiledModel(const nn::Model& model,
                 std::shared_ptr<const HashedWeights> weights,
                 DeepCamConfig cfg);

@@ -75,10 +75,11 @@ void ContextGenerator::activation_context_flat_into(const nn::Tensor& input,
 }
 
 ContextBatch ContextGenerator::weight_context_batch(
-    std::span<const float> kernels) const {
+    std::span<const float> kernels, std::size_t hash_bits) const {
   DEEPCAM_CHECK(kernels.size() % hasher_.input_dim() == 0);
   ContextBatch out;
-  contexts_into(kernels.data(), kernels.size() / hasher_.input_dim(), out);
+  contexts_into(kernels.data(), kernels.size() / hasher_.input_dim(), out,
+                hash_bits);
   out.release_scratch();  // weight batches live as long as the model
   return out;
 }
@@ -94,12 +95,12 @@ std::vector<std::size_t> cam_nodes(const nn::Model& model) {
 }
 
 HashedLayer hash_cam_layer(const nn::Model& model, std::size_t node,
-                           std::uint64_t hash_seed) {
+                           std::uint64_t hash_seed, std::size_t hash_bits) {
   // The layer kinds differ only in their context length n.
   const auto hash = [&](const auto& layer, std::size_t n) {
     HashedLayer hl{node, ContextGenerator(n, layer_hash_seed(hash_seed, node)),
                    {}, layer.bias()};
-    hl.weights = hl.ctxgen.weight_context_batch(layer.weights());
+    hl.weights = hl.ctxgen.weight_context_batch(layer.weights(), hash_bits);
     return hl;
   };
   DEEPCAM_CHECK(node < model.node_count());
@@ -116,13 +117,12 @@ HashedLayer hash_cam_layer(const nn::Model& model, std::size_t node,
 }
 
 std::shared_ptr<const HashedWeights> hash_weights(const nn::Model& model,
-                                                  std::uint64_t hash_seed) {
-  const std::vector<std::size_t> nodes = cam_nodes(model);
+                                                  std::uint64_t hash_seed,
+                                                  std::size_t hash_bits) {
   auto hw =
       std::make_shared<HashedWeights>(HashedWeights{&model, hash_seed, {}});
-  hw->layers.reserve(nodes.size());
-  for (const std::size_t node : nodes)
-    hw->layers.push_back(hash_cam_layer(model, node, hash_seed));
+  for (const std::size_t node : cam_nodes(model))
+    hw->layers.push_back(hash_cam_layer(model, node, hash_seed, hash_bits));
   return hw;
 }
 

@@ -116,7 +116,6 @@ class ContextGenerator {
   ContextGenerator(std::size_t input_dim, std::uint64_t seed);
 
   std::size_t input_dim() const { return hasher_.input_dim(); }
-  const hash::SimHasher& hasher() const { return hasher_; }
 
   /// Context of a single raw vector: the per-vector reference path
   /// (SimHasher::hash) the batch pipeline below must match bitwise.
@@ -154,8 +153,10 @@ class ContextGenerator {
 
   /// Contexts of a layer's kernels, stored as contiguous rows of
   /// input_dim weights: a convolution's weights (one row per output
-  /// channel) or a linear layer's weight matrix.
-  ContextBatch weight_context_batch(std::span<const float> kernels) const;
+  /// channel) or a linear layer's weight matrix. `hash_bits` as in
+  /// contexts_into.
+  ContextBatch weight_context_batch(std::span<const float> kernels,
+                                    std::size_t hash_bits = 0) const;
 
  private:
   hash::SimHasher hasher_;
@@ -165,8 +166,8 @@ class ContextGenerator {
 std::vector<std::size_t> cam_nodes(const nn::Model& model);
 
 /// One CAM layer's offline hashing: its generator (projection matrix C),
-/// its kernels' full-width (1024-bit) weight contexts — every hash length
-/// k reads their prefix — and a copy of its bias.
+/// its kernels' weight contexts — every hash length up to their width
+/// reads their prefix — and a copy of its bias.
 struct HashedLayer {
   std::size_t node_index;  // in the model graph
   ContextGenerator ctxgen;
@@ -177,10 +178,11 @@ struct HashedLayer {
 /// The single recipe for hashing CAM layer `node` of `model`: C is seeded
 /// by layer_hash_seed from `hash_seed` and `node`, so activations hashed
 /// with the returned generator are comparable with the returned weight
-/// contexts.
+/// contexts, which are `hash_bits` wide (default: full width).
 /// Throws an Error if `node` is not a Conv2D/Linear node.
 HashedLayer hash_cam_layer(const nn::Model& model, std::size_t node,
-                           std::uint64_t hash_seed);
+                           std::uint64_t hash_seed,
+                           std::size_t hash_bits = hash::kMaxHashBits);
 
 /// Every CAM layer of one model hashed at one seed, in cam_nodes order.
 /// Immutable once built and shared (shared_ptr) by every CompiledModel
@@ -192,10 +194,11 @@ struct HashedWeights {
   std::vector<HashedLayer> layers;
 };
 
-std::shared_ptr<const HashedWeights> hash_weights(const nn::Model& model,
-                                                  std::uint64_t hash_seed);
+std::shared_ptr<const HashedWeights> hash_weights(
+    const nn::Model& model, std::uint64_t hash_seed,
+    std::size_t hash_bits = hash::kMaxHashBits);
 /// Only a pointer to the model is stored: reject a temporary.
-std::shared_ptr<const HashedWeights> hash_weights(nn::Model&&,
-                                                  std::uint64_t) = delete;
+std::shared_ptr<const HashedWeights> hash_weights(nn::Model&&, std::uint64_t,
+                                                  std::size_t = 0) = delete;
 
 }  // namespace deepcam::core

@@ -101,7 +101,6 @@ TuneResult tune_hash_lengths(const nn::Model& model,
     LayerSensitivity sens;
     sens.layer_name = layer.name();
     sens.context_len = hl.ctxgen.input_dim();
-    sens.chosen_bits = hash::kMaxHashBits;
 
     const bool local = cfg.mode == TunerMode::kLayerLocal;
     bool chosen = false;

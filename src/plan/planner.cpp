@@ -104,19 +104,21 @@ std::vector<LayerFloor> Planner::accuracy_floors(
     LayerSamples samples{
         core::hash_cam_layer(*model_, cl.node_index, cfg.base.hash_seed), {},
         {}};
-    const core::ContextGenerator& gen = samples.layer.ctxgen;
-    if (cl.is_conv) {
-      const nn::ConvSpec& spec =
-          static_cast<const nn::Conv2D&>(model_->layer(cl.node_index)).spec();
-      const std::size_t P = cl.patches;
-      const std::size_t m =
-          std::min(P, std::max<std::size_t>(1, cfg.max_sample_patches));
-      std::vector<float> mat(m * cl.context_len);
-      for (std::size_t pi = 0; pi < probes.size(); ++pi) {
-        const nn::Tensor& in =
-            in_node == nn::kModelInput
-                ? probes[pi]
-                : exact[pi][static_cast<std::size_t>(in_node)];
+    // A conv samples m of its P patches; a linear layer's one context is
+    // its whole input (P = m = 1).
+    const std::size_t P = cl.patches;
+    const std::size_t m =
+        std::min(P, std::max<std::size_t>(1, cfg.max_sample_patches));
+    std::vector<float> mat(cl.is_conv ? m * cl.context_len : 0);
+    for (std::size_t pi = 0; pi < probes.size(); ++pi) {
+      const nn::Tensor& in =
+          in_node == nn::kModelInput
+              ? probes[pi]
+              : exact[pi][static_cast<std::size_t>(in_node)];
+      if (cl.is_conv) {
+        const nn::ConvSpec& spec =
+            static_cast<const nn::Conv2D&>(model_->layer(cl.node_index))
+                .spec();
         const std::size_t ow = spec.out_w(in.shape().w);
         for (std::size_t j = 0; j < m; ++j) {
           const std::size_t idx = j * P / m;  // strictly increasing: m <= P
@@ -125,34 +127,20 @@ std::vector<LayerFloor> Planner::accuracy_floors(
                             {mat.data() + j * cl.context_len,
                              cl.context_len});
         }
-        core::ContextBatch acts;
-        gen.contexts_into(mat.data(), m, acts, hash::kMaxHashBits);
-        acts.release_scratch();
-        const nn::Tensor& out = exact[pi][cl.node_index];
-        std::vector<double> ref(cl.kernels * m);
-        for (std::size_t kk = 0; kk < cl.kernels; ++kk)
-          for (std::size_t j = 0; j < m; ++j)
-            ref[kk * m + j] =
-                static_cast<double>(out[kk * P + j * P / m]);
-        samples.acts.push_back(std::move(acts));
-        samples.refs.push_back(std::move(ref));
+      } else {
+        DEEPCAM_CHECK(in.numel() == cl.context_len);
       }
-    } else {
-      for (std::size_t pi = 0; pi < probes.size(); ++pi) {
-        const nn::Tensor& in =
-            in_node == nn::kModelInput
-                ? probes[pi]
-                : exact[pi][static_cast<std::size_t>(in_node)];
-        core::ContextBatch acts;
-        gen.activation_context_flat_into(in, acts, 0, hash::kMaxHashBits);
-        acts.release_scratch();
-        const nn::Tensor& out = exact[pi][cl.node_index];
-        std::vector<double> ref(cl.kernels);
-        for (std::size_t kk = 0; kk < cl.kernels; ++kk)
-          ref[kk] = static_cast<double>(out[kk]);
-        samples.acts.push_back(std::move(acts));
-        samples.refs.push_back(std::move(ref));
-      }
+      core::ContextBatch acts;
+      samples.layer.ctxgen.contexts_into(cl.is_conv ? mat.data() : in.data(),
+                                         m, acts, hash::kMaxHashBits);
+      acts.release_scratch();
+      const nn::Tensor& out = exact[pi][cl.node_index];
+      std::vector<double> ref(cl.kernels * m);
+      for (std::size_t kk = 0; kk < cl.kernels; ++kk)
+        for (std::size_t j = 0; j < m; ++j)
+          ref[kk * m + j] = static_cast<double>(out[kk * P + j * P / m]);
+      samples.acts.push_back(std::move(acts));
+      samples.refs.push_back(std::move(ref));
     }
 
     // Calibrate at the shortest hash, extrapolate with the SimHash

@@ -350,6 +350,19 @@ TEST(SharedHashedWeights, WeightsOfAnotherModelThrow) {
   EXPECT_THROW(CompiledModel(*m, nullptr, DeepCamConfig{}), Error);
 }
 
+TEST(SharedHashedWeights, WeightsNarrowerThanTheConfigThrow) {
+  // A CompiledModel that hashes for itself hashes only the bits its config
+  // reads; weights hashed that narrowly cannot serve a longer hash.
+  auto m = tiny_cnn(40);
+  DeepCamConfig cfg;
+  cfg.default_hash_bits = 256;
+  const CompiledModel narrow(*m, cfg);
+  EXPECT_EQ(narrow.cam_layer(0).hashed->weights.sig_bits(), 256u);
+  cfg.default_hash_bits = 512;
+  EXPECT_THROW(CompiledModel(*m, hash_weights(*m, 42, 256), cfg), Error);
+  EXPECT_NO_THROW(CompiledModel(*m, hash_weights(*m, 42), cfg));
+}
+
 // --- submit()/BatchFuture path (PR 4) --------------------------------------
 //
 // run_batch() is now a thin wrapper over submit + per-batch completion
