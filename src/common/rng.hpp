@@ -137,6 +137,41 @@ class Rng {
     for (; i < n; ++i) out[i] = static_cast<float>(gaussian(0.0, stddev));
   }
 
+  /// Writes the first `keep` values of each of `rows` rows of `row_len`
+  /// values that fill_gaussian(·, rows · row_len, stddev) would write, packed
+  /// `keep` per row, and leaves this Rng as that call would. Every uniform
+  /// is drawn in the same order, rejections included, but Box–Muller runs
+  /// only on the pairs that overlap the kept values (an odd `keep` keeps the
+  /// cos half of its last pair). Needs an even `row_len`, keep <= row_len
+  /// and no cached half, so that every row starts on a pair.
+  void fill_gaussian_rows(float* out, std::size_t rows, std::size_t row_len,
+                          std::size_t keep, double stddev = 1.0) {
+    constexpr std::size_t kBlockPairs = 256;
+    double u1[kBlockPairs] = {};
+    double u2[kBlockPairs] = {};
+    float vals[2 * kBlockPairs];
+    const std::size_t kept_pairs = (keep + 1) / 2;
+    for (std::size_t r = 0; r < rows; ++r) {
+      float* row = out + r * keep;
+      for (std::size_t p0 = 0; p0 < kept_pairs; p0 += kBlockPairs) {
+        const std::size_t pairs = std::min(kBlockPairs, kept_pairs - p0);
+        for (std::size_t p = 0; p < pairs; ++p) {
+          do {
+            u1[p] = uniform();
+          } while (u1[p] <= 1e-300);
+          u2[p] = uniform();
+        }
+        codelet::kernels().gaussian_pairs(u1, u2, pairs, stddev, vals);
+        std::copy_n(vals, std::min(2 * pairs, keep - 2 * p0), row + 2 * p0);
+      }
+      for (std::size_t p = kept_pairs; p < row_len / 2; ++p) {
+        while (uniform() <= 1e-300) {
+        }
+        next();
+      }
+    }
+  }
+
   /// Derive an independent child stream (for per-layer / per-module seeding).
   Rng fork(std::uint64_t stream_id) {
     SplitMix64 sm(next() ^ (0x9E3779B97F4A7C15ULL * (stream_id + 1)));

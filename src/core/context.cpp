@@ -1,5 +1,6 @@
 #include "core/context.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "common/error.hpp"
@@ -11,8 +12,9 @@ std::uint64_t layer_hash_seed(std::uint64_t base, std::size_t node_index) {
          node_index * 0xD1B54A32D192ED03ULL + 1;
 }
 
-ContextGenerator::ContextGenerator(std::size_t input_dim, std::uint64_t seed)
-    : hasher_(input_dim, seed) {}
+ContextGenerator::ContextGenerator(std::size_t input_dim, std::uint64_t seed,
+                                   std::size_t width)
+    : hasher_(hash::RandomProjection::prefix(input_dim, width, seed)) {}
 
 Context ContextGenerator::make_context(std::span<const float> v) const {
   DEEPCAM_CHECK(v.size() == hasher_.input_dim());
@@ -41,27 +43,49 @@ void ContextGenerator::contexts_into(const float* xs, std::size_t count,
   }
 }
 
-void ContextGenerator::activation_contexts_into(const nn::Tensor& input,
-                                                const nn::ConvSpec& spec,
-                                                ContextBatch& out,
-                                                std::size_t n,
-                                                std::size_t hash_bits) const {
+namespace {
+
+/// Appends the im2col patches of image `n` of `input` to `mat` from row
+/// `row0` on, in (oy, ox) row-major order; returns the patch count.
+std::size_t append_patches(const nn::Tensor& input, std::size_t n,
+                           const nn::ConvSpec& spec, std::vector<float>& mat,
+                           std::size_t row0) {
   const nn::Shape& s = input.shape();
   DEEPCAM_CHECK(s.c == spec.in_channels);
   const std::size_t oh = spec.out_h(s.h);
   const std::size_t ow = spec.out_w(s.w);
   const std::size_t plen = spec.patch_len();
-  DEEPCAM_CHECK(plen == hasher_.input_dim());
-  const std::size_t patches = oh * ow;
-  std::vector<float>& mat = out.patch_scratch_;
-  if (mat.size() < patches * plen) mat.resize(patches * plen);
-  std::size_t p = 0;
+  const std::size_t end = (row0 + oh * ow) * plen;
+  if (mat.size() < end) mat.resize(end);
+  float* row = mat.data() + row0 * plen;
   for (std::size_t oy = 0; oy < oh; ++oy)
-    for (std::size_t ox = 0; ox < ow; ++ox, ++p)
+    for (std::size_t ox = 0; ox < ow; ++ox, row += plen)
       nn::extract_patch(input, n, oy, ox, spec.kernel_h, spec.kernel_w,
-                        spec.stride, spec.pad,
-                        std::span<float>(&mat[p * plen], plen));
-  contexts_into(mat.data(), patches, out, hash_bits);
+                        spec.stride, spec.pad, std::span<float>(row, plen));
+  return oh * ow;
+}
+
+}  // namespace
+
+void ContextGenerator::activation_contexts_into(const nn::Tensor& input,
+                                                const nn::ConvSpec& spec,
+                                                ContextBatch& out,
+                                                std::size_t n,
+                                                std::size_t hash_bits) const {
+  DEEPCAM_CHECK(spec.patch_len() == hasher_.input_dim());
+  const std::size_t patches =
+      append_patches(input, n, spec, out.patch_scratch_, 0);
+  contexts_into(out.patch_scratch_.data(), patches, out, hash_bits);
+}
+
+void ContextGenerator::activation_contexts_into(
+    std::span<const nn::Tensor* const> inputs, const nn::ConvSpec& spec,
+    ContextBatch& out, std::size_t hash_bits) const {
+  DEEPCAM_CHECK(spec.patch_len() == hasher_.input_dim());
+  std::size_t patches = 0;
+  for (const nn::Tensor* in : inputs)
+    patches += append_patches(*in, 0, spec, out.patch_scratch_, patches);
+  contexts_into(out.patch_scratch_.data(), patches, out, hash_bits);
 }
 
 void ContextGenerator::activation_context_flat_into(const nn::Tensor& input,
@@ -72,6 +96,20 @@ void ContextGenerator::activation_context_flat_into(const nn::Tensor& input,
   const std::size_t feat = s.c * s.h * s.w;
   DEEPCAM_CHECK(feat == hasher_.input_dim());
   contexts_into(input.data() + n * feat, 1, out, hash_bits);
+}
+
+void ContextGenerator::activation_context_flat_into(
+    std::span<const nn::Tensor* const> inputs, ContextBatch& out,
+    std::size_t hash_bits) const {
+  const std::size_t dim = hasher_.input_dim();
+  std::vector<float>& mat = out.patch_scratch_;
+  if (mat.size() < inputs.size() * dim) mat.resize(inputs.size() * dim);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const nn::Shape& s = inputs[i]->shape();
+    DEEPCAM_CHECK(s.c * s.h * s.w == dim);
+    std::copy_n(inputs[i]->data(), dim, mat.data() + i * dim);
+  }
+  contexts_into(mat.data(), inputs.size(), out, hash_bits);
 }
 
 ContextBatch ContextGenerator::weight_context_batch(
@@ -98,7 +136,9 @@ HashedLayer hash_cam_layer(const nn::Model& model, std::size_t node,
                            std::uint64_t hash_seed, std::size_t hash_bits) {
   // The layer kinds differ only in their context length n.
   const auto hash = [&](const auto& layer, std::size_t n) {
-    HashedLayer hl{node, ContextGenerator(n, layer_hash_seed(hash_seed, node)),
+    HashedLayer hl{node,
+                   ContextGenerator(n, layer_hash_seed(hash_seed, node),
+                                    hash_bits),
                    {}, layer.bias()};
     hl.weights = hl.ctxgen.weight_context_batch(layer.weights(), hash_bits);
     return hl;

@@ -33,12 +33,28 @@ std::uint64_t layer_hash_seed(std::uint64_t base, std::size_t node_index);
 
 /// One CAM-resident entry: signature bits + minifloat-coded L2 norm.
 struct Context {
-  BitVec bits;             ///< full-length (1024-bit) signature
+  BitVec bits;             ///< signature as wide as the generator's C
   std::uint8_t norm_code;  ///< L2 norm, 8-bit minifloat (paper's format)
   double exact_norm;       ///< reference value kept for ablations/tests
 
   /// The norm as hardware would decode it.
   double norm() const { return MiniFloat::decode(norm_code); }
+};
+
+/// A run of contexts as the CAM pass loop reads them: `count` packed
+/// signatures of `wps` words each and the norms the post-processing unit
+/// multiplies. Borrowed from a ContextBatch (ContextBatch::slice), e.g. one
+/// sample's contexts out of a group hashed together.
+struct ContextSlice {
+  const std::uint64_t* words = nullptr;  // count × wps
+  std::size_t wps = 0;
+  std::size_t count = 0;
+  const double* norms = nullptr;  // count
+
+  std::size_t size() const { return count; }
+  std::span<const std::uint64_t> sig_span(std::size_t i) const {
+    return {words + i * wps, wps};
+  }
 };
 
 /// Structure-of-arrays arena of contexts: one contiguous word buffer for all
@@ -88,6 +104,12 @@ class ContextBatch {
     return minifloat ? norm_.data() : exact_norm_.data();
   }
 
+  /// Contexts first .. first + count, with norms(minifloat).
+  ContextSlice slice(std::size_t first, std::size_t count,
+                     bool minifloat) const {
+    return {sig(first), wps_, count, norms(minifloat) + first};
+  }
+
   /// Frees the scratch (the im2col matrix) while keeping the contexts. Call
   /// on batches that outlive their construction (pre-hashed weight
   /// contexts, tuner probe caches) — a Worker's reused arena should keep its
@@ -112,10 +134,15 @@ class ContextBatch {
 class ContextGenerator {
  public:
   /// `input_dim` = context vector length n (C·kh·kw for conv, in_features
-  /// for linear); `seed` determines the projection matrix.
-  ContextGenerator(std::size_t input_dim, std::uint64_t seed);
+  /// for linear); `seed` determines the projection matrix, of which the
+  /// generator keeps the first `width` columns (RandomProjection::prefix),
+  /// so it hashes to at most `width` bits.
+  ContextGenerator(std::size_t input_dim, std::uint64_t seed,
+                   std::size_t width = hash::kMaxHashBits);
 
   std::size_t input_dim() const { return hasher_.input_dim(); }
+  /// Widest signature this generator hashes to (its C's column count).
+  std::size_t width() const { return hasher_.hash_bits(); }
 
   /// Context of a single raw vector: the per-vector reference path
   /// (SimHasher::hash) the batch pipeline below must match bitwise.
@@ -151,6 +178,17 @@ class ContextGenerator {
                                     std::size_t n = 0,
                                     std::size_t hash_bits = 0) const;
 
+  /// The group forms: the contexts of image 0 of every tensor in `inputs`,
+  /// input after input, hashed in one batch so that C is read once for the
+  /// whole group rather than once per input. Bitwise identical to the
+  /// single-tensor calls above, one after the other.
+  void activation_contexts_into(std::span<const nn::Tensor* const> inputs,
+                                const nn::ConvSpec& spec, ContextBatch& out,
+                                std::size_t hash_bits = 0) const;
+  void activation_context_flat_into(std::span<const nn::Tensor* const> inputs,
+                                    ContextBatch& out,
+                                    std::size_t hash_bits = 0) const;
+
   /// Contexts of a layer's kernels, stored as contiguous rows of
   /// input_dim weights: a convolution's weights (one row per output
   /// channel) or a linear layer's weight matrix. `hash_bits` as in
@@ -165,9 +203,9 @@ class ContextGenerator {
 /// CAM-mapped (Conv2D/Linear) graph nodes of `model`, in execution order.
 std::vector<std::size_t> cam_nodes(const nn::Model& model);
 
-/// One CAM layer's offline hashing: its generator (projection matrix C),
-/// its kernels' weight contexts — every hash length up to their width
-/// reads their prefix — and a copy of its bias.
+/// One CAM layer's offline hashing: its generator (projection matrix C, as
+/// wide as the weight contexts), its kernels' weight contexts — every hash
+/// length up to their width reads their prefix — and a copy of its bias.
 struct HashedLayer {
   std::size_t node_index;  // in the model graph
   ContextGenerator ctxgen;
@@ -178,7 +216,8 @@ struct HashedLayer {
 /// The single recipe for hashing CAM layer `node` of `model`: C is seeded
 /// by layer_hash_seed from `hash_seed` and `node`, so activations hashed
 /// with the returned generator are comparable with the returned weight
-/// contexts, which are `hash_bits` wide (default: full width).
+/// contexts. Both are `hash_bits` wide (default: full width): the generator
+/// keeps only the first `hash_bits` columns of C.
 /// Throws an Error if `node` is not a Conv2D/Linear node.
 HashedLayer hash_cam_layer(const nn::Model& model, std::size_t node,
                            std::uint64_t hash_seed,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <utility>
 
 #include "codelet/codelet.hpp"
@@ -11,40 +12,172 @@
 
 namespace deepcam::core {
 
-Worker::Worker(const CompiledModel& compiled)
-    : compiled_(&compiled),
-      cam_(cam_config(compiled.config()), compiled.config().sense) {}
-
 namespace {
 
-/// kFull kernel-stage span carrying the inherited request identity plus the
-/// CAM layer index in `value`. Inactive (free) below kFull.
-obs::Span kernel_span(const char* name, std::size_t cam_idx) {
-  obs::Span sp(obs::TraceLevel::kFull, obs::SpanCat::kKernel, name);
-  const obs::TraceTag tag = obs::current_trace_tag();
-  sp.rid(tag.tag).batch(tag.sample).value(cam_idx);
-  return sp;
-}
+/// A group's samples share one hash call per CAM layer until the call holds
+/// this many contexts, so a layer with at least this many contexts per
+/// sample hashes each sample alone. Such a call already reuses every panel
+/// of C across many vectors (the codelets pack panels for kPackMinCount
+/// vectors or more); a longer one would only multiply the im2col matrix and
+/// the context arena by the group length.
+constexpr std::size_t kHashCallContexts = 2 * codelet::kPackMinCount;
+
+/// kFull tracing of one group. Its samples interleave layer by layer, so
+/// each stretch of wall time is charged to the samples it served (a
+/// group-wide stretch split by weights), and finish() lays the samples out
+/// back to back from the group's start: each `sample` span holds its kernel
+/// spans, packed from its start, then its other time. The sample spans thus
+/// sum to the group's wall time, and each kernel span is what its sample
+/// cost in that stage.
+class GroupTrace {
+ public:
+  explicit GroupTrace(std::size_t samples)
+      : rec_(obs::TraceRecorder::instance()),
+        on_(rec_.enabled(obs::TraceLevel::kFull)) {
+    if (!on_) return;
+    samples_.resize(samples);
+    t0_ = last_ = rec_.now_ns();
+  }
+
+  bool on() const { return on_; }
+
+  /// Charges the time since the last checkpoint to sample `s`'s other time.
+  void charge(std::size_t s) {
+    if (on_) samples_[s].total_ns += lap();
+  }
+
+  /// Splits the time since the last checkpoint across samples s0, s0 + 1,
+  /// ..., sample s0 + j weighing first[j + 1] - first[j], as kernel stage
+  /// `name` of CAM layer `cam_idx` (nullptr: other time).
+  void split(std::size_t s0, std::span<const std::size_t> first,
+             const char* name, std::size_t cam_idx) {
+    if (!on_) return;
+    const std::uint64_t ns = lap();
+    const std::size_t n = first.size() - 1;
+    const std::uint64_t total = first[n] - first[0];
+    std::uint64_t given = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::uint64_t share =
+          total == 0 ? (j + 1 == n ? ns : 0)
+                     : ns * (first[j + 1] - first[0]) / total - given;
+      given += share;
+      add(s0 + j, share, name, cam_idx);
+    }
+  }
+
+  /// Charges the time since the last checkpoint to sample `s`: its CAM
+  /// stages of layer `cam_idx` as kernel spans, the rest as other time.
+  void charge_stages(std::size_t s, std::size_t cam_idx,
+                     const std::uint64_t (&stage_ns)[3]) {
+    if (!on_) return;
+    static constexpr const char* kStages[3] = {"cam_write", "cam_search",
+                                               "postproc"};
+    const std::uint64_t ns = lap();
+    std::uint64_t staged = 0;
+    for (int i = 0; i < 3; ++i) {
+      add(s, stage_ns[i], kStages[i], cam_idx);
+      staged += stage_ns[i];
+    }
+    add(s, ns - std::min(ns, staged), nullptr, cam_idx);
+  }
+
+  /// Splits the remaining time equally, then records every sample's spans
+  /// under `tag` (sample s is batch tag.sample + s).
+  void finish(const obs::TraceTag& tag) {
+    if (!on_) return;
+    std::vector<std::size_t> even(samples_.size() + 1);
+    std::iota(even.begin(), even.end(), std::size_t{0});
+    split(0, even, nullptr, 0);
+    std::uint64_t cursor = t0_;
+    for (std::size_t s = 0; s < samples_.size(); ++s) {
+      const std::uint64_t batch =
+          tag.sample == obs::kNoId ? obs::kNoId : tag.sample + s;
+      auto record = [&](const char* name, obs::SpanCat cat,
+                        std::uint64_t begin, std::uint64_t ns,
+                        std::uint64_t value) {
+        obs::SpanRecord r;
+        r.t_begin_ns = begin;
+        r.t_end_ns = begin + ns;
+        r.name = name;
+        r.cat = cat;
+        r.rid = tag.tag;
+        r.batch = batch;
+        r.value = value;
+        rec_.record(r);
+      };
+      record("sample", obs::SpanCat::kEngine, cursor, samples_[s].total_ns,
+             obs::kNoId);
+      std::uint64_t k = cursor;
+      for (const Segment& seg : samples_[s].kernels) {
+        record(seg.name, obs::SpanCat::kKernel, k, seg.ns, seg.cam_idx);
+        k += seg.ns;
+      }
+      cursor += samples_[s].total_ns;
+    }
+  }
+
+ private:
+  struct Segment {
+    const char* name;
+    std::uint64_t cam_idx;
+    std::uint64_t ns;
+  };
+  struct Sample {
+    std::uint64_t total_ns = 0;
+    std::vector<Segment> kernels;
+  };
+
+  std::uint64_t lap() {
+    const std::uint64_t t = rec_.now_ns();
+    const std::uint64_t ns = t - last_;
+    last_ = t;
+    return ns;
+  }
+
+  void add(std::size_t s, std::uint64_t ns, const char* name,
+           std::size_t cam_idx) {
+    samples_[s].total_ns += ns;
+    if (name != nullptr) samples_[s].kernels.push_back({name, cam_idx, ns});
+  }
+
+  obs::TraceRecorder& rec_;
+  const bool on_;
+  std::vector<Sample> samples_;
+  std::uint64_t t0_ = 0;
+  std::uint64_t last_ = 0;
+};
 
 }  // namespace
 
+Worker::Worker(const CompiledModel& compiled)
+    : compiled_(&compiled),
+      cam_(cam_config(compiled.config()), compiled.config().sense) {
+  const nn::Model& model = compiled.model();
+  last_use_.assign(model.node_count(), SIZE_MAX);
+  for (std::size_t i = 0; i < model.node_count(); ++i)
+    for (const int idx : model.inputs_of(i))
+      if (idx != nn::kModelInput) last_use_[static_cast<std::size_t>(idx)] = i;
+}
+
 LayerReport Worker::simulate_cam_layer(std::size_t cam_idx,
-                                       const ContextBatch& act_ctx,
-                                       bool online_ctxgen) {
+                                       const ContextSlice& act_ctx,
+                                       bool online_ctxgen, bool tracing,
+                                       StageTimes& times) {
   const DeepCamConfig& cfg = compiled_->config();
   const CompiledModel::CamLayer& cl = compiled_->cam_layer(cam_idx);
-  const ContextBatch& w_ctx = cl.hashed->weights;
+  const ContextSlice w_ctx = cl.hashed->weights.slice(
+      0, cl.hashed->weights.size(), cfg.postproc.minifloat_norms);
   const std::size_t P = act_ctx.size();
   const std::size_t K = w_ctx.size();
   const std::size_t k_bits = cl.hash_bits;
   const std::size_t R = cfg.cam_rows;
 
   const bool ws = cfg.dataflow == Dataflow::kWeightStationary;
-  const ContextBatch& stationary = ws ? w_ctx : act_ctx;
-  const ContextBatch& streamed = ws ? act_ctx : w_ctx;
+  const ContextSlice& stationary = ws ? w_ctx : act_ctx;
+  const ContextSlice& streamed = ws ? act_ctx : w_ctx;
   const std::size_t S = streamed.size();
-  const double* w_norm = w_ctx.norms(cfg.postproc.minifloat_norms);
-  const double* a_norm = act_ctx.norms(cfg.postproc.minifloat_norms);
+  const double* w_norm = w_ctx.norms;
+  const double* a_norm = act_ctx.norms;
   const auto finish_dots = codelet::kernels().finish_dots;
 
   cam_.set_hash_length(k_bits);
@@ -59,15 +192,10 @@ LayerReport Worker::simulate_cam_layer(std::size_t cam_idx,
   if (ws && hd_row_.size() < max_rows) hd_row_.resize(max_rows);
 
   // kFull stage profiling: accumulate per-stage wall time over the passes
-  // (three checkpoints per pass: write, search, finish), then emit the three
-  // stages as back-to-back packed spans from the loop's start time.
-  // `tracing` is hoisted so the disabled path pays one atomic load, not one
-  // per pass.
-  auto& trec = obs::TraceRecorder::instance();
-  const bool tracing = trec.enabled(obs::TraceLevel::kFull);
-  std::uint64_t write_ns = 0, search_ns = 0, post_ns = 0;
+  // (three checkpoints per pass: write, search, finish). `tracing` is
+  // hoisted so the disabled path reads no clock.
+  const auto& trec = obs::TraceRecorder::instance();
   std::uint64_t t_stage = tracing ? trec.now_ns() : 0;
-  const std::uint64_t t_pass0 = t_stage;
   auto checkpoint = [&](std::uint64_t& bucket) {
     const std::uint64_t t = trec.now_ns();
     bucket += t - t_stage;
@@ -88,7 +216,7 @@ LayerReport Worker::simulate_cam_layer(std::size_t cam_idx,
     cam_.clear();
     for (std::size_t r = 0; r < count; ++r)
       cam_.write_row(r, stationary.sig_span(base + r));
-    if (tracing) checkpoint(write_ns);
+    if (tracing) checkpoint(times.write_ns);
     std::uint16_t* hd = hd_block_.data();
     for (std::size_t sidx = 0; sidx < S; ++sidx) {
       if (ws) {
@@ -98,7 +226,7 @@ LayerReport Worker::simulate_cam_layer(std::size_t cam_idx,
         cam_.search_flat(streamed.sig_span(sidx), hd + sidx * count);
       }
     }
-    if (tracing) checkpoint(search_ns);
+    if (tracing) checkpoint(times.search_ns);
     if (ws) {
       // Row r holds kernel base + r against every patch.
       for (std::size_t r = 0; r < count; ++r) {
@@ -114,28 +242,8 @@ LayerReport Worker::simulate_cam_layer(std::size_t cam_idx,
                     a_norm + base, static_cast<double>(cl.hashed->bias[kernel]),
                     count, flat_.data() + kernel * P + base);
     }
-    if (tracing) checkpoint(post_ns);
+    if (tracing) checkpoint(times.post_ns);
     base += count;
-  }
-
-  if (tracing) {
-    const obs::TraceTag tag = obs::current_trace_tag();
-    std::uint64_t cursor = t_pass0;
-    auto emit_stage = [&](const char* name, std::uint64_t dur) {
-      obs::SpanRecord r;
-      r.t_begin_ns = cursor;
-      r.t_end_ns = cursor + dur;
-      r.name = name;
-      r.cat = obs::SpanCat::kKernel;
-      r.rid = tag.tag;
-      r.batch = tag.sample;
-      r.value = cam_idx;
-      trec.record(r);
-      cursor += dur;
-    };
-    emit_stage("cam_write", write_ns);
-    emit_stage("cam_search", search_ns);
-    emit_stage("postproc", post_ns);
   }
 
   counts.utilization =
@@ -146,29 +254,42 @@ LayerReport Worker::simulate_cam_layer(std::size_t cam_idx,
       cl.hashed->ctxgen.input_dim(), k_bits, counts, online_ctxgen, cfg);
 }
 
-nn::Tensor Worker::run(const nn::Tensor& input, RunReport* report) {
-  DEEPCAM_CHECK_MSG(input.shape().n == 1,
-                    "accelerator simulates batch size 1");
-  RunReport local_report;
-  RunReport& rep = report != nullptr ? *report : local_report;
-  rep = {};
-  rep.cam_area_um2 = cam_.area_um2();
+void Worker::run_group(std::span<const nn::Tensor> inputs,
+                       std::span<nn::Tensor> outputs,
+                       std::span<RunReport> reports) {
+  const std::size_t g = inputs.size();
+  DEEPCAM_CHECK(outputs.size() == g && reports.size() == g);
+  for (const nn::Tensor& in : inputs)
+    DEEPCAM_CHECK_MSG(in.shape().n == 1, "accelerator simulates batch size 1");
+  for (RunReport& rep : reports) {
+    rep = {};
+    rep.cam_area_um2 = cam_.area_um2();
+  }
+  if (g == 0) return;
 
   const nn::Model& model = compiled_->model();
   const DeepCamConfig& cfg = compiled_->config();
+  GroupTrace trace(g);
   outs_.clear();
-  outs_.reserve(model.node_count());
+  outs_.resize(model.node_count() * g);
+  auto fetch = [&](int idx, std::size_t s) -> const nn::Tensor& {
+    return idx == nn::kModelInput
+               ? inputs[s]
+               : outs_[static_cast<std::size_t>(idx) * g + s];
+  };
+  // Frees sample s's outputs of the nodes whose last consumer is node i.
+  auto release = [&](std::size_t i, std::size_t s) {
+    for (const int idx : model.inputs_of(i))
+      if (idx != nn::kModelInput &&
+          last_use_[static_cast<std::size_t>(idx)] == i)
+        outs_[static_cast<std::size_t>(idx) * g + s] = nn::Tensor();
+  };
   std::size_t cam_idx = 0;
-  bool first_cam_layer = true;
 
   for (std::size_t i = 0; i < model.node_count(); ++i) {
     const nn::Layer& layer = model.layer(i);
-    const auto& inputs = model.inputs_of(i);
-    auto fetch = [&](int idx) -> const nn::Tensor& {
-      return idx == nn::kModelInput ? input
-                                    : outs_[static_cast<std::size_t>(idx)];
-    };
-    const nn::Tensor& in = fetch(inputs[0]);
+    const auto& in_nodes = model.inputs_of(i);
+    nn::Tensor* out = outs_.data() + i * g;
 
     const auto* conv = layer.kind() == nn::LayerKind::kConv2D
                            ? static_cast<const nn::Conv2D*>(&layer)
@@ -177,43 +298,83 @@ nn::Tensor Worker::run(const nn::Tensor& input, RunReport* report) {
       const CompiledModel::CamLayer& cl = compiled_->cam_layer(cam_idx);
       const ContextGenerator& gen = cl.hashed->ctxgen;
       DEEPCAM_CHECK(cl.hashed->node_index == i);
-      // Hash straight to this layer's resolved length: prefix-of-iid-columns
-      // makes the k-bit signature bitwise identical to the first k bits of
-      // the full hash, at k/1024 of the GEMM cost.
-      {
-        obs::Span hash_sp = kernel_span("hash", cam_idx);
+      // Samples s0 .. s1 - 1 share one hash call (kHashCallContexts).
+      for (std::size_t s0 = 0, s1 = 0; s0 < g; s0 = s1) {
+        group_in_.clear();
+        out_hw_.clear();
+        first_ctx_.assign(1, 0);
+        for (; s1 < g && first_ctx_.back() < kHashCallContexts; ++s1) {
+          const nn::Tensor& in = fetch(in_nodes[0], s1);
+          const nn::Shape& is = in.shape();
+          const std::size_t oh = conv ? conv->spec().out_h(is.h) : 1;
+          const std::size_t ow = conv ? conv->spec().out_w(is.w) : 1;
+          group_in_.push_back(&in);
+          out_hw_.push_back({oh, ow});
+          first_ctx_.push_back(first_ctx_.back() + oh * ow);
+        }
+        // One call straight to this layer's resolved length: prefix-of-iid-
+        // columns makes the k-bit signature bitwise identical to the first
+        // k bits of the full hash, at k/1024 of the GEMM cost.
         if (conv != nullptr)
-          gen.activation_contexts_into(in, conv->spec(), act_ctx_, 0,
+          gen.activation_contexts_into(group_in_, conv->spec(), act_ctx_,
                                        cl.hash_bits);
         else
-          gen.activation_context_flat_into(in, act_ctx_, 0, cl.hash_bits);
+          gen.activation_context_flat_into(group_in_, act_ctx_,
+                                           cl.hash_bits);
+        trace.split(s0, first_ctx_, "hash", cam_idx);
+        for (std::size_t s = s0; s < s1; ++s) {
+          release(i, s);  // hashed: the CAM passes read only contexts
+          const std::size_t c0 = first_ctx_[s - s0];
+          StageTimes st;
+          reports[s].layers.push_back(simulate_cam_layer(
+              cam_idx,
+              act_ctx_.slice(c0, first_ctx_[s - s0 + 1] - c0,
+                             cfg.postproc.minifloat_norms),
+              cam_idx > 0, trace.on(), st));
+          // flat_ holds [K][P]: a conv's output maps, a linear layer's
+          // features.
+          const auto [oh, ow] = out_hw_[s - s0];
+          nn::Tensor t({1, cl.hashed->weights.size(), oh, ow});
+          for (std::size_t j = 0; j < t.numel(); ++j)
+            t[j] = static_cast<float>(flat_[j]);
+          out[s] = std::move(t);
+          trace.charge_stages(s, cam_idx,
+                              {st.write_ns, st.search_ns, st.post_ns});
+        }
       }
-      rep.layers.push_back(
-          simulate_cam_layer(cam_idx, act_ctx_, !first_cam_layer));
-      // flat_ holds [K][P]: a conv's output maps, a linear layer's features.
-      nn::Tensor out({1, cl.hashed->weights.size(),
-                      conv ? conv->spec().out_h(in.shape().h) : 1,
-                      conv ? conv->spec().out_w(in.shape().w) : 1});
-      for (std::size_t j = 0; j < out.numel(); ++j)
-        out[j] = static_cast<float>(flat_[j]);
-      outs_.push_back(std::move(out));
-      first_cam_layer = false;
       ++cam_idx;
-    } else if (inputs.size() == 2) {
+    } else if (in_nodes.size() == 2) {
       const auto* add = dynamic_cast<const nn::Add*>(&layer);
       DEEPCAM_CHECK(add != nullptr);
       // Residual adds are charged no cycles (plan::extract_geometry leaves
       // them out of the peripheral layers too).
-      outs_.push_back(add->forward2(fetch(inputs[0]), fetch(inputs[1])));
+      for (std::size_t s = 0; s < g; ++s) {
+        out[s] = add->forward2(fetch(in_nodes[0], s), fetch(in_nodes[1], s));
+        release(i, s);
+        trace.charge(s);
+      }
     } else {
-      nn::Tensor out = layer.infer(in);
-      rep.peripheral_cycles += peripheral_cycles(out.numel(), cfg.preset);
-      outs_.push_back(std::move(out));
+      for (std::size_t s = 0; s < g; ++s) {
+        out[s] = layer.infer(fetch(in_nodes[0], s));
+        release(i, s);
+        reports[s].peripheral_cycles +=
+            peripheral_cycles(out[s].numel(), cfg.preset);
+        trace.charge(s);
+      }
     }
   }
-  nn::Tensor result = std::move(outs_.back());
+  for (std::size_t s = 0; s < g; ++s)
+    outputs[s] = std::move(outs_[(model.node_count() - 1) * g + s]);
   outs_.clear();
-  return result;
+  trace.finish(obs::current_trace_tag());
+}
+
+nn::Tensor Worker::run(const nn::Tensor& input, RunReport* report) {
+  RunReport local_report;
+  nn::Tensor out;
+  run_group({&input, 1}, {&out, 1},
+            {report != nullptr ? report : &local_report, 1});
+  return out;
 }
 
 namespace {
@@ -364,30 +525,56 @@ void InferenceEngine::worker_loop(std::size_t worker_idx) {
     }
     // FIFO dispatch: drain the front batch's samples first; a later batch
     // only starts once every sample of the earlier ones is dispatched (its
-    // execution still overlaps the earlier batches' in-flight tails).
+    // execution still overlaps the earlier batches' in-flight tails). A
+    // worker claims a group of consecutive samples, but no more than an
+    // even share of what is left, so the pool still splits a small batch.
     std::shared_ptr<detail::BatchState> state = queue_.front();
-    const std::size_t s = state->next_sample++;
+    const std::size_t first = state->next_sample;
+    const std::size_t left = state->inputs->size() - first;
+    const std::size_t threads = workers_.size();
+    const std::size_t g =
+        std::min(kGroupSamples, (left + threads - 1) / threads);
+    state->next_sample += g;
     if (state->next_sample >= state->inputs->size()) queue_.pop_front();
     lk.unlock();
+    // Inherit the submitting request's identity for the engine and kernel
+    // spans; trace_tag is immutable after enqueue, safe to read unlocked.
+    auto run = [&](std::size_t s0, std::size_t n) {
+      obs::ScopedTraceTag tag_scope({state->trace_tag, s0});
+      worker.run_group(
+          std::span<const nn::Tensor>(*state->inputs).subspan(s0, n),
+          std::span<nn::Tensor>(state->outputs).subspan(s0, n),
+          std::span<RunReport>(state->reports).subspan(s0, n));
+    };
     std::exception_ptr error;
+    std::size_t error_sample = 0;
     try {
-      // Inherit the submitting request's identity for kernel-stage spans;
-      // trace_tag is immutable after enqueue, safe to read unlocked.
-      obs::ScopedTraceTag tag_scope({state->trace_tag, s});
-      obs::Span sample_sp(obs::TraceLevel::kFull, obs::SpanCat::kEngine,
-                          "sample");
-      sample_sp.rid(state->trace_tag).batch(s);
-      state->outputs[s] = worker.run((*state->inputs)[s], &state->reports[s]);
+      run(first, g);
     } catch (...) {
       error = std::current_exception();
+      error_sample = first;
+    }
+    // A failed group reruns sample by sample, so the error recorded is the
+    // lowest-index failing sample's, exactly as if each ran alone.
+    if (error != nullptr && g > 1) {
+      error = nullptr;
+      for (std::size_t s = first; s < first + g && error == nullptr; ++s) {
+        try {
+          run(s, 1);
+        } catch (...) {
+          error = std::current_exception();
+          error_sample = s;
+        }
+      }
     }
     lk.lock();
     if (error != nullptr &&
-        (state->error == nullptr || s < state->error_sample)) {
+        (state->error == nullptr || error_sample < state->error_sample)) {
       state->error = error;
-      state->error_sample = s;
+      state->error_sample = error_sample;
     }
-    if (--state->pending == 0) {
+    state->pending -= g;
+    if (state->pending == 0) {
       state->done = true;
       state->wall_seconds = std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() -

@@ -1,26 +1,35 @@
 // Batched multi-threaded DeepCAM inference engine.
 //
 // Worker owns the per-run mutable half of the simulator state — a DynamicCam
-// instance and reusable search/scratch buffers — and
-// executes single samples against a shared-immutable CompiledModel (see
-// core/compiled_model.hpp for the architecture overview).
+// instance and reusable search/scratch buffers — and executes groups of
+// samples against a shared-immutable CompiledModel (see
+// core/compiled_model.hpp for the architecture overview). A group runs
+// layer by layer: each CAM layer hashes the group's activation contexts in
+// shared batches, so the layer's projection matrix C streams from memory
+// once per group, not once per sample, wherever a sample has few contexts
+// (the hardware keeps C stationary in the crossbar and streams activations
+// through it); the CAM pass loop, post-processing and pricing stay per
+// sample. A node's outputs are freed once their last consumer has read
+// them.
 //
 // InferenceEngine owns a std::thread pool with one Worker per thread and a
 // FIFO of in-flight batches. submit() enqueues a batch without blocking and
 // returns a BatchFuture; each batch carries its own completion state, so any
 // number of batches can be in flight concurrently and their samples drain
 // through the same pool in submission order (the online serving layer in
-// src/serve pipelines micro-batches through exactly this path). run_batch()
-// is a thin submit()+get() wrapper.
+// src/serve pipelines micro-batches through exactly this path). A worker
+// claims min(kGroupSamples, ceil(undispatched / threads)) consecutive
+// samples of the front batch at a time, so several threads still share a
+// small batch. run_batch() is a thin submit()+get() wrapper.
 //
 // Determinism contract: a sample's logits and its RunReport depend only on
 // (CompiledModel, input) — each CAM layer is priced from the events of its
 // own pass loop (core::price_cam_layer), all randomness is seeded at compile
-// time, and the
+// time, hashing a group is bitwise hashing its samples one by one, and the
 // per-sample reports are merged into the BatchReport in sample order — so
-// run_batch() is bitwise-reproducible for any thread count and any number of
-// concurrently in-flight batches, and identical to running the samples
-// sequentially through DeepCamAccelerator::run.
+// run_batch() is bitwise-reproducible for any thread count, group size and
+// number of concurrently in-flight batches, and identical to running the
+// samples sequentially through DeepCamAccelerator::run.
 #pragma once
 
 #include <chrono>
@@ -29,7 +38,9 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cam/dynamic_cam.hpp"
@@ -39,7 +50,7 @@
 namespace deepcam::core {
 
 /// Per-run mutable execution state: one CAM array and the scratch buffers a
-/// single in-flight sample needs. NOT thread-safe
+/// group of in-flight samples needs. NOT thread-safe
 /// itself — the engine gives each thread its own Worker; sharing is done at
 /// the CompiledModel level.
 class Worker {
@@ -49,29 +60,57 @@ class Worker {
 
   const CompiledModel& compiled() const { return *compiled_; }
 
-  /// Runs one input (batch size must be 1). Returns the hardware-functional
-  /// output logits; fills `report` if non-null. Deterministic: the result
-  /// and report depend only on (CompiledModel, input), never on what this
-  /// worker executed before.
+  /// Runs a group of inputs (each of batch size 1) layer by layer: every
+  /// CAM layer hashes the group's contexts together (in one call unless
+  /// the samples have many contexts each), then runs each sample's CAM
+  /// passes. Writes sample s's logits to outputs[s] and its
+  /// report to reports[s] (all three spans the same length). Deterministic:
+  /// each sample's result and report depend only on (CompiledModel, its
+  /// input), never on the rest of the group or on what this worker executed
+  /// before. At TraceLevel::kFull each sample gets one `sample` span with
+  /// its kernel spans inside; the group's samples interleave, so their spans
+  /// are packed back to back from the group's start (a group-wide hash is
+  /// split across samples by their share of contexts).
+  void run_group(std::span<const nn::Tensor> inputs,
+                 std::span<nn::Tensor> outputs, std::span<RunReport> reports);
+
+  /// Runs one input (batch size must be 1): the group of one. Returns the
+  /// hardware-functional output logits; fills `report` if non-null.
   nn::Tensor run(const nn::Tensor& input, RunReport* report = nullptr);
 
  private:
-  /// Simulates one CAM layer; writes dot-products into `flat_` laid out as
-  /// [kernel][patch]. Returns the layer report.
-  LayerReport simulate_cam_layer(std::size_t cam_idx,
-                                 const ContextBatch& act_ctx,
-                                 bool online_ctxgen);
+  /// Wall time of the three CAM stages of one layer; zero unless traced.
+  struct StageTimes {
+    std::uint64_t write_ns = 0;
+    std::uint64_t search_ns = 0;
+    std::uint64_t post_ns = 0;
+  };
+
+  /// Simulates one CAM layer over one sample's activation contexts; writes
+  /// dot-products into `flat_` laid out as [kernel][patch]. Returns the layer
+  /// report; fills `times` when `tracing`.
+  LayerReport simulate_cam_layer(std::size_t cam_idx, const ContextSlice& act,
+                                 bool online_ctxgen, bool tracing,
+                                 StageTimes& times);
 
   const CompiledModel* compiled_;
   cam::DynamicCam cam_;
+  // Per graph node: the index of its last consumer (none: SIZE_MAX), which
+  // frees each sample's output of that node once it has read it.
+  std::vector<std::size_t> last_use_;
   // Reusable scratch (per-run buffers; avoid per-search/per-layer heap
   // allocation on the hot path). act_ctx_ is the SoA arena the online
-  // context generator fills layer after layer, sample after sample; flat_
-  // and hd_block_ (one pass's HDs, streamed × rows) grow monotonically and
-  // are fully overwritten before they are read, so they are never
-  // zero-filled. hd_row_ holds one weight-stationary search before its
-  // transpose into hd_block_.
+  // context generator fills hash call after hash call; group_in_ holds the
+  // inputs of the samples in one call, out_hw_ their output maps' height
+  // and width, first_ctx_ each one's first context in act_ctx_. flat_ and
+  // hd_block_ (one pass's HDs, streamed × rows) grow monotonically and are
+  // fully overwritten before they are read, so they are never zero-filled.
+  // hd_row_ holds one weight-stationary search before its transpose into
+  // hd_block_. outs_ holds node i's output of sample s at i·group + s.
   ContextBatch act_ctx_;
+  std::vector<const nn::Tensor*> group_in_;
+  std::vector<std::pair<std::size_t, std::size_t>> out_hw_;
+  std::vector<std::size_t> first_ctx_;
   std::vector<std::uint16_t> hd_block_;
   std::vector<std::uint16_t> hd_row_;
   std::vector<double> flat_;
@@ -123,7 +162,7 @@ struct BatchState {
   std::chrono::steady_clock::time_point t_submit;
   double wall_seconds = 0.0;
   // Trace identity the submitting scope attached (obs::kNoId = untraced);
-  // worker threads re-install it via ScopedTraceTag per sample.
+  // worker threads re-install it via ScopedTraceTag per group.
   std::uint64_t trace_tag = obs::kNoId;
 };
 
@@ -172,6 +211,12 @@ class BatchFuture {
 /// Thread-pooled batch runner over one shared CompiledModel.
 class InferenceEngine {
  public:
+  /// Samples a worker claims at most at a time: one group, run layer by
+  /// layer so each CAM layer's C is read once per group. Measured on the
+  /// benchmark workloads (README "Engine architecture"): a longer group
+  /// amortizes C further but keeps more activations live.
+  static constexpr std::size_t kGroupSamples = 8;
+
   /// `compiled` is shared (kept alive) by the engine. `num_threads` = 0
   /// selects std::thread::hardware_concurrency().
   explicit InferenceEngine(std::shared_ptr<const CompiledModel> compiled,

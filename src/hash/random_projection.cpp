@@ -1,5 +1,8 @@
 #include "hash/random_projection.hpp"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "codelet/codelet.hpp"
 #include "common/error.hpp"
 
@@ -16,13 +19,46 @@ void pack_signs(const float* proj, std::size_t nbits, std::uint64_t* words) {
 }  // namespace
 
 RandomProjection::RandomProjection(std::size_t input_dim,
-                                   std::size_t hash_bits, std::uint64_t seed)
+                                   std::size_t hash_bits)
     : input_dim_(input_dim), hash_bits_(hash_bits) {
   DEEPCAM_CHECK(input_dim > 0);
   DEEPCAM_CHECK(hash_bits > 0);
-  c_.resize(input_dim * hash_bits);
+  constexpr std::size_t kAlignFloats = 64 / sizeof(float);
+  storage_.resize(input_dim * hash_bits + kAlignFloats - 1);
+  // malloc aligns to at least sizeof(float), so whole floats reach the
+  // boundary.
+  const auto addr = reinterpret_cast<std::uintptr_t>(storage_.data());
+  offset_ = (kAlignFloats - addr / sizeof(float) % kAlignFloats) % kAlignFloats;
+}
+
+RandomProjection::RandomProjection(std::size_t input_dim,
+                                   std::size_t hash_bits, std::uint64_t seed)
+    : RandomProjection(input_dim, hash_bits) {
   Rng rng(seed);
-  rng.fill_gaussian(c_.data(), c_.size());
+  rng.fill_gaussian(mutable_data(), input_dim * hash_bits);
+}
+
+RandomProjection RandomProjection::prefix(std::size_t input_dim,
+                                          std::size_t width,
+                                          std::uint64_t seed,
+                                          std::size_t full_bits) {
+  DEEPCAM_CHECK_MSG(full_bits % 2 == 0 && width <= full_bits,
+                    "a prefix needs width <= full_bits, full_bits even");
+  if (width == full_bits) return RandomProjection(input_dim, width, seed);
+  RandomProjection p(input_dim, width);
+  Rng rng(seed);
+  rng.fill_gaussian_rows(p.mutable_data(), input_dim, full_bits, width);
+  return p;
+}
+
+RandomProjection::RandomProjection(const RandomProjection& other)
+    : RandomProjection(other.input_dim_, other.hash_bits_) {
+  std::copy_n(other.data(), input_dim_ * hash_bits_, mutable_data());
+}
+
+RandomProjection& RandomProjection::operator=(const RandomProjection& other) {
+  if (this != &other) *this = RandomProjection(other);
+  return *this;
 }
 
 void RandomProjection::project_cols(const float* xs, std::size_t count,
@@ -32,7 +68,7 @@ void RandomProjection::project_cols(const float* xs, std::size_t count,
   // the same zero-skip as the original scalar GEMV — so every entry point
   // built on this kernel is bitwise identical to the per-vector path,
   // regardless of which ISA dispatch selected.
-  codelet::kernels().project_cols(xs, c_.data(), count, input_dim_,
+  codelet::kernels().project_cols(xs, data(), count, input_dim_,
                                   hash_bits_, ncols, out);
 }
 
@@ -59,7 +95,7 @@ void RandomProjection::sign_hash_batch(const float* xs, std::size_t count,
                                        std::size_t k,
                                        std::uint64_t* sig_words) const {
   DEEPCAM_CHECK(k <= hash_bits_);
-  codelet::kernels().sign_hash_cols(xs, c_.data(), count, input_dim_,
+  codelet::kernels().sign_hash_cols(xs, data(), count, input_dim_,
                                     hash_bits_, k, sig_words);
 }
 

@@ -7,9 +7,12 @@
 //
 // Key implementation property (DESIGN.md §5.1, the "prefix-hash" trick):
 // the columns of C are i.i.d., so the first k columns of a 1024-column C are
-// themselves a valid n×k Gaussian matrix. We therefore always generate
-// kMaxHashBits columns and realize any smaller hash length as a prefix of the
-// full signature. This makes variable-hash-length sweeps essentially free.
+// themselves a valid n×k Gaussian matrix. Every layer's C is therefore the
+// first columns of one n×kMaxHashBits draw, and any hash length k realizes
+// as a prefix of the full signature, which makes variable-hash-length
+// sweeps essentially free. A consumer that reads at most w bits stores only
+// the first w columns (RandomProjection::prefix): bitwise the same entries,
+// at w/1024 of the memory and of the Box–Muller work.
 #pragma once
 
 #include <cstdint>
@@ -28,12 +31,27 @@ inline constexpr int kNumHashLengths = 4;
 /// The four realizable hash lengths: 256, 512, 768, 1024.
 inline constexpr int kHashLengths[kNumHashLengths] = {256, 512, 768, 1024};
 
-/// A dense n×k Gaussian projection matrix, stored row-major (k = columns).
+/// A dense n×k Gaussian projection matrix, stored row-major (k = columns),
+/// row 0 on a 64-byte boundary.
 class RandomProjection {
  public:
   /// Generates an `input_dim × hash_bits` matrix from `seed`.
   RandomProjection(std::size_t input_dim, std::size_t hash_bits,
                    std::uint64_t seed);
+  /// The first `width` columns of RandomProjection(input_dim, full_bits,
+  /// seed), bitwise, drawn without generating the others: the full matrix's
+  /// uniforms are all drawn in stream order, but Box–Muller runs only on the
+  /// pairs that overlap the kept columns. `full_bits` must be even and
+  /// `width` at most `full_bits`; hash_bits() of the result is `width`.
+  static RandomProjection prefix(std::size_t input_dim, std::size_t width,
+                                 std::uint64_t seed,
+                                 std::size_t full_bits = kMaxHashBits);
+
+  // Copies re-align their own storage; moves keep the buffer.
+  RandomProjection(const RandomProjection& other);
+  RandomProjection& operator=(const RandomProjection& other);
+  RandomProjection(RandomProjection&&) noexcept = default;
+  RandomProjection& operator=(RandomProjection&&) noexcept = default;
 
   std::size_t input_dim() const { return input_dim_; }
   std::size_t hash_bits() const { return hash_bits_; }
@@ -42,8 +60,10 @@ class RandomProjection {
 
   /// Raw matrix element C[row][col].
   float at(std::size_t row, std::size_t col) const {
-    return c_[row * hash_bits_ + col];
+    return data()[row * hash_bits_ + col];
   }
+  /// C itself: input_dim rows of hash_bits floats, 64-byte aligned.
+  const float* data() const { return storage_.data() + offset_; }
 
   /// Projects x (length input_dim) onto all columns: out[j] = Σ_i x_i C_ij.
   /// `out` must have hash_bits elements.
@@ -88,9 +108,18 @@ class RandomProjection {
   void project_cols(const float* xs, std::size_t count, std::size_t ncols,
                     float* out) const;
 
+  /// Uninitialized input_dim × hash_bits storage.
+  RandomProjection(std::size_t input_dim, std::size_t hash_bits);
+  float* mutable_data() { return storage_.data() + offset_; }
+
   std::size_t input_dim_;
   std::size_t hash_bits_;
-  std::vector<float> c_;  // row-major [input_dim][hash_bits]
+  // Row-major [input_dim][hash_bits] from storage_[offset_] on. The vector
+  // holds up to 15 spare floats in front, so row 0 starts on a 64-byte
+  // boundary wherever malloc puts the buffer (an aligned allocator would
+  // keep freed matrices from being reused).
+  std::vector<float> storage_;
+  std::size_t offset_ = 0;
 };
 
 }  // namespace deepcam::hash

@@ -1,6 +1,7 @@
 #include "hash/simhash.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 #include "hash/cosine_approx.hpp"
@@ -16,6 +17,8 @@ double l2_norm(std::span<const float> x) {
 SimHasher::SimHasher(std::size_t input_dim, std::uint64_t seed,
                      std::size_t hash_bits)
     : proj_(input_dim, hash_bits, seed) {}
+
+SimHasher::SimHasher(RandomProjection proj) : proj_(std::move(proj)) {}
 
 Signature SimHasher::hash(std::span<const float> x) const {
   Signature sig;

@@ -18,7 +18,7 @@ namespace deepcam::hash {
 
 /// Full-precision signature of one vector.
 struct Signature {
-  BitVec bits;    ///< kMaxHashBits sign bits (prefix gives shorter hashes)
+  BitVec bits;    ///< hash_bits() sign bits (prefix gives shorter hashes)
   double norm;    ///< exact L2 norm of the source vector
 };
 
@@ -31,6 +31,8 @@ class SimHasher {
   /// `input_dim`: vector length; `seed`: projection matrix seed.
   SimHasher(std::size_t input_dim, std::uint64_t seed,
             std::size_t hash_bits = kMaxHashBits);
+  /// Hashes with `proj` (e.g. a RandomProjection::prefix).
+  explicit SimHasher(RandomProjection proj);
 
   const RandomProjection& projection() const { return proj_; }
   std::size_t input_dim() const { return proj_.input_dim(); }

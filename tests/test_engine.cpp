@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 
@@ -20,6 +23,7 @@
 #include "nn/pointwise.hpp"
 #include "nn/pooling.hpp"
 #include "nn/topologies.hpp"
+#include "obs/trace.hpp"
 
 namespace deepcam::core {
 namespace {
@@ -71,6 +75,122 @@ void expect_reports_equal(const RunReport& a, const RunReport& b) {
     EXPECT_EQ(a.layers[l].postproc_energy, b.layers[l].postproc_energy);
     EXPECT_EQ(a.layers[l].ctxgen_energy, b.layers[l].ctxgen_energy);
   }
+}
+
+/// Every field of two reports, exactly.
+void expect_reports_identical(const RunReport& a, const RunReport& b) {
+  EXPECT_EQ(a.peripheral_cycles, b.peripheral_cycles);
+  EXPECT_EQ(a.cam_area_um2, b.cam_area_um2);
+  ASSERT_EQ(a.layers.size(), b.layers.size());
+  for (std::size_t l = 0; l < a.layers.size(); ++l) {
+    const LayerReport& x = a.layers[l];
+    const LayerReport& y = b.layers[l];
+    EXPECT_EQ(x.name, y.name);
+    EXPECT_EQ(x.patches, y.patches);
+    EXPECT_EQ(x.kernels, y.kernels);
+    EXPECT_EQ(x.context_len, y.context_len);
+    EXPECT_EQ(x.hash_bits, y.hash_bits);
+    EXPECT_EQ(x.plan.passes, y.plan.passes);
+    EXPECT_EQ(x.plan.searches, y.plan.searches);
+    EXPECT_EQ(x.plan.rows_written, y.plan.rows_written);
+    EXPECT_EQ(x.plan.utilization, y.plan.utilization);
+    EXPECT_EQ(x.plan.dot_products, y.plan.dot_products);
+    EXPECT_EQ(x.cycles, y.cycles);
+    EXPECT_EQ(x.cam_energy, y.cam_energy);
+    EXPECT_EQ(x.postproc_energy, y.postproc_energy);
+    EXPECT_EQ(x.ctxgen_energy, y.ctxgen_energy);
+  }
+}
+
+/// conv → relu → conv → add(conv, relu) → pool → flatten → fc on 6×6: the
+/// residual add keeps relu1's output alive past its next consumer, and the
+/// 36 patches of a sample let two samples share a hash call.
+std::unique_ptr<nn::Model> residual_cnn(std::uint64_t seed) {
+  auto m = std::make_unique<nn::Model>("residual_cnn");
+  const int conv1 = m->add(std::make_unique<nn::Conv2D>(
+      "conv1", nn::ConvSpec{1, 4, 3, 3, 1, 1}, seed));
+  const int relu1 = m->add(std::make_unique<nn::ReLU>("relu1"), conv1);
+  const int conv2 = m->add(std::make_unique<nn::Conv2D>(
+                               "conv2", nn::ConvSpec{4, 4, 3, 3, 1, 1},
+                               seed + 1),
+                           relu1);
+  const int sum = m->add(std::make_unique<nn::Add>("add"), conv2, relu1);
+  const int pool = m->add(std::make_unique<nn::MaxPool>("pool", 2, 2), sum);
+  const int flat = m->add(std::make_unique<nn::Flatten>("flat"), pool);
+  m->add(std::make_unique<nn::Linear>("fc", 4 * 3 * 3, 5, seed + 2), flat);
+  return m;
+}
+
+/// A gate the test opens once: until then every GateLayer::infer on it
+/// blocks, so a batch stays dispatched-but-unfinished (and the batches
+/// behind it queued) by construction, not by timing.
+class Gate {
+ public:
+  /// Opens the gate on leaving scope. Declare one after the engine, so that
+  /// a failed assertion cannot leave the engine's join waiting at the gate.
+  struct OpenAtExit {
+    Gate& gate;
+    ~OpenAtExit() { gate.open(); }
+  };
+
+  void open() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  /// Blocks the calling worker until open().
+  void pass() const {
+    std::unique_lock<std::mutex> lk(mu_);
+    ++waiting_;
+    cv_.notify_all();
+    cv_.wait(lk, [this] { return open_; });
+  }
+  /// Blocks until some worker waits at (or went through) the gate.
+  void wait_for_arrival() const {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [this] { return waiting_ > 0; });
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  bool open_ = false;
+  mutable std::size_t waiting_ = 0;
+};
+
+/// Test-only pass-through layer that waits at a Gate in infer().
+class GateLayer final : public nn::Layer {
+ public:
+  explicit GateLayer(std::shared_ptr<const Gate> gate)
+      : gate_(std::move(gate)) {}
+  nn::LayerKind kind() const override { return nn::LayerKind::kReLU; }
+  std::string name() const override { return "gate"; }
+  nn::Tensor forward(const nn::Tensor& in, bool) override {
+    return infer(in);
+  }
+  nn::Tensor infer(const nn::Tensor& in) const override {
+    gate_->pass();
+    return in;
+  }
+
+ private:
+  std::shared_ptr<const Gate> gate_;
+};
+
+/// tiny_cnn with a GateLayer after its first convolution.
+std::unique_ptr<nn::Model> gated_cnn(std::uint64_t seed,
+                                     std::shared_ptr<const Gate> gate) {
+  auto m = std::make_unique<nn::Model>("gated_cnn");
+  m->add(std::make_unique<nn::Conv2D>("conv1",
+                                      nn::ConvSpec{1, 4, 3, 3, 1, 0}, seed));
+  m->add(std::make_unique<GateLayer>(std::move(gate)));
+  m->add(std::make_unique<nn::ReLU>("relu1"));
+  m->add(std::make_unique<nn::MaxPool>("pool1", 2, 2));
+  m->add(std::make_unique<nn::Flatten>("flat"));
+  m->add(std::make_unique<nn::Linear>("fc", 4 * 3 * 3, 5, seed + 1));
+  return m;
 }
 
 TEST(InferenceEngine, BatchMatchesSequentialBitwiseAtEveryThreadCount) {
@@ -283,6 +403,127 @@ TEST(InferenceEngine, LenetPipelineMatchesSequential) {
     cycles += seq_reports[i].total_cycles();
   }
   EXPECT_EQ(br.aggregate.total_cycles(), cycles);
+}
+
+// --- Groups: a worker runs up to kGroupSamples samples layer by layer -----
+
+TEST(InferenceEngineGroups, GroupedBatchesMatchPerSampleWorkerRunsBitwise) {
+  // Batch sizes around the group length, so groups come out whole, short
+  // and single; every thread count splits them differently.
+  constexpr std::size_t G = InferenceEngine::kGroupSamples;
+  const std::size_t sizes[] = {1, G - 1, G, G + 1, 3 * G + 2};
+  auto m = residual_cnn(100);
+  const auto inputs = random_batch(3 * G + 2, {1, 1, 6, 6}, 101);
+  for (const Dataflow df :
+       {Dataflow::kActivationStationary, Dataflow::kWeightStationary}) {
+    for (const std::size_t k : {256u, 1024u}) {
+      DeepCamConfig cfg;
+      cfg.cam_rows = 16;
+      cfg.dataflow = df;
+      cfg.default_hash_bits = k;
+      auto compiled = std::make_shared<const CompiledModel>(*m, cfg);
+      Worker worker(*compiled);
+      std::vector<nn::Tensor> ref;
+      std::vector<RunReport> ref_reports(inputs.size());
+      for (std::size_t i = 0; i < inputs.size(); ++i)
+        ref.push_back(worker.run(inputs[i], &ref_reports[i]));
+      for (const std::size_t threads : {1u, 2u, 4u}) {
+        InferenceEngine engine(compiled, threads);
+        for (const std::size_t n : sizes) {
+          SCOPED_TRACE(::testing::Message()
+                       << "dataflow " << static_cast<int>(df) << " k " << k
+                       << " threads " << threads << " batch " << n);
+          const std::vector<nn::Tensor> batch(inputs.begin(),
+                                              inputs.begin() + n);
+          BatchReport br;
+          const auto out = engine.run_batch(batch, &br);
+          ASSERT_EQ(out.size(), n);
+          for (std::size_t i = 0; i < n; ++i) {
+            expect_bitwise_equal(out[i], ref[i]);
+            expect_reports_identical(br.per_sample[i], ref_reports[i]);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(InferenceEngineGroups, FailingSamplesInsideOneGroupLowestIndexWins) {
+  // One thread claims the whole batch as one group; samples 1 and 2 fail
+  // in different ways, in either order. The group reruns sample by sample,
+  // so the error is sample 1's, as if every sample ran alone.
+  constexpr std::size_t G = InferenceEngine::kGroupSamples;
+  auto m = tiny_cnn(110);
+  auto compiled = std::make_shared<const CompiledModel>(*m, DeepCamConfig{});
+  InferenceEngine engine(compiled, 1);
+  const nn::Tensor wrong_channels = random_image({1, 2, 8, 8}, 111);
+  const nn::Tensor batch_of_two = random_image({2, 1, 8, 8}, 112);
+  struct Case {
+    const nn::Tensor* at1;
+    const nn::Tensor* at2;
+    const char* expect;
+  };
+  for (const Case& c : {Case{&wrong_channels, &batch_of_two, "in_channels"},
+                        Case{&batch_of_two, &wrong_channels, "batch size"}}) {
+    auto batch = random_batch(G, {1, 1, 8, 8}, 113);
+    batch[1] = *c.at1;
+    batch[2] = *c.at2;
+    try {
+      engine.run_batch(batch);
+      FAIL() << "expected deepcam::Error";
+    } catch (const deepcam::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.expect), std::string::npos)
+          << "got: " << e.what();
+    }
+  }
+  // The worker that failed mid-group still runs groups bitwise.
+  const auto good = random_batch(G, {1, 1, 8, 8}, 114);
+  const auto out = engine.run_batch(good);
+  Worker fresh(*compiled);
+  for (std::size_t i = 0; i < good.size(); ++i)
+    expect_bitwise_equal(out[i], fresh.run(good[i]));
+}
+
+TEST(InferenceEngineGroups, TracedBatchHasOneSampleSpanHoldingItsKernels) {
+  // Samples of a group interleave layer by layer; the trace still shows one
+  // `sample` span per sample, its kernel spans packed inside it.
+  constexpr std::size_t G = InferenceEngine::kGroupSamples;
+  constexpr std::size_t kSamples = 2 * G + 1;
+  auto m = tiny_cnn(120);
+  auto compiled = std::make_shared<const CompiledModel>(*m, DeepCamConfig{});
+  const std::size_t cam_layers = compiled->cam_layer_count();
+  auto& rec = obs::TraceRecorder::instance();
+  for (const std::size_t threads : {1u, 2u}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    InferenceEngine engine(compiled, threads);
+    rec.clear();
+    rec.set_level(obs::TraceLevel::kFull);
+    engine.run_batch(random_batch(kSamples, {1, 1, 8, 8}, 121));
+    rec.set_level(obs::TraceLevel::kOff);
+    const auto spans = rec.collect();
+    rec.clear();
+
+    std::map<std::uint64_t, std::vector<obs::SpanRecord>> samples, kernels;
+    for (const obs::SpanRecord& r : spans) {
+      if (r.cat == obs::SpanCat::kEngine &&
+          std::string(r.name) == "sample")
+        samples[r.batch].push_back(r);
+      else if (r.cat == obs::SpanCat::kKernel)
+        kernels[r.batch].push_back(r);
+    }
+    ASSERT_EQ(samples.size(), kSamples);
+    ASSERT_EQ(kernels.size(), kSamples);
+    for (std::size_t s = 0; s < kSamples; ++s) {
+      ASSERT_EQ(samples[s].size(), 1u) << "sample " << s;
+      const obs::SpanRecord& sample = samples[s].front();
+      // hash, cam_write, cam_search and postproc per CAM layer.
+      EXPECT_EQ(kernels[s].size(), 4 * cam_layers) << "sample " << s;
+      for (const obs::SpanRecord& k : kernels[s]) {
+        EXPECT_GE(k.t_begin_ns, sample.t_begin_ns) << k.name;
+        EXPECT_LE(k.t_end_ns, sample.t_end_ns) << k.name;
+      }
+    }
+  }
 }
 
 // --- CompiledModels sharing one HashedWeights ------------------------------
@@ -502,13 +743,17 @@ TEST(InferenceEngineSubmit, DestructorDrainsUncollectedBatches) {
 // --- wait_for()/cancel() — the serving tier's request-timeout hooks --------
 
 TEST(InferenceEngineSubmit, WaitForTimesOutThenReportsCompletion) {
-  auto m = nn::make_lenet5(90);
+  auto gate = std::make_shared<Gate>();
+  auto m = gated_cnn(90, gate);
   auto compiled = std::make_shared<const CompiledModel>(*m, DeepCamConfig{});
   InferenceEngine engine(compiled, 1);
-  BatchFuture future = engine.submit(random_batch(4, {1, 1, 28, 28}, 91));
-  // A zero-length wait on a conv-heavy 4-sample batch against one thread:
-  // the work cannot have finished between submit and this call.
+  const Gate::OpenAtExit open_at_exit{*gate};
+  BatchFuture future = engine.submit(random_batch(4, {1, 1, 8, 8}, 91));
+  // Every sample waits at the closed gate: the batch cannot finish.
   EXPECT_FALSE(future.wait_for(std::chrono::nanoseconds::zero()));
+  EXPECT_FALSE(future.wait_for(std::chrono::milliseconds(1)));
+  EXPECT_FALSE(future.ready());
+  gate->open();
   future.wait();
   EXPECT_TRUE(future.wait_for(std::chrono::nanoseconds::zero()));
   EXPECT_TRUE(future.ready());
@@ -516,15 +761,16 @@ TEST(InferenceEngineSubmit, WaitForTimesOutThenReportsCompletion) {
 }
 
 TEST(InferenceEngineSubmit, CancelRemovesQueuedBatchButSparesNeighbors) {
-  auto m = nn::make_lenet5(92);
+  auto gate = std::make_shared<Gate>();
+  auto m = gated_cnn(92, gate);
   auto compiled = std::make_shared<const CompiledModel>(*m, DeepCamConfig{});
   InferenceEngine engine(compiled, 1);
-  // The single worker picks up the head batch sample-by-sample; the second
-  // batch sits fully undispatched in the FIFO for the duration of four
-  // LeNet forwards — ample time to cancel it deterministically.
-  const auto head_inputs = random_batch(4, {1, 1, 28, 28}, 93);
+  const Gate::OpenAtExit open_at_exit{*gate};
+  // The single worker holds the head batch at the closed gate, so the
+  // second batch stays fully undispatched in the FIFO until it opens.
+  const auto head_inputs = random_batch(4, {1, 1, 8, 8}, 93);
   BatchFuture head = engine.submit(head_inputs);
-  BatchFuture queued = engine.submit(random_batch(2, {1, 1, 28, 28}, 94));
+  BatchFuture queued = engine.submit(random_batch(2, {1, 1, 8, 8}, 94));
   EXPECT_TRUE(queued.cancel());
   EXPECT_TRUE(queued.valid());  // still collectable — as an error
   EXPECT_TRUE(queued.ready());  // cancellation completes it immediately
@@ -538,8 +784,23 @@ TEST(InferenceEngineSubmit, CancelRemovesQueuedBatchButSparesNeighbors) {
   }
   // The head batch is untouched by its neighbor's cancellation, and the
   // in-flight bookkeeping settles back to zero.
+  gate->open();
   EXPECT_EQ(head.get().size(), head_inputs.size());
   EXPECT_EQ(engine.in_flight_batches(), 0u);
+}
+
+TEST(InferenceEngineSubmit, CancelRefusesABatchHeldMidExecution) {
+  auto gate = std::make_shared<Gate>();
+  auto m = gated_cnn(97, gate);
+  auto compiled = std::make_shared<const CompiledModel>(*m, DeepCamConfig{});
+  InferenceEngine engine(compiled, 1);
+  const Gate::OpenAtExit open_at_exit{*gate};
+  BatchFuture future = engine.submit(random_batch(3, {1, 1, 8, 8}, 98));
+  gate->wait_for_arrival();  // dispatched, and held unfinished
+  EXPECT_FALSE(future.cancel());
+  EXPECT_FALSE(future.ready());
+  gate->open();
+  EXPECT_EQ(future.get().size(), 3u);
 }
 
 TEST(InferenceEngineSubmit, CancelRefusesOnceExecutionStartedOrFinished) {

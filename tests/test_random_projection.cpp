@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -56,6 +59,66 @@ TEST(RandomProjection, MatricesArePinned) {
             0x0b1a319a3c967652ULL);  // a VGG11 512-channel conv
   EXPECT_EQ(matrix_digest(RandomProjection(7, 33, 5)),
             0x83e7b3d9aa6b2c93ULL);  // odd sizes: scalar tail and cache
+}
+
+TEST(RandomProjection, PrefixIsBitwiseTheLeadingColumnsOfTheFullMatrix) {
+  // prefix() draws every uniform of the n×1024 matrix but runs Box–Muller
+  // only where a kept column needs it; the kept entries must be the full
+  // matrix's, bit for bit, at odd and word-straddling widths too.
+  for (std::size_t n : {1u, 9u, 4096u}) {
+    const std::uint64_t seed = core::layer_hash_seed(42, n);
+    const RandomProjection full(n, kMaxHashBits, seed);
+    for (std::size_t w : {1u, 63u, 64u, 256u, 300u, 1023u, 1024u}) {
+      const RandomProjection pre = RandomProjection::prefix(n, w, seed);
+      ASSERT_EQ(pre.input_dim(), n);
+      ASSERT_EQ(pre.hash_bits(), w);
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(0, std::memcmp(pre.data() + i * w,
+                                 full.data() + i * kMaxHashBits,
+                                 w * sizeof(float)))
+            << "n=" << n << " w=" << w << " row " << i;
+    }
+  }
+}
+
+TEST(RandomProjection, PrefixRowsLeaveTheStreamAsTheFullDraw) {
+  // A generator that draws a prefix continues exactly where the full draw
+  // would have left it.
+  constexpr std::size_t kRows = 5, kRowLen = 20, kKeep = 7;
+  Rng full(17), rows(17);
+  std::vector<float> all(kRows * kRowLen), kept(kRows * kKeep);
+  full.fill_gaussian(all.data(), all.size());
+  rows.fill_gaussian_rows(kept.data(), kRows, kRowLen, kKeep);
+  EXPECT_EQ(full.next(), rows.next());
+  for (std::size_t r = 0; r < kRows; ++r)
+    EXPECT_EQ(0, std::memcmp(kept.data() + r * kKeep,
+                             all.data() + r * kRowLen, kKeep * sizeof(float)));
+}
+
+TEST(RandomProjection, RowZeroIsCacheLineAligned) {
+  // Every construction path puts C on a 64-byte boundary, whatever
+  // alignment the heap hands out; copies re-align their own buffer.
+  const auto aligned = [](const RandomProjection& p) {
+    return reinterpret_cast<std::uintptr_t>(p.data()) % 64 == 0;
+  };
+  std::vector<RandomProjection> keep;  // varied heap positions
+  for (std::size_t n : {1u, 3u, 9u, 150u}) {
+    for (std::size_t k : {1u, 7u, 33u, 256u}) {
+      keep.emplace_back(n, k, n * 31 + k);
+      EXPECT_TRUE(aligned(keep.back())) << n << "x" << k;
+      const RandomProjection pre = RandomProjection::prefix(n, k, n + k);
+      EXPECT_TRUE(aligned(pre)) << "prefix " << n << "x" << k;
+      const RandomProjection copy = pre;
+      EXPECT_TRUE(aligned(copy)) << "copy " << n << "x" << k;
+      EXPECT_EQ(0, std::memcmp(copy.data(), pre.data(),
+                               n * k * sizeof(float)));
+      RandomProjection assigned(1, 1, 0);
+      assigned = pre;
+      EXPECT_TRUE(aligned(assigned)) << "assigned " << n << "x" << k;
+      const RandomProjection moved = std::move(assigned);
+      EXPECT_TRUE(aligned(moved)) << "moved " << n << "x" << k;
+    }
+  }
 }
 
 TEST(RandomProjection, EntriesApproximatelyStandardNormal) {
