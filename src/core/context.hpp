@@ -141,8 +141,6 @@ class ContextGenerator {
                    std::size_t width = hash::kMaxHashBits);
 
   std::size_t input_dim() const { return hasher_.input_dim(); }
-  /// Widest signature this generator hashes to (its C's column count).
-  std::size_t width() const { return hasher_.hash_bits(); }
 
   /// Context of a single raw vector: the per-vector reference path
   /// (SimHasher::hash) the batch pipeline below must match bitwise.

@@ -286,7 +286,8 @@ void Worker::run_group(std::span<const nn::Tensor> inputs,
   };
   std::size_t cam_idx = 0;
 
-  for (std::size_t i = 0; i < model.node_count(); ++i) {
+  // Runs node i for samples sb .. se - 1 (cam_idx: its CAM layer, if any).
+  auto run_node = [&](std::size_t i, std::size_t sb, std::size_t se) {
     const nn::Layer& layer = model.layer(i);
     const auto& in_nodes = model.inputs_of(i);
     nn::Tensor* out = outs_.data() + i * g;
@@ -299,11 +300,11 @@ void Worker::run_group(std::span<const nn::Tensor> inputs,
       const ContextGenerator& gen = cl.hashed->ctxgen;
       DEEPCAM_CHECK(cl.hashed->node_index == i);
       // Samples s0 .. s1 - 1 share one hash call (kHashCallContexts).
-      for (std::size_t s0 = 0, s1 = 0; s0 < g; s0 = s1) {
+      for (std::size_t s0 = sb, s1 = sb; s0 < se; s0 = s1) {
         group_in_.clear();
         out_hw_.clear();
         first_ctx_.assign(1, 0);
-        for (; s1 < g && first_ctx_.back() < kHashCallContexts; ++s1) {
+        for (; s1 < se && first_ctx_.back() < kHashCallContexts; ++s1) {
           const nn::Tensor& in = fetch(in_nodes[0], s1);
           const nn::Shape& is = in.shape();
           const std::size_t oh = conv ? conv->spec().out_h(is.h) : 1;
@@ -348,13 +349,13 @@ void Worker::run_group(std::span<const nn::Tensor> inputs,
       DEEPCAM_CHECK(add != nullptr);
       // Residual adds are charged no cycles (plan::extract_geometry leaves
       // them out of the peripheral layers too).
-      for (std::size_t s = 0; s < g; ++s) {
+      for (std::size_t s = sb; s < se; ++s) {
         out[s] = add->forward2(fetch(in_nodes[0], s), fetch(in_nodes[1], s));
         release(i, s);
         trace.charge(s);
       }
     } else {
-      for (std::size_t s = 0; s < g; ++s) {
+      for (std::size_t s = sb; s < se; ++s) {
         out[s] = layer.infer(fetch(in_nodes[0], s));
         release(i, s);
         reports[s].peripheral_cycles +=
@@ -362,7 +363,34 @@ void Worker::run_group(std::span<const nn::Tensor> inputs,
         trace.charge(s);
       }
     }
+  };
+  // True if node i is a CAM layer that sample 0 streams fewer than
+  // kHashCallContexts contexts through (a linear layer streams one).
+  auto narrow_cam = [&](std::size_t i) {
+    const nn::Layer& layer = model.layer(i);
+    if (layer.kind() == nn::LayerKind::kLinear) return true;
+    if (layer.kind() != nn::LayerKind::kConv2D) return false;
+    const nn::ConvSpec& spec = static_cast<const nn::Conv2D&>(layer).spec();
+    const nn::Shape& is = fetch(model.inputs_of(i)[0], 0).shape();
+    return spec.out_h(is.h) * spec.out_w(is.w) < kHashCallContexts;
+  };
+
+  // The leading nodes run sample by sample, up to the first narrow CAM
+  // layer. Before it every sample hashes alone anyway, so running them
+  // layer by layer would only hold the whole group's activations, the
+  // largest ones, at once.
+  std::size_t cut = model.node_count();
+  for (std::size_t s = 0; s < g; ++s) {
+    cam_idx = 0;
+    for (std::size_t i = 0; i < cut; ++i) {
+      if (s == 0 && narrow_cam(i)) {
+        cut = i;
+        break;
+      }
+      run_node(i, s, s + 1);
+    }
   }
+  for (std::size_t i = cut; i < model.node_count(); ++i) run_node(i, 0, g);
   for (std::size_t s = 0; s < g; ++s)
     outputs[s] = std::move(outs_[(model.node_count() - 1) * g + s]);
   outs_.clear();

@@ -4,13 +4,15 @@
 // instance and reusable search/scratch buffers — and executes groups of
 // samples against a shared-immutable CompiledModel (see
 // core/compiled_model.hpp for the architecture overview). A group runs
-// layer by layer: each CAM layer hashes the group's activation contexts in
-// shared batches, so the layer's projection matrix C streams from memory
-// once per group, not once per sample, wherever a sample has few contexts
-// (the hardware keeps C stationary in the crossbar and streams activations
-// through it); the CAM pass loop, post-processing and pricing stay per
-// sample. A node's outputs are freed once their last consumer has read
-// them.
+// layer by layer from the first CAM layer where a sample has few contexts:
+// each such layer hashes the group's activation contexts in shared
+// batches, so its projection matrix C streams from memory once per group,
+// not once per sample (the hardware keeps C stationary in the crossbar and
+// streams activations through it). The wide layers before it, where each
+// sample fills a hash call alone, run sample by sample, so the group never
+// holds all its samples' largest activations at once. The CAM pass loop,
+// post-processing and pricing stay per sample. A node's outputs are freed
+// once their last consumer has read them.
 //
 // InferenceEngine owns a std::thread pool with one Worker per thread and a
 // FIFO of in-flight batches. submit() enqueues a batch without blocking and
@@ -60,10 +62,11 @@ class Worker {
 
   const CompiledModel& compiled() const { return *compiled_; }
 
-  /// Runs a group of inputs (each of batch size 1) layer by layer: every
-  /// CAM layer hashes the group's contexts together (in one call unless
-  /// the samples have many contexts each), then runs each sample's CAM
-  /// passes. Writes sample s's logits to outputs[s] and its
+  /// Runs a group of inputs (each of batch size 1): sample by sample up to
+  /// the first CAM layer where a sample has fewer contexts than one hash
+  /// call holds, then layer by layer, each CAM layer hashing the group's
+  /// contexts together before it runs each sample's CAM passes. Writes
+  /// sample s's logits to outputs[s] and its
   /// report to reports[s] (all three spans the same length). Deterministic:
   /// each sample's result and report depend only on (CompiledModel, its
   /// input), never on the rest of the group or on what this worker executed
@@ -211,10 +214,10 @@ class BatchFuture {
 /// Thread-pooled batch runner over one shared CompiledModel.
 class InferenceEngine {
  public:
-  /// Samples a worker claims at most at a time: one group, run layer by
-  /// layer so each CAM layer's C is read once per group. Measured on the
-  /// benchmark workloads (README "Engine architecture"): a longer group
-  /// amortizes C further but keeps more activations live.
+  /// Samples a worker claims at most at a time: one group, whose narrow
+  /// CAM layers read their C once per group. 4, 8 and 16 measured alike
+  /// within their spread on the three benchmark workloads (EXPERIMENTS.md,
+  /// "Groups of samples"); a longer group keeps more activations live.
   static constexpr std::size_t kGroupSamples = 8;
 
   /// `compiled` is shared (kept alive) by the engine. `num_threads` = 0

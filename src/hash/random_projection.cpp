@@ -40,14 +40,16 @@ RandomProjection::RandomProjection(std::size_t input_dim,
 
 RandomProjection RandomProjection::prefix(std::size_t input_dim,
                                           std::size_t width,
-                                          std::uint64_t seed,
-                                          std::size_t full_bits) {
-  DEEPCAM_CHECK_MSG(full_bits % 2 == 0 && width <= full_bits,
-                    "a prefix needs width <= full_bits, full_bits even");
-  if (width == full_bits) return RandomProjection(input_dim, width, seed);
+                                          std::uint64_t seed) {
+  // fill_gaussian_rows pairs a row's draws, so the full row must be even.
+  static_assert(kMaxHashBits % 2 == 0);
+  DEEPCAM_CHECK_MSG(width <= static_cast<std::size_t>(kMaxHashBits),
+                    "a prefix is at most kMaxHashBits wide");
+  if (width == static_cast<std::size_t>(kMaxHashBits))
+    return RandomProjection(input_dim, width, seed);
   RandomProjection p(input_dim, width);
   Rng rng(seed);
-  rng.fill_gaussian_rows(p.mutable_data(), input_dim, full_bits, width);
+  rng.fill_gaussian_rows(p.mutable_data(), input_dim, kMaxHashBits, width);
   return p;
 }
 

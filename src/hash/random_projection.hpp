@@ -38,14 +38,13 @@ class RandomProjection {
   /// Generates an `input_dim × hash_bits` matrix from `seed`.
   RandomProjection(std::size_t input_dim, std::size_t hash_bits,
                    std::uint64_t seed);
-  /// The first `width` columns of RandomProjection(input_dim, full_bits,
+  /// The first `width` columns of RandomProjection(input_dim, kMaxHashBits,
   /// seed), bitwise, drawn without generating the others: the full matrix's
   /// uniforms are all drawn in stream order, but Box–Muller runs only on the
-  /// pairs that overlap the kept columns. `full_bits` must be even and
-  /// `width` at most `full_bits`; hash_bits() of the result is `width`.
+  /// pairs that overlap the kept columns. `width` is at most kMaxHashBits;
+  /// hash_bits() of the result is `width`.
   static RandomProjection prefix(std::size_t input_dim, std::size_t width,
-                                 std::uint64_t seed,
-                                 std::size_t full_bits = kMaxHashBits);
+                                 std::uint64_t seed);
 
   // Copies re-align their own storage; moves keep the buffer.
   RandomProjection(const RandomProjection& other);

@@ -121,6 +121,41 @@ std::unique_ptr<nn::Model> residual_cnn(std::uint64_t seed) {
   return m;
 }
 
+/// conv (100 patches) → relu → pool → conv (25 patches) → add(conv, pool)
+/// → flatten → fc on 10×10: a group runs up to conv2 sample by sample (a
+/// sample's 100 patches fill a hash call alone), then layer by layer, with
+/// pool's output crossing from one schedule to the other.
+std::unique_ptr<nn::Model> wide_then_narrow_cnn(std::uint64_t seed) {
+  auto m = std::make_unique<nn::Model>("wide_then_narrow_cnn");
+  const int conv1 = m->add(std::make_unique<nn::Conv2D>(
+      "conv1", nn::ConvSpec{1, 4, 3, 3, 1, 1}, seed));
+  const int relu1 = m->add(std::make_unique<nn::ReLU>("relu1"), conv1);
+  const int pool = m->add(std::make_unique<nn::MaxPool>("pool", 2, 2), relu1);
+  const int conv2 = m->add(std::make_unique<nn::Conv2D>(
+                               "conv2", nn::ConvSpec{4, 4, 3, 3, 1, 1},
+                               seed + 1),
+                           pool);
+  const int sum = m->add(std::make_unique<nn::Add>("add"), conv2, pool);
+  const int flat = m->add(std::make_unique<nn::Flatten>("flat"), sum);
+  m->add(std::make_unique<nn::Linear>("fc", 4 * 5 * 5, 5, seed + 2), flat);
+  return m;
+}
+
+/// A model and the input shape it takes.
+struct GroupModel {
+  std::unique_ptr<nn::Model> model;
+  nn::Shape input;
+};
+
+/// Models whose groups run layer by layer throughout, and sample by sample
+/// up to a narrow CAM layer.
+std::vector<GroupModel> group_models(std::uint64_t seed) {
+  std::vector<GroupModel> v;
+  v.push_back({residual_cnn(seed), {1, 1, 6, 6}});
+  v.push_back({wide_then_narrow_cnn(seed), {1, 1, 10, 10}});
+  return v;
+}
+
 /// A gate the test opens once: until then every GateLayer::infer on it
 /// blocks, so a batch stays dispatched-but-unfinished (and the batches
 /// behind it queued) by construction, not by timing.
@@ -412,35 +447,52 @@ TEST(InferenceEngineGroups, GroupedBatchesMatchPerSampleWorkerRunsBitwise) {
   // and single; every thread count splits them differently.
   constexpr std::size_t G = InferenceEngine::kGroupSamples;
   const std::size_t sizes[] = {1, G - 1, G, G + 1, 3 * G + 2};
-  auto m = residual_cnn(100);
-  const auto inputs = random_batch(3 * G + 2, {1, 1, 6, 6}, 101);
-  for (const Dataflow df :
-       {Dataflow::kActivationStationary, Dataflow::kWeightStationary}) {
-    for (const std::size_t k : {256u, 1024u}) {
-      DeepCamConfig cfg;
-      cfg.cam_rows = 16;
-      cfg.dataflow = df;
-      cfg.default_hash_bits = k;
-      auto compiled = std::make_shared<const CompiledModel>(*m, cfg);
-      Worker worker(*compiled);
-      std::vector<nn::Tensor> ref;
-      std::vector<RunReport> ref_reports(inputs.size());
-      for (std::size_t i = 0; i < inputs.size(); ++i)
-        ref.push_back(worker.run(inputs[i], &ref_reports[i]));
-      for (const std::size_t threads : {1u, 2u, 4u}) {
-        InferenceEngine engine(compiled, threads);
+  for (const GroupModel& gm : group_models(100)) {
+    const auto inputs = random_batch(3 * G + 2, gm.input, 101);
+    for (const Dataflow df :
+         {Dataflow::kActivationStationary, Dataflow::kWeightStationary}) {
+      for (const std::size_t k : {256u, 1024u}) {
+        DeepCamConfig cfg;
+        cfg.cam_rows = 16;
+        cfg.dataflow = df;
+        cfg.default_hash_bits = k;
+        auto compiled = std::make_shared<const CompiledModel>(*gm.model, cfg);
+        Worker worker(*compiled);
+        std::vector<nn::Tensor> ref;
+        std::vector<RunReport> ref_reports(inputs.size());
+        for (std::size_t i = 0; i < inputs.size(); ++i)
+          ref.push_back(worker.run(inputs[i], &ref_reports[i]));
+        // run_group itself, since the engine would hide a failing group
+        // behind its sample-by-sample rerun.
         for (const std::size_t n : sizes) {
           SCOPED_TRACE(::testing::Message()
-                       << "dataflow " << static_cast<int>(df) << " k " << k
-                       << " threads " << threads << " batch " << n);
-          const std::vector<nn::Tensor> batch(inputs.begin(),
-                                              inputs.begin() + n);
-          BatchReport br;
-          const auto out = engine.run_batch(batch, &br);
-          ASSERT_EQ(out.size(), n);
+                       << gm.model->name() << " dataflow "
+                       << static_cast<int>(df) << " k " << k << " group "
+                       << n);
+          std::vector<nn::Tensor> out(n);
+          std::vector<RunReport> reports(n);
+          worker.run_group({inputs.data(), n}, out, reports);
           for (std::size_t i = 0; i < n; ++i) {
             expect_bitwise_equal(out[i], ref[i]);
-            expect_reports_identical(br.per_sample[i], ref_reports[i]);
+            expect_reports_identical(reports[i], ref_reports[i]);
+          }
+        }
+        for (const std::size_t threads : {1u, 2u, 4u}) {
+          InferenceEngine engine(compiled, threads);
+          for (const std::size_t n : sizes) {
+            SCOPED_TRACE(::testing::Message()
+                         << gm.model->name() << " dataflow "
+                         << static_cast<int>(df) << " k " << k << " threads "
+                         << threads << " batch " << n);
+            const std::vector<nn::Tensor> batch(inputs.begin(),
+                                                inputs.begin() + n);
+            BatchReport br;
+            const auto out = engine.run_batch(batch, &br);
+            ASSERT_EQ(out.size(), n);
+            for (std::size_t i = 0; i < n; ++i) {
+              expect_bitwise_equal(out[i], ref[i]);
+              expect_reports_identical(br.per_sample[i], ref_reports[i]);
+            }
           }
         }
       }
@@ -453,35 +505,40 @@ TEST(InferenceEngineGroups, FailingSamplesInsideOneGroupLowestIndexWins) {
   // in different ways, in either order. The group reruns sample by sample,
   // so the error is sample 1's, as if every sample ran alone.
   constexpr std::size_t G = InferenceEngine::kGroupSamples;
-  auto m = tiny_cnn(110);
-  auto compiled = std::make_shared<const CompiledModel>(*m, DeepCamConfig{});
-  InferenceEngine engine(compiled, 1);
-  const nn::Tensor wrong_channels = random_image({1, 2, 8, 8}, 111);
-  const nn::Tensor batch_of_two = random_image({2, 1, 8, 8}, 112);
-  struct Case {
-    const nn::Tensor* at1;
-    const nn::Tensor* at2;
-    const char* expect;
-  };
-  for (const Case& c : {Case{&wrong_channels, &batch_of_two, "in_channels"},
-                        Case{&batch_of_two, &wrong_channels, "batch size"}}) {
-    auto batch = random_batch(G, {1, 1, 8, 8}, 113);
-    batch[1] = *c.at1;
-    batch[2] = *c.at2;
-    try {
-      engine.run_batch(batch);
-      FAIL() << "expected deepcam::Error";
-    } catch (const deepcam::Error& e) {
-      EXPECT_NE(std::string(e.what()).find(c.expect), std::string::npos)
-          << "got: " << e.what();
+  for (const GroupModel& gm : group_models(110)) {
+    SCOPED_TRACE(gm.model->name());
+    auto compiled =
+        std::make_shared<const CompiledModel>(*gm.model, DeepCamConfig{});
+    InferenceEngine engine(compiled, 1);
+    const nn::Shape in = gm.input;
+    const nn::Tensor wrong_channels = random_image({1, 2, in.h, in.w}, 111);
+    const nn::Tensor batch_of_two = random_image({2, 1, in.h, in.w}, 112);
+    struct Case {
+      const nn::Tensor* at1;
+      const nn::Tensor* at2;
+      const char* expect;
+    };
+    for (const Case& c :
+         {Case{&wrong_channels, &batch_of_two, "in_channels"},
+          Case{&batch_of_two, &wrong_channels, "batch size"}}) {
+      auto batch = random_batch(G, in, 113);
+      batch[1] = *c.at1;
+      batch[2] = *c.at2;
+      try {
+        engine.run_batch(batch);
+        FAIL() << "expected deepcam::Error";
+      } catch (const deepcam::Error& e) {
+        EXPECT_NE(std::string(e.what()).find(c.expect), std::string::npos)
+            << "got: " << e.what();
+      }
     }
+    // The worker that failed mid-group still runs groups bitwise.
+    const auto good = random_batch(G, in, 114);
+    const auto out = engine.run_batch(good);
+    Worker fresh(*compiled);
+    for (std::size_t i = 0; i < good.size(); ++i)
+      expect_bitwise_equal(out[i], fresh.run(good[i]));
   }
-  // The worker that failed mid-group still runs groups bitwise.
-  const auto good = random_batch(G, {1, 1, 8, 8}, 114);
-  const auto out = engine.run_batch(good);
-  Worker fresh(*compiled);
-  for (std::size_t i = 0; i < good.size(); ++i)
-    expect_bitwise_equal(out[i], fresh.run(good[i]));
 }
 
 TEST(InferenceEngineGroups, TracedBatchHasOneSampleSpanHoldingItsKernels) {
@@ -489,38 +546,41 @@ TEST(InferenceEngineGroups, TracedBatchHasOneSampleSpanHoldingItsKernels) {
   // `sample` span per sample, its kernel spans packed inside it.
   constexpr std::size_t G = InferenceEngine::kGroupSamples;
   constexpr std::size_t kSamples = 2 * G + 1;
-  auto m = tiny_cnn(120);
-  auto compiled = std::make_shared<const CompiledModel>(*m, DeepCamConfig{});
-  const std::size_t cam_layers = compiled->cam_layer_count();
   auto& rec = obs::TraceRecorder::instance();
-  for (const std::size_t threads : {1u, 2u}) {
-    SCOPED_TRACE(::testing::Message() << "threads " << threads);
-    InferenceEngine engine(compiled, threads);
-    rec.clear();
-    rec.set_level(obs::TraceLevel::kFull);
-    engine.run_batch(random_batch(kSamples, {1, 1, 8, 8}, 121));
-    rec.set_level(obs::TraceLevel::kOff);
-    const auto spans = rec.collect();
-    rec.clear();
+  for (const GroupModel& gm : group_models(120)) {
+    auto compiled =
+        std::make_shared<const CompiledModel>(*gm.model, DeepCamConfig{});
+    const std::size_t cam_layers = compiled->cam_layer_count();
+    for (const std::size_t threads : {1u, 2u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << gm.model->name() << " threads " << threads);
+      InferenceEngine engine(compiled, threads);
+      rec.clear();
+      rec.set_level(obs::TraceLevel::kFull);
+      engine.run_batch(random_batch(kSamples, gm.input, 121));
+      rec.set_level(obs::TraceLevel::kOff);
+      const auto spans = rec.collect();
+      rec.clear();
 
-    std::map<std::uint64_t, std::vector<obs::SpanRecord>> samples, kernels;
-    for (const obs::SpanRecord& r : spans) {
-      if (r.cat == obs::SpanCat::kEngine &&
-          std::string(r.name) == "sample")
-        samples[r.batch].push_back(r);
-      else if (r.cat == obs::SpanCat::kKernel)
-        kernels[r.batch].push_back(r);
-    }
-    ASSERT_EQ(samples.size(), kSamples);
-    ASSERT_EQ(kernels.size(), kSamples);
-    for (std::size_t s = 0; s < kSamples; ++s) {
-      ASSERT_EQ(samples[s].size(), 1u) << "sample " << s;
-      const obs::SpanRecord& sample = samples[s].front();
-      // hash, cam_write, cam_search and postproc per CAM layer.
-      EXPECT_EQ(kernels[s].size(), 4 * cam_layers) << "sample " << s;
-      for (const obs::SpanRecord& k : kernels[s]) {
-        EXPECT_GE(k.t_begin_ns, sample.t_begin_ns) << k.name;
-        EXPECT_LE(k.t_end_ns, sample.t_end_ns) << k.name;
+      std::map<std::uint64_t, std::vector<obs::SpanRecord>> samples, kernels;
+      for (const obs::SpanRecord& r : spans) {
+        if (r.cat == obs::SpanCat::kEngine &&
+            std::string(r.name) == "sample")
+          samples[r.batch].push_back(r);
+        else if (r.cat == obs::SpanCat::kKernel)
+          kernels[r.batch].push_back(r);
+      }
+      ASSERT_EQ(samples.size(), kSamples);
+      ASSERT_EQ(kernels.size(), kSamples);
+      for (std::size_t s = 0; s < kSamples; ++s) {
+        ASSERT_EQ(samples[s].size(), 1u) << "sample " << s;
+        const obs::SpanRecord& sample = samples[s].front();
+        // hash, cam_write, cam_search and postproc per CAM layer.
+        EXPECT_EQ(kernels[s].size(), 4 * cam_layers) << "sample " << s;
+        for (const obs::SpanRecord& k : kernels[s]) {
+          EXPECT_GE(k.t_begin_ns, sample.t_begin_ns) << k.name;
+          EXPECT_LE(k.t_end_ns, sample.t_end_ns) << k.name;
+        }
       }
     }
   }
