@@ -44,6 +44,12 @@ void validate_hash_bits(std::size_t bits, const std::string& where) {
             std::to_string(bits));
 }
 
+void validate_threads(std::size_t threads, const std::string& where) {
+  if (threads > kMaxSpecThreads)
+    invalid(where + " must be <= " + std::to_string(kMaxSpecThreads) +
+            ", got " + std::to_string(threads));
+}
+
 void validate_layer(const LayerSpec& layer, const std::string& workload) {
   const std::string where = "workload " + workload + " layer \"" +
                             layer.kind + "\"";
@@ -202,6 +208,7 @@ void Spec::validate() const {
   }
 
   if (accelerator.cam_rows == 0) invalid("accelerator.cam_rows must be > 0");
+  validate_threads(accelerator.engine_threads, "accelerator.engine_threads");
   validate_hash_bits(accelerator.hash_bits, "accelerator.hash_bits");
   for (const std::size_t k : accelerator.layer_hash_bits)
     validate_hash_bits(k, "accelerator.layer_hash_bits entry");
@@ -281,6 +288,21 @@ void Spec::validate() const {
       if (mix_total <= 0.0)
         invalid("serve.class_mix weights must sum to > 0");
       if (serve.replicas == 0) invalid("serve.replicas must be >= 1");
+      {
+        // One engine pool per (workload, tier, replica) session replica;
+        // engine_threads 0 (hardware concurrency) counts as one here. The
+        // total bounds workers and replicas too.
+        const std::size_t threads =
+            serve.workers + workloads.size() * serve.hash_tiers.size() *
+                                serve.replicas *
+                                std::max<std::size_t>(
+                                    accelerator.engine_threads, 1);
+        if (threads > kMaxSpecThreads)
+          invalid("serve would start " + std::to_string(threads) +
+                  " threads (serve.workers + workloads x serve.hash_tiers "
+                  "x serve.replicas x accelerator.engine_threads), over "
+                  "the limit of " + std::to_string(kMaxSpecThreads));
+      }
       if (serve.retry_limit.size() != 3)
         invalid("serve.retry_limit needs exactly 3 budgets "
                 "{interactive, standard, batch}, got " +

@@ -41,6 +41,11 @@ const char* mode_name(Mode mode);
 /// subcommand is accepted as an alias for "offline".
 Mode mode_from_name(const std::string& name);
 
+/// Most threads one spec may start: each of accelerator.engine_threads,
+/// serve.workers and serve.replicas, and a serve run's total (workers plus
+/// one engine pool per session replica), must stay within it.
+inline constexpr std::size_t kMaxSpecThreads = 1024;
+
 /// Registry keys compare mode accepts, in sim::default_registry() order —
 /// the single list both Spec::validate() and the Runner's registry
 /// construction consult.

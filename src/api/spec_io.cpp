@@ -12,6 +12,16 @@ std::size_t as_size(const JsonValue& v) {
   return static_cast<std::size_t>(v.as_uint());
 }
 
+/// A thread-count field; its bound is checked here so the error carries
+/// the value's line and column.
+std::size_t as_thread_count(const JsonValue& v, const std::string& field) {
+  const std::size_t n = as_size(v);
+  if (n > kMaxSpecThreads)
+    throw v.error(field + " must be <= " + std::to_string(kMaxSpecThreads) +
+                  ", got " + std::to_string(n));
+  return n;
+}
+
 std::vector<std::size_t> as_size_array(const JsonValue& v) {
   std::vector<std::size_t> out;
   for (const JsonValue& item : v.items()) out.push_back(as_size(item));
@@ -132,7 +142,8 @@ void parse_accelerator(const JsonValue& doc, AcceleratorSpec& acc) {
     else if (key == "hash_bits") acc.hash_bits = as_size(v);
     else if (key == "layer_hash_bits") acc.layer_hash_bits = as_size_array(v);
     else if (key == "hash_seed") acc.hash_seed = v.as_uint();
-    else if (key == "engine_threads") acc.engine_threads = as_size(v);
+    else if (key == "engine_threads")
+      acc.engine_threads = as_thread_count(v, "accelerator.engine_threads");
     else if (key == "vhl") {
       for (const auto& [vkey, vv] : v.members()) {
         if (vkey == "enabled") acc.vhl = vv.as_bool();
@@ -165,7 +176,8 @@ void parse_compare(const JsonValue& doc, CompareOptions& cmp) {
 void parse_serve(const JsonValue& doc, ServeOptions& srv) {
   for (const auto& [key, v] : doc.members()) {
     if (key == "hash_tiers") srv.hash_tiers = as_size_array(v);
-    else if (key == "workers") srv.workers = as_size(v);
+    else if (key == "workers")
+      srv.workers = as_thread_count(v, "serve.workers");
     else if (key == "queue_capacity") srv.queue_capacity = as_size(v);
     else if (key == "max_batch") srv.max_batch = as_size(v);
     else if (key == "max_delay_us") srv.max_delay_us = static_cast<long>(v.as_uint());
@@ -190,7 +202,7 @@ void parse_serve(const JsonValue& doc, ServeOptions& srv) {
       for (const JsonValue& item : v.items())
         srv.class_mix.push_back(item.as_number());
     } else if (key == "replicas") {
-      srv.replicas = as_size(v);
+      srv.replicas = as_thread_count(v, "serve.replicas");
     } else if (key == "retry_limit") {
       srv.retry_limit = as_size_array(v);
     } else if (key == "retry_backoff_us") {

@@ -91,9 +91,7 @@ void MetricsRegistry::set_gauge(const std::string& name,
   publish(name, MetricKind::kGauge, help, std::move(s));
 }
 
-void MetricsRegistry::set_histogram(const std::string& name,
-                                    const std::string& help,
-                                    MetricLabels labels, const Histogram& h) {
+HistogramSnapshot histogram_snapshot(const Histogram& h) {
   HistogramSnapshot snap;
   const auto& counts = h.bucket_counts();
   snap.counts = counts;
@@ -103,7 +101,13 @@ void MetricsRegistry::set_histogram(const std::string& name,
   }
   snap.count = h.count();
   snap.sum = h.sum();
-  set_histogram(name, help, std::move(labels), std::move(snap));
+  return snap;
+}
+
+void MetricsRegistry::set_histogram(const std::string& name,
+                                    const std::string& help,
+                                    MetricLabels labels, const Histogram& h) {
+  set_histogram(name, help, std::move(labels), histogram_snapshot(h));
 }
 
 void MetricsRegistry::set_histogram(const std::string& name,

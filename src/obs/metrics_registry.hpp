@@ -1,11 +1,12 @@
 // Pull-based metrics registry with Prometheus text exposition.
 //
-// The registry holds no live counters of its own: producers (Server,
-// ServerMetrics mirrors, replica health) register collector callbacks
-// that are invoked at scrape time (expose()) and publish point-in-time
-// samples via set_counter/set_gauge/set_histogram. That keeps the hot
-// serving path free of registry coupling — the existing ServerMetrics
-// counters stay the source of truth and are merely mirrored out.
+// The registry holds no live counters of its own: producers register
+// collector callbacks that are invoked at scrape time (expose()) and
+// publish point-in-time samples via set_counter/set_gauge/set_histogram.
+// That keeps the hot serving path free of registry coupling. The serving
+// tier's collector (serve/report_io) renders one locked ServerMetrics
+// snapshot, looping over the counter declarations in serve/metrics.hpp
+// for names and help text.
 //
 // Exposition follows the Prometheus text format (0.0.4): families sorted
 // by metric name, samples sorted by label signature, values formatted
@@ -36,6 +37,9 @@ struct HistogramSnapshot {
   std::uint64_t count = 0;
   double sum = 0.0;
 };
+
+/// Bucket edges, counts, count and sum of `h`: what set_histogram renders.
+HistogramSnapshot histogram_snapshot(const Histogram& h);
 
 class MetricsRegistry {
  public:

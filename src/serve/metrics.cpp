@@ -61,14 +61,15 @@ void ServerMetrics::on_admission(std::size_t session, Admission verdict,
                                  SloClass slo) {
   std::lock_guard<std::mutex> lk(mu_);
   DEEPCAM_CHECK(session < sessions_.size());
-  ClassCounters& c = classes_[static_cast<std::size_t>(slo)];
+  SessionSummary& s = sessions_[session].row;
+  SloClassSummary& c = classes_[static_cast<std::size_t>(slo)].row;
   if (verdict == Admission::kAccepted) {
-    ++sessions_[session].accepted;
+    ++s.accepted;
     ++c.accepted;
   } else {
-    ++sessions_[session].rejected;
+    ++s.rejected;
     if (verdict == Admission::kRejectedShed) {
-      ++sessions_[session].shed;
+      ++s.shed;
       ++c.shed;
     }
   }
@@ -76,19 +77,14 @@ void ServerMetrics::on_admission(std::size_t session, Admission verdict,
 
 void ServerMetrics::on_unknown_session() {
   std::lock_guard<std::mutex> lk(mu_);
-  ++unknown_session_;
-}
-
-std::uint64_t ServerMetrics::unknown_session_rejections() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return unknown_session_;
+  ++server_.unknown_session_rejected;
 }
 
 void ServerMetrics::on_downgrade(std::size_t session, SloClass slo) {
   std::lock_guard<std::mutex> lk(mu_);
   DEEPCAM_CHECK(session < sessions_.size());
-  ++sessions_[session].downgraded;
-  ++classes_[static_cast<std::size_t>(slo)].downgraded;
+  ++sessions_[session].row.downgraded;
+  ++classes_[static_cast<std::size_t>(slo)].row.downgraded;
 }
 
 void ServerMetrics::on_queue_depth(DepthStream stream, std::size_t depth) {
@@ -98,47 +94,22 @@ void ServerMetrics::on_queue_depth(DepthStream stream, std::size_t depth) {
       .add(static_cast<double>(depth));
 }
 
-double ServerMetrics::queue_depth_percentile(DepthStream stream,
-                                             double p) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return (stream == DepthStream::kAdmission ? queue_depths_
-                                            : queue_depths_extract_)
-      .percentile(p);
-}
-
-Histogram ServerMetrics::session_latency_histogram(
-    std::size_t session) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  DEEPCAM_CHECK(session < sessions_.size());
-  return sessions_[session].latency;
-}
-
-Histogram ServerMetrics::session_queue_wait_histogram(
-    std::size_t session) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  DEEPCAM_CHECK(session < sessions_.size());
-  return sessions_[session].queue_wait;
-}
-
-Histogram ServerMetrics::queue_depth_histogram(DepthStream stream) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return stream == DepthStream::kAdmission ? queue_depths_
-                                           : queue_depths_extract_;
-}
-
 void ServerMetrics::on_batch_dispatch(std::size_t session,
                                       std::size_t batch_size) {
   std::lock_guard<std::mutex> lk(mu_);
   DEEPCAM_CHECK(session < sessions_.size());
-  SessionCounters& s = sessions_[session];
-  ++s.batches;
+  SessionState& s = sessions_[session];
+  ++s.row.batches;
   s.batched_requests += batch_size;
   s.batch_sizes.add(static_cast<double>(batch_size));
-  s.max_batch_size = std::max<std::uint64_t>(s.max_batch_size, batch_size);
+  s.row.max_batch_size =
+      std::max<std::uint64_t>(s.row.max_batch_size, batch_size);
   ++s.in_flight;
-  s.max_in_flight = std::max(s.max_in_flight, s.in_flight);
+  s.row.max_in_flight_batches =
+      std::max(s.row.max_in_flight_batches, s.in_flight);
   ++in_flight_;
-  max_in_flight_ = std::max(max_in_flight_, in_flight_);
+  server_.max_in_flight_batches =
+      std::max(server_.max_in_flight_batches, in_flight_);
 }
 
 void ServerMetrics::on_batch_complete(std::size_t session) {
@@ -152,8 +123,10 @@ void ServerMetrics::on_batch_complete(std::size_t session) {
 void ServerMetrics::on_response(const Response& response) {
   std::lock_guard<std::mutex> lk(mu_);
   DEEPCAM_CHECK(response.session < sessions_.size());
-  SessionCounters& s = sessions_[response.session];
-  ClassCounters& c = classes_[static_cast<std::size_t>(response.slo)];
+  SessionState& st = sessions_[response.session];
+  ClassState& ct = classes_[static_cast<std::size_t>(response.slo)];
+  SessionSummary& s = st.row;
+  SloClassSummary& c = ct.row;
   ++s.completed;
   ++c.completed;
   if (response.expired) {
@@ -166,128 +139,86 @@ void ServerMetrics::on_response(const Response& response) {
   if (response.slo_met()) ++c.slo_met;
   if (response.had_deadline && !response.expired && response.ok()) {
     if (response.slack_seconds >= 0.0)
-      c.slack.add(std::max(response.slack_seconds, 1e-9));
+      ct.slack.add(std::max(response.slack_seconds, 1e-9));
     else
-      c.overrun.add(std::max(-response.slack_seconds, 1e-9));
+      ct.overrun.add(std::max(-response.slack_seconds, 1e-9));
   }
-  s.latency.add(response.total_seconds);
-  s.queue_wait.add(response.queue_seconds);
+  st.latency.add(response.total_seconds);
+  st.queue_wait.add(response.queue_seconds);
 }
 
 void ServerMetrics::on_retry() {
   std::lock_guard<std::mutex> lk(mu_);
-  ++retries_;
+  ++server_.total_retries;
 }
 
 void ServerMetrics::on_failover() {
   std::lock_guard<std::mutex> lk(mu_);
-  ++failovers_;
+  ++server_.total_failovers;
 }
 
 void ServerMetrics::on_hedge(bool won, bool wasted) {
   std::lock_guard<std::mutex> lk(mu_);
-  ++hedges_;
-  if (won) ++hedges_won_;
-  if (wasted) ++hedges_wasted_;
+  ++server_.total_hedges;
+  if (won) ++server_.total_hedges_won;
+  if (wasted) ++server_.total_hedges_wasted;
 }
 
-std::uint64_t ServerMetrics::retries() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return retries_;
-}
-
-std::uint64_t ServerMetrics::failovers() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return failovers_;
-}
-
-std::uint64_t ServerMetrics::hedges() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return hedges_;
-}
-
-std::uint64_t ServerMetrics::hedges_won() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return hedges_won_;
-}
-
-std::uint64_t ServerMetrics::hedges_wasted() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return hedges_wasted_;
-}
-
-std::uint64_t ServerMetrics::in_flight_batches() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return in_flight_;
-}
-
-std::uint64_t ServerMetrics::max_in_flight_batches() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return max_in_flight_;
-}
-
-std::vector<SessionSummary> ServerMetrics::snapshot(
-    const std::vector<std::string>& names, double elapsed_seconds) const {
+ServerSnapshot ServerMetrics::snapshot(const std::vector<std::string>& names,
+                                       double elapsed_seconds) const {
+  const auto rate = [elapsed_seconds](std::uint64_t n) {
+    return elapsed_seconds > 0.0
+               ? static_cast<double>(n) / elapsed_seconds
+               : 0.0;
+  };
+  ServerSnapshot out;
   std::lock_guard<std::mutex> lk(mu_);
   DEEPCAM_CHECK_MSG(names.size() == sessions_.size(),
                     "one name per session required");
-  std::vector<SessionSummary> out(sessions_.size());
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    const SessionCounters& c = sessions_[i];
-    SessionSummary& s = out[i];
-    s.name = names[i];
-    s.accepted = c.accepted;
-    s.rejected = c.rejected;
-    s.shed = c.shed;
-    s.completed = c.completed;
-    s.errors = c.errors;
-    s.expired = c.expired;
-    s.downgraded = c.downgraded;
-    s.batches = c.batches;
-    s.mean_batch_size =
-        c.batches > 0 ? static_cast<double>(c.batched_requests) /
-                            static_cast<double>(c.batches)
-                      : 0.0;
-    s.batch_size_p50 = c.batch_sizes.percentile(50.0);
-    s.max_batch_size = c.max_batch_size;
-    s.max_in_flight_batches = c.max_in_flight;
-    s.latency_p50_ms = c.latency.percentile(50.0) * 1e3;
-    s.latency_p95_ms = c.latency.percentile(95.0) * 1e3;
-    s.latency_p99_ms = c.latency.percentile(99.0) * 1e3;
-    s.latency_mean_ms = c.latency.mean() * 1e3;
-    s.latency_max_ms = c.latency.max() * 1e3;
-    s.queue_wait_p50_ms = c.queue_wait.percentile(50.0) * 1e3;
-    s.queue_wait_p99_ms = c.queue_wait.percentile(99.0) * 1e3;
-    s.throughput_rps =
-        elapsed_seconds > 0.0
-            ? static_cast<double>(c.completed) / elapsed_seconds
-            : 0.0;
-  }
-  return out;
-}
+  ServerSummary& s = out.summary;
+  s = server_;
+  s.elapsed_seconds = elapsed_seconds;
+  s.queue_depth_p50 = queue_depths_.percentile(50.0);
+  s.queue_depth_p99 = queue_depths_.percentile(99.0);
+  s.queue_depth_extract_p50 = queue_depths_extract_.percentile(50.0);
+  s.queue_depth_extract_p99 = queue_depths_extract_.percentile(99.0);
+  out.queue_depth_admission = obs::histogram_snapshot(queue_depths_);
+  out.queue_depth_extract = obs::histogram_snapshot(queue_depths_extract_);
 
-std::vector<SloClassSummary> ServerMetrics::class_snapshot(
-    double elapsed_seconds) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::vector<SloClassSummary> out(kNumSloClasses);
+  s.sessions.reserve(sessions_.size());
+  out.latency.reserve(sessions_.size());
+  out.queue_wait.reserve(sessions_.size());
+  for (std::size_t i = 0; i < sessions_.size(); ++i) {
+    const SessionState& c = sessions_[i];
+    SessionSummary& r = s.sessions.emplace_back(c.row);
+    r.name = names[i];
+    r.mean_batch_size =
+        r.batches > 0 ? static_cast<double>(c.batched_requests) /
+                            static_cast<double>(r.batches)
+                      : 0.0;
+    r.batch_size_p50 = c.batch_sizes.percentile(50.0);
+    r.latency_p50_ms = c.latency.percentile(50.0) * 1e3;
+    r.latency_p95_ms = c.latency.percentile(95.0) * 1e3;
+    r.latency_p99_ms = c.latency.percentile(99.0) * 1e3;
+    r.latency_mean_ms = c.latency.mean() * 1e3;
+    r.latency_max_ms = c.latency.max() * 1e3;
+    r.queue_wait_p50_ms = c.queue_wait.percentile(50.0) * 1e3;
+    r.queue_wait_p99_ms = c.queue_wait.percentile(99.0) * 1e3;
+    r.throughput_rps = rate(r.completed);
+    out.latency.push_back(obs::histogram_snapshot(c.latency));
+    out.queue_wait.push_back(obs::histogram_snapshot(c.queue_wait));
+  }
+
+  s.classes.reserve(kNumSloClasses);
   for (std::size_t i = 0; i < kNumSloClasses; ++i) {
-    const ClassCounters& c = classes_[i];
-    SloClassSummary& s = out[i];
-    s.name = to_string(static_cast<SloClass>(i));
-    s.accepted = c.accepted;
-    s.shed = c.shed;
-    s.completed = c.completed;
-    s.errors = c.errors;
-    s.expired = c.expired;
-    s.downgraded = c.downgraded;
-    s.slo_met = c.slo_met;
-    s.goodput_rps = elapsed_seconds > 0.0
-                        ? static_cast<double>(c.slo_met) / elapsed_seconds
-                        : 0.0;
-    s.slack_p50_ms = c.slack.percentile(50.0) * 1e3;
-    s.slack_p99_ms = c.slack.percentile(99.0) * 1e3;
-    s.overrun_p50_ms = c.overrun.percentile(50.0) * 1e3;
-    s.overrun_max_ms = c.overrun.max() * 1e3;
+    const ClassState& c = classes_[i];
+    SloClassSummary& r = s.classes.emplace_back(c.row);
+    r.name = to_string(static_cast<SloClass>(i));
+    r.goodput_rps = rate(r.slo_met);
+    r.slack_p50_ms = c.slack.percentile(50.0) * 1e3;
+    r.slack_p99_ms = c.slack.percentile(99.0) * 1e3;
+    r.overrun_p50_ms = c.overrun.percentile(50.0) * 1e3;
+    r.overrun_max_ms = c.overrun.max() * 1e3;
   }
   return out;
 }

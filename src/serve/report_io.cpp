@@ -1,12 +1,33 @@
 #include "serve/report_io.hpp"
 
 #include <cstdio>
+#include <span>
 #include <sstream>
 
 #include "common/format.hpp"
 #include "serve/server.hpp"
 
 namespace deepcam::serve {
+
+namespace {
+
+/// Emits every declared counter of `row`, in declaration order.
+template <typename Decls, typename Row>
+void counters_json(JsonWriter& json, const Decls& decls, const Row& row) {
+  for (const auto& c : decls) json.kv(c.key, row.*c.member);
+}
+
+/// Publishes every declared counter of `row` that has a family.
+template <typename Decls, typename Row>
+void publish_counters(obs::MetricsRegistry& reg, const Decls& decls,
+                      const Row& row, const obs::MetricLabels& labels) {
+  for (const auto& c : decls)
+    if (c.family != nullptr)
+      reg.set_counter(c.family, c.help, labels,
+                      static_cast<double>(row.*c.member));
+}
+
+}  // namespace
 
 void load_report_json(JsonWriter& json, const LoadReport& load) {
   json.begin_object();
@@ -39,32 +60,24 @@ void server_summary_json(JsonWriter& json, const ServerSummary& s) {
   json.kv("queue_depth_extract_p50", s.queue_depth_extract_p50);
   json.kv("queue_depth_extract_p99", s.queue_depth_extract_p99);
   json.kv("max_in_flight_batches", s.max_in_flight_batches);
-  json.kv("unknown_session_rejected", s.unknown_session_rejected);
+  // The derived totals sit between the first server counter
+  // (unknown_session_rejected) and the fault-tolerance counters.
+  const std::span<const CounterDecl<ServerSummary>> counters(kServerCounters);
+  counters_json(json, counters.first(1), s);
   json.kv("total_completed", s.total_completed());
   json.kv("total_rejected", s.total_rejected());
   json.kv("total_shed", s.total_shed());
   json.kv("total_expired", s.total_expired());
   json.kv("total_downgraded", s.total_downgraded());
   json.kv("total_slo_met", s.total_slo_met());
-  json.kv("total_retries", s.total_retries);
-  json.kv("total_failovers", s.total_failovers);
-  json.kv("total_hedges", s.total_hedges);
-  json.kv("total_hedges_won", s.total_hedges_won);
-  json.kv("total_hedges_wasted", s.total_hedges_wasted);
+  counters_json(json, counters.subspan(1), s);
   json.kv("throughput_rps", s.throughput_rps());
   json.kv("goodput_rps", s.goodput_rps());
   json.key("sessions").begin_array();
   for (const auto& sess : s.sessions) {
     json.begin_object();
     json.kv("name", sess.name);
-    json.kv("accepted", sess.accepted);
-    json.kv("rejected", sess.rejected);
-    json.kv("shed", sess.shed);
-    json.kv("completed", sess.completed);
-    json.kv("errors", sess.errors);
-    json.kv("expired", sess.expired);
-    json.kv("downgraded", sess.downgraded);
-    json.kv("batches", sess.batches);
+    counters_json(json, kSessionCounters, sess);
     json.kv("mean_batch_size", sess.mean_batch_size);
     json.kv("batch_size_p50", sess.batch_size_p50);
     json.kv("max_batch_size", sess.max_batch_size);
@@ -100,13 +113,7 @@ void server_summary_json(JsonWriter& json, const ServerSummary& s) {
   for (const auto& c : s.classes) {
     json.begin_object();
     json.kv("name", c.name);
-    json.kv("accepted", c.accepted);
-    json.kv("shed", c.shed);
-    json.kv("completed", c.completed);
-    json.kv("errors", c.errors);
-    json.kv("expired", c.expired);
-    json.kv("downgraded", c.downgraded);
-    json.kv("slo_met", c.slo_met);
+    counters_json(json, kClassCounters, c);
     json.kv("goodput_rps", c.goodput_rps);
     json.kv("slack_p50_ms", c.slack_p50_ms);
     json.kv("slack_p99_ms", c.slack_p99_ms);
@@ -220,8 +227,8 @@ std::string server_summary_text(const ServerSummary& s) {
 void register_prometheus_collector(obs::MetricsRegistry& registry,
                                    const Server& server) {
   registry.add_collector([&server](obs::MetricsRegistry& reg) {
-    const ServerSummary s = server.summary();
-    const ServerMetrics& m = server.metrics();
+    ServerSnapshot snap = server.snapshot();
+    const ServerSummary& s = snap.summary;
 
     reg.set_gauge("deepcam_server_elapsed_seconds",
                   "Wall/virtual seconds since start()", {},
@@ -237,72 +244,33 @@ void register_prometheus_collector(obs::MetricsRegistry& registry,
     reg.set_gauge("deepcam_batches_in_flight_max",
                   "Peak concurrently in-flight micro-batches", {},
                   static_cast<double>(s.max_in_flight_batches));
-    reg.set_counter("deepcam_requests_rejected_unknown_session_total",
-                    "Rejections that resolved to no session", {},
-                    static_cast<double>(s.unknown_session_rejected));
-    reg.set_counter("deepcam_retries_total", "Re-queued failed riders", {},
-                    static_cast<double>(s.total_retries));
-    reg.set_counter("deepcam_failovers_total",
-                    "Retries that succeeded on another replica", {},
-                    static_cast<double>(s.total_failovers));
-    reg.set_counter("deepcam_hedges_total", "Hedged micro-batches", {},
-                    static_cast<double>(s.total_hedges));
-    reg.set_counter("deepcam_hedges_won_total",
-                    "Hedges whose duplicate answer was used", {},
-                    static_cast<double>(s.total_hedges_won));
-    reg.set_counter("deepcam_hedges_wasted_total",
-                    "Hedges whose loser executed anyway", {},
-                    static_cast<double>(s.total_hedges_wasted));
+    publish_counters(reg, kServerCounters, s, {});
 
     // The two queue-depth sampling streams, labeled by sampling point.
     reg.set_histogram("deepcam_queue_depth_samples",
                       "Queue depth by sampling point",
                       {{"stream", "admission"}},
-                      m.queue_depth_histogram(
-                          ServerMetrics::DepthStream::kAdmission));
+                      std::move(snap.queue_depth_admission));
     reg.set_histogram("deepcam_queue_depth_samples",
                       "Queue depth by sampling point",
                       {{"stream", "extract"}},
-                      m.queue_depth_histogram(
-                          ServerMetrics::DepthStream::kExtract));
+                      std::move(snap.queue_depth_extract));
 
     for (std::size_t i = 0; i < s.sessions.size(); ++i) {
       const SessionSummary& sess = s.sessions[i];
       const obs::MetricLabels labels{{"session", sess.name}};
-      auto counter = [&](const char* name, const char* help,
-                         std::uint64_t v) {
-        reg.set_counter(name, help, labels, static_cast<double>(v));
-      };
-      counter("deepcam_requests_accepted_total", "Admitted requests",
-              sess.accepted);
-      counter("deepcam_requests_rejected_total",
-              "Admission rejections (backpressure + closed + shed)",
-              sess.rejected);
-      counter("deepcam_requests_shed_total",
-              "Watermark sheds (subset of rejected)", sess.shed);
-      counter("deepcam_requests_completed_total",
-              "Responses delivered (incl errors + expired)", sess.completed);
-      counter("deepcam_requests_errors_total", "Engine failures",
-              sess.errors);
-      counter("deepcam_requests_expired_total",
-              "Answered without running (deadline lapsed)", sess.expired);
-      counter("deepcam_requests_downgraded_total",
-              "Rerouted to a fallback tier", sess.downgraded);
-      counter("deepcam_batches_dispatched_total",
-              "Micro-batches dispatched", sess.batches);
+      publish_counters(reg, kSessionCounters, sess, labels);
       reg.set_histogram("deepcam_request_latency_seconds",
                         "End-to-end request latency", labels,
-                        m.session_latency_histogram(i));
+                        std::move(snap.latency[i]));
       reg.set_histogram("deepcam_request_queue_wait_seconds",
                         "Admission-to-dispatch queue wait", labels,
-                        m.session_queue_wait_histogram(i));
+                        std::move(snap.queue_wait[i]));
     }
 
     for (const SloClassSummary& c : s.classes) {
       const obs::MetricLabels labels{{"slo_class", c.name}};
-      reg.set_counter("deepcam_slo_met_total",
-                      "Responses completed within their deadline", labels,
-                      static_cast<double>(c.slo_met));
+      publish_counters(reg, kClassCounters, c, labels);
       reg.set_gauge("deepcam_goodput_rps",
                     "SLO-met responses per second", labels, c.goodput_rps);
     }

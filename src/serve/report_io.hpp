@@ -33,13 +33,14 @@ std::string server_summary_to_json(const ServerSummary& summary);
 /// Multi-line human-readable view (totals + one line per session).
 std::string server_summary_text(const ServerSummary& summary);
 
-/// Registers a scrape-time collector on `registry` that mirrors `server`'s
-/// live ServerMetrics into Prometheus families (deepcam_server_* counters
-/// and gauges, per-session latency/queue-wait histograms, the two
-/// queue-depth streams, and one labeled health gauge per replica). The
-/// server must outlive the registry's scrapes. Every sample is a
-/// point-in-time snapshot taken inside expose() — the serving hot path
-/// never touches the registry.
+/// Registers a scrape-time collector on `registry` that renders one
+/// Server::snapshot() per scrape as Prometheus families (the declared
+/// counters of serve/metrics.hpp, server gauges, per-session
+/// latency/queue-wait histograms, the two queue-depth streams, and one
+/// labeled health gauge per replica). The server must outlive the
+/// registry's scrapes. Every sample of a scrape comes from that one
+/// locked snapshot, so the series agree with each other — the serving hot
+/// path never touches the registry.
 void register_prometheus_collector(obs::MetricsRegistry& registry,
                                    const Server& server);
 

@@ -545,54 +545,29 @@ void Server::stop() {
   stopped_ = true;
 }
 
-const ServerMetrics& Server::metrics() const {
+ServerSnapshot Server::snapshot() const {
   DEEPCAM_CHECK_MSG(metrics_ != nullptr, "metrics exist once start() ran");
-  return *metrics_;
-}
-
-double Server::elapsed_seconds() const {
-  if (t_start_ == Clock::time_point{}) return 0.0;
-  std::lock_guard<std::mutex> lk(done_mu_);
-  return seconds_between(t_start_, stopped_ ? t_stop_ : clock_->now());
-}
-
-ServerSummary Server::summary() const {
-  DEEPCAM_CHECK_MSG(metrics_ != nullptr, "summary exists once start() ran");
-  ServerSummary s;
-  s.elapsed_seconds = elapsed_seconds();
+  Clock::time_point at;
+  {
+    std::lock_guard<std::mutex> lk(done_mu_);
+    at = stopped_ ? t_stop_ : clock_->now();
+  }
+  ServerSnapshot snap =
+      metrics_->snapshot(sessions_.names(), seconds_between(t_start_, at));
+  ServerSummary& s = snap.summary;
   s.workers = cfg_.num_workers;
   s.queue_capacity = cfg_.queue_capacity;
   s.max_queue_depth = queue_.max_depth();
-  s.queue_depth_p50 = metrics_->queue_depth_percentile(
-      ServerMetrics::DepthStream::kAdmission, 50.0);
-  s.queue_depth_p99 = metrics_->queue_depth_percentile(
-      ServerMetrics::DepthStream::kAdmission, 99.0);
-  s.queue_depth_extract_p50 = metrics_->queue_depth_percentile(
-      ServerMetrics::DepthStream::kExtract, 50.0);
-  s.queue_depth_extract_p99 = metrics_->queue_depth_percentile(
-      ServerMetrics::DepthStream::kExtract, 99.0);
-  s.max_in_flight_batches = metrics_->max_in_flight_batches();
-  s.unknown_session_rejected = metrics_->unknown_session_rejections();
-  s.total_retries = metrics_->retries();
-  s.total_failovers = metrics_->failovers();
-  s.total_hedges = metrics_->hedges();
-  s.total_hedges_won = metrics_->hedges_won();
-  s.total_hedges_wasted = metrics_->hedges_wasted();
-  s.sessions = metrics_->snapshot(sessions_.names(), s.elapsed_seconds);
-  s.classes = metrics_->class_snapshot(s.elapsed_seconds);
-  Clock::time_point snap;
-  {
-    std::lock_guard<std::mutex> lk(done_mu_);
-    snap = stopped_ ? t_stop_ : clock_->now();
-  }
   for (std::size_t i = 0; i < sessions_.count(); ++i) {
-    std::vector<ReplicaSummary> rows = sessions_.replicas(i).summarize(snap);
+    std::vector<ReplicaSummary> rows = sessions_.replicas(i).summarize(at);
     for (ReplicaSummary& r : rows) {
       r.session = sessions_.name(i);
       s.replicas.push_back(std::move(r));
     }
   }
-  return s;
+  return snap;
 }
+
+ServerSummary Server::summary() const { return snapshot().summary; }
 
 }  // namespace deepcam::serve

@@ -141,13 +141,16 @@ class Server {
 
   bool running() const { return running_; }
   std::size_t queue_depth() const { return queue_.depth(); }
-  const ServerMetrics& metrics() const;
   /// The routing/fault-handling policy engine (tests read hedge_delay()).
   Router& router() { return *router_; }
   /// The chaos harness (tests read applied()).
   FaultInjector& injector() { return *injector_; }
 
-  /// Frozen whole-server statistics (valid while running or after stop()).
+  /// Frozen whole-server statistics plus the histogram buckets behind
+  /// them, all from one locked read of the metrics (valid once start()
+  /// ran, while running or after stop()).
+  ServerSnapshot snapshot() const;
+  /// snapshot().summary.
   ServerSummary summary() const;
 
  private:
@@ -161,7 +164,6 @@ class Server {
   bool prepare(const std::string& session, SloClass slo, Request& req,
                bool& downgraded_out);
   void count_answered();
-  double elapsed_seconds() const;
 
   ServerConfig cfg_;
   ClockSource* clock_;

@@ -247,6 +247,74 @@ void expect_roundtrip_stable(const Spec& spec) {
   EXPECT_EQ(spec_to_json(reparsed), once);
 }
 
+TEST(SpecIo, ThreadCountsAreBoundedAtTheirValue) {
+  // Parsing and validation only: nothing here starts a thread.
+  const auto expect_bound = [](const std::string& doc,
+                               const std::string& field, std::size_t line) {
+    try {
+      spec_from_json_text(doc);
+      FAIL() << "expected ParseError for " << field;
+    } catch (const ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(field + " must be <= " +
+                          std::to_string(kMaxSpecThreads)),
+                std::string::npos)
+          << what;
+      EXPECT_EQ(e.line(), line) << what;
+    }
+  };
+  expect_bound(R"({"workload": {"topology": "lenet5"},
+  "accelerator": {"engine_threads": 1000000}})",
+               "accelerator.engine_threads", 2);
+  expect_bound(R"({"mode": "serve", "workload": {"topology": "lenet5"},
+  "serve": {"workers": 1000000}})",
+               "serve.workers", 2);
+  expect_bound(R"({"mode": "serve", "workload": {"topology": "lenet5"},
+  "serve": {"replicas": 1000000}})",
+               "serve.replicas", 2);
+
+  // The limit itself is allowed.
+  EXPECT_EQ(spec_from_json_text(
+                R"({"workload": {"topology": "lenet5"},
+                    "accelerator": {"engine_threads": 1024}})")
+                .accelerator.engine_threads,
+            kMaxSpecThreads);
+
+  // Each field within the limit, but a serve run's total is not:
+  // 4 workers + 2 tiers x 2 replicas x 512 engine threads.
+  try {
+    spec_from_json_text(R"({"mode": "serve",
+      "workload": {"topology": "lenet5"},
+      "accelerator": {"engine_threads": 512},
+      "serve": {"workers": 4, "hash_tiers": [1024, 256], "replicas": 2}})");
+    FAIL() << "expected the serve thread total to be rejected";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "serve would start 2052 threads"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // Builder specs meet the same bound in Spec::validate.
+  EXPECT_THROW(SpecBuilder("x")
+                   .workload("lenet5")
+                   .engine_threads(kMaxSpecThreads + 1)
+                   .build(),
+               Error);
+  EXPECT_THROW(SpecBuilder("x")
+                   .mode(Mode::kServe)
+                   .workload("lenet5")
+                   .serve_workers(kMaxSpecThreads + 1)
+                   .build(),
+               Error);
+  EXPECT_THROW(SpecBuilder("x")
+                   .mode(Mode::kServe)
+                   .workload("lenet5")
+                   .serve_replicas(kMaxSpecThreads + 1)
+                   .build(),
+               Error);
+}
+
 TEST(SpecIo, BuilderSpecsRoundTrip) {
   expect_roundtrip_stable(SpecBuilder("a")
                               .mode(Mode::kCompare)

@@ -15,6 +15,8 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
 
 #include "core/accelerator.hpp"
@@ -22,9 +24,11 @@
 #include "nn/linear.hpp"
 #include "nn/pointwise.hpp"
 #include "nn/pooling.hpp"
+#include "obs/metrics_registry.hpp"
 #include "serve/batcher.hpp"
 #include "serve/clock.hpp"
 #include "serve/loadgen.hpp"
+#include "serve/report_io.hpp"
 #include "serve/request_queue.hpp"
 
 namespace deepcam::serve {
@@ -1492,6 +1496,83 @@ TEST(Server, AllReplicasCrashedAnswersEveryRequestWithError) {
   EXPECT_EQ(summary.total_completed(), accepted);
   EXPECT_EQ(summary.sessions[0].errors, accepted);
   EXPECT_GT(summary.total_retries, 0u);
+}
+
+// --- Metric views ----------------------------------------------------------
+
+/// Value of the sample line for `series` in a Prometheus scrape, or -1 when
+/// the scrape has no such line.
+long long scrape_value(const std::string& text, const std::string& series) {
+  const std::size_t at = text.find("\n" + series + " ");
+  if (at == std::string::npos) return -1;
+  return std::stoll(text.substr(at + series.size() + 2));
+}
+
+TEST(ServerViews, LiveSummaryAndScrapeEachReadOneSnapshot) {
+  // on_response bumps a session's completed counter, its latency
+  // histogram and its class's completed counter in one critical section,
+  // so any single snapshot has them agree. A view assembled from several
+  // locked reads tears under live traffic.
+  ServerFixture fx;
+  auto server = fx.make_server(2, /*capacity=*/256);
+  obs::MetricsRegistry registry;
+  register_prometheus_collector(registry, *server);
+  std::atomic<bool> stop{false};
+  std::thread producer([&] {
+    for (std::uint64_t i = 0; !stop.load(); ++i) {
+      server->submit("tiny", LoadGenerator::make_input(kTinyShape, i),
+                     nullptr, static_cast<SloClass>(i % kNumSloClasses));
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  std::size_t scrapes = 0, torn_scrapes = 0;
+  std::size_t summaries = 0, torn_summaries = 0;
+  long long scraped = 0;
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (std::chrono::steady_clock::now() < until) {
+    const ServerSummary s = server->summary();
+    std::uint64_t class_completed = 0;
+    for (const SloClassSummary& c : s.classes) class_completed += c.completed;
+    ++summaries;
+    if (class_completed != s.total_completed()) ++torn_summaries;
+
+    const std::string text = registry.expose();
+    scraped = scrape_value(
+        text, "deepcam_requests_completed_total{session=\"tiny\"}");
+    ++scrapes;
+    if (scraped != scrape_value(text, "deepcam_request_latency_seconds_count"
+                                      "{session=\"tiny\"}"))
+      ++torn_scrapes;
+  }
+  stop = true;
+  producer.join();
+  server->stop();
+  EXPECT_GT(scraped, 0);  // traffic flowed while scraping
+  EXPECT_EQ(torn_scrapes, 0u) << "of " << scrapes << " scrapes";
+  EXPECT_EQ(torn_summaries, 0u) << "of " << summaries << " summaries";
+}
+
+TEST(ServerViews, CounterDeclarationsAreWellFormed) {
+  // MetricsRegistry::publish overwrites a republished (name, labels) pair,
+  // so a duplicated family would silently drop a counter from scrapes.
+  std::set<std::string> families;
+  const auto check = [&families](const auto& decls) {
+    std::set<std::string> keys;
+    for (const auto& c : decls) {
+      ASSERT_NE(c.key, nullptr);
+      ASSERT_NE(c.help, nullptr);
+      EXPECT_TRUE(keys.insert(c.key).second) << "duplicate key " << c.key;
+      if (c.family != nullptr) {
+        EXPECT_TRUE(families.insert(c.family).second)
+            << "duplicate family " << c.family;
+      }
+    }
+  };
+  check(kServerCounters);
+  check(kSessionCounters);
+  check(kClassCounters);
+  EXPECT_EQ(families.size(), 15u);
 }
 
 }  // namespace
