@@ -423,8 +423,8 @@ void register_isa_benchmarks() {
 
 // Custom main instead of BENCHMARK_MAIN(): the system google-benchmark is a
 // prebuilt library, so its "library_build_type" context line describes that
-// library, not this binary (BENCH_pr3.json was emitted from a Release build
-// yet says "debug"). Report our own build type and the dispatched codelet
+// library, not this binary (a Release build of this binary reported
+// "debug"). Report our own build type and the dispatched codelet
 // ISA as custom context so every emitted JSON is self-describing.
 namespace {
 

@@ -7,7 +7,7 @@
 //     best samples/s is the no-serving-overhead upper bound.
 //  2. saturation — closed-loop replay (every client keeps one request
 //     outstanding) through the full Server stack: RequestQueue ->
-//     DynamicBatcher -> engine submit(). Reported as achieved req/s, the
+//     micro-batch formation -> engine submit(). Reported as achieved req/s, the
 //     ratio to offline, and the high-water mark of concurrently in-flight
 //     micro-batches (>= 2 proves batches pipeline instead of serializing).
 //  3. sweep — seeded open-loop Poisson traces at rising fractions of the
@@ -24,7 +24,7 @@
 //     crashed replica.
 //
 // Results print as a table and (with --json PATH) are written as one JSON
-// artifact (BENCH_pr4.json in CI) through the shared locale-proof
+// artifact (BENCH_pr9.json in CI) through the shared locale-proof
 // serializers. --check exits nonzero unless saturation >= 90% of offline
 // with >= 2 concurrent in-flight micro-batches AND the flash-crowd SLO
 // server strictly beats FIFO on deadline-met responses with every trace

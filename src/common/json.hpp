@@ -1,6 +1,6 @@
 // Minimal locale-proof JSON writer and reader.
 //
-// Writer: the serving/bench artifacts (BENCH_pr4.json, server summaries)
+// Writer: the serving/bench artifacts (bench --json outputs, server summaries)
 // need one shared JSON shape instead of ad-hoc printing, and — like the CSV
 // serializers (see common/format.hpp) — byte-exact output independent of the
 // process locale. JsonWriter emits numbers through std::to_chars (shortest

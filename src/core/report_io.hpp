@@ -24,7 +24,7 @@ std::string report_summary(const RunReport& report);
 
 /// Appends one JSON object for `report` (totals + per-layer array) to an
 /// in-progress JsonWriter — the shared building block for every artifact
-/// that embeds a run report (server summaries, BENCH_pr4.json).
+/// that embeds a run report (server summaries, serve_throughput --json).
 void run_report_json(JsonWriter& json, const RunReport& report);
 
 /// Appends one JSON object for a VHL TuneResult: mean hash bits, the chosen

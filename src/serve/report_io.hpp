@@ -2,8 +2,8 @@
 //
 // One shared, locale-proof format (common/json.hpp + common/format.hpp)
 // for every artifact the serving layer produces — the serve_loadgen
-// example, bench/serve_throughput's BENCH_pr4.json and the CI artifact all
-// emit these serializers instead of ad-hoc printing. Both functions are
+// example, bench/serve_throughput's --json artifact (BENCH_pr9.json in CI)
+// all emit these serializers instead of ad-hoc printing. Both functions are
 // pure: byte-identical output for equal summaries, pinned by the golden
 // tests in tests/golden/.
 #pragma once
@@ -24,7 +24,7 @@ void load_report_json(JsonWriter& json, const LoadReport& load);
 
 /// Appends `summary` as one JSON object ({elapsed, workers, queue stats,
 /// sessions:[...]}) to an in-progress writer — embeddable into larger
-/// artifacts (BENCH_pr4.json).
+/// artifacts (bench/serve_throughput's --json output).
 void server_summary_json(JsonWriter& json, const ServerSummary& summary);
 
 /// Self-contained JSON document for one ServerSummary.

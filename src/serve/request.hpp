@@ -2,8 +2,8 @@
 //
 // The serving subsystem (src/serve) turns the batched InferenceEngine into
 // an online, multi-tenant service: single-sample requests arrive at a
-// bounded RequestQueue, a DynamicBatcher coalesces them into micro-batches
-// per session, and Server workers pipeline those micro-batches through the
+// bounded RequestQueue, which coalesces them into micro-batches per
+// session, and Server workers pipeline those micro-batches through the
 // engine's non-blocking submit() path. These are the plain-data types that
 // flow through that pipeline.
 //
@@ -12,7 +12,7 @@
 // to a relative deadline the server stamps at admission. Under overload
 // the tier reacts per class — shed at admission, expire at batch
 // formation, downgrade to a lower-k session — instead of treating every
-// request identically (the saturation cliff BENCH_pr4 measured).
+// request identically (the saturation cliff bench/serve_throughput measures).
 #pragma once
 
 #include <array>

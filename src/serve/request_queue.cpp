@@ -34,14 +34,39 @@ bool RequestQueue::should_shed(SloClass c, std::size_t depth) const {
   return false;
 }
 
-Admission RequestQueue::try_push(Request&& r) {
+namespace {
+
+bool lapsed(const Request& r, Clock::time_point now) {
+  return r.has_deadline() && r.deadline <= now;
+}
+
+/// Head order: most urgent class first, admission order within it.
+bool more_urgent(const Request& a, const Request& b) {
+  if (a.slo != b.slo) return a.slo < b.slo;
+  return a.seq < b.seq;
+}
+
+}  // namespace
+
+Admission RequestQueue::enqueue(Request&& r, Enqueue mode) {
   {
-    std::lock_guard<std::mutex> lk(mu_);
+    std::unique_lock<std::mutex> lk(mu_);
+    // Blocking admission waits for space; watermarks don't apply (the
+    // closed-loop caller self-limits).
+    if (mode == Enqueue::kBlock)
+      space_cv_.wait(lk, [this] { return closed_ || q_.size() < capacity_; });
+    // Closed-during-retry edge: a retried request bounces back to the
+    // caller for a terminal error answer — parking it in a closed queue
+    // would leak an accepted-but-never-answered request past drain().
     if (closed_) return Admission::kRejectedClosed;
-    if (q_.size() >= capacity_) return Admission::kRejectedFull;
-    if (should_shed(r.slo, q_.size())) return Admission::kRejectedShed;
-    r.enqueued = clock_->now();
-    r.seq = next_seq_++;
+    if (mode == Enqueue::kTry) {
+      if (q_.size() >= capacity_) return Admission::kRejectedFull;
+      if (should_shed(r.slo, q_.size())) return Admission::kRejectedShed;
+    }
+    if (mode != Enqueue::kRetry) {  // a retry keeps its original stamps
+      r.enqueued = clock_->now();
+      r.seq = next_seq_++;
+    }
     q_.push_back(std::move(r));
     max_depth_ = std::max(max_depth_, q_.size());
   }
@@ -49,32 +74,42 @@ Admission RequestQueue::try_push(Request&& r) {
   return Admission::kAccepted;
 }
 
+Admission RequestQueue::try_push(Request&& r) {
+  return enqueue(std::move(r), Enqueue::kTry);
+}
+
 bool RequestQueue::push(Request&& r) {
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    space_cv_.wait(lk, [this] { return closed_ || q_.size() < capacity_; });
-    if (closed_) return false;
-    r.enqueued = clock_->now();
-    r.seq = next_seq_++;
-    q_.push_back(std::move(r));
-    max_depth_ = std::max(max_depth_, q_.size());
-  }
-  data_cv_.notify_all();
-  return true;
+  return enqueue(std::move(r), Enqueue::kBlock) == Admission::kAccepted;
 }
 
 bool RequestQueue::push_retry(Request&& r) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    // Closed-during-retry edge: the request must bounce back to the caller
-    // for a terminal error answer — parking it in a closed queue would
-    // leak an accepted-but-never-answered request past drain().
-    if (closed_) return false;
-    q_.push_back(std::move(r));  // keeps original enqueued/seq stamps
-    max_depth_ = std::max(max_depth_, q_.size());
+  return enqueue(std::move(r), Enqueue::kRetry) == Admission::kAccepted;
+}
+
+const Request& RequestQueue::head() const {
+  const Request* h = &q_.front();
+  for (const Request& r : q_)
+    if (more_urgent(r, *h)) h = &r;
+  return *h;
+}
+
+void RequestQueue::extract(std::size_t session, std::size_t max_n,
+                           Clock::time_point now, std::vector<Request>& batch,
+                           std::vector<Request>* expired) {
+  for (auto it = q_.begin(); it != q_.end() && batch.size() < max_n;) {
+    if (it->session != session) {
+      ++it;
+      continue;
+    }
+    // Deadline already missed: answering it with an expiry beats burning a
+    // batch slot on an answer nobody can use.
+    if (expired != nullptr && lapsed(*it, now))
+      expired->push_back(std::move(*it));
+    else
+      batch.push_back(std::move(*it));
+    it = q_.erase(it);
   }
-  data_cv_.notify_all();
-  return true;
+  space_cv_.notify_all();
 }
 
 std::vector<Request> RequestQueue::pop_micro_batch(
@@ -86,44 +121,13 @@ std::vector<Request> RequestQueue::pop_micro_batch(
     data_cv_.wait(lk, [this] { return closed_ || !q_.empty(); });
     if (q_.empty()) return batch;  // closed and drained
 
-    // Head selection: most urgent class first, admission order within it.
     // Selection and first extraction are atomic (we hold the lock), so
-    // concurrent batchers always leave with distinct heads.
-    const auto more_urgent = [](const Request& a, const Request& b) {
-      if (a.slo != b.slo) return a.slo < b.slo;
-      return a.seq < b.seq;
-    };
-    const Request* head = &q_.front();
-    for (const Request& r : q_)
-      if (more_urgent(r, *head)) head = &r;
-    const std::size_t session = head->session;
-    Clock::time_point deadline = head->enqueued + policy.max_queue_delay;
+    // concurrent dispatch loops always leave with distinct heads.
+    const Request& h = head();
+    const std::size_t session = h.session;
+    Clock::time_point release = h.enqueued + policy.max_queue_delay;
     if (depth_observer_) depth_observer_(q_.size());
-
-    auto extract = [&] {
-      for (auto it = q_.begin(); it != q_.end() && batch.size() < max_n;) {
-        if (it->session != session) {
-          ++it;
-          continue;
-        }
-        if (expired != nullptr && it->has_deadline() &&
-            it->deadline <= clock_->now()) {
-          // Deadline already missed: answering it with an expiry beats
-          // burning a batch slot on an answer nobody can use.
-          expired->push_back(std::move(*it));
-          it = q_.erase(it);
-          continue;
-        }
-        // Don't let coalescing-for-company expire a collected rider: the
-        // earliest deadline on board caps the wait.
-        if (it->has_deadline() && it->deadline < deadline)
-          deadline = it->deadline;
-        batch.push_back(std::move(*it));
-        it = q_.erase(it);
-      }
-    };
-    extract();
-    space_cv_.notify_all();
+    extract(session, max_n, clock_->now(), batch, expired);
 
     if (batch.empty()) {
       // Every extracted request had already expired: hand them to the
@@ -135,11 +139,14 @@ std::vector<Request> RequestQueue::pop_micro_batch(
     }
 
     // Coalesce late same-session arrivals until the batch is full or the
-    // head hits its delay/deadline bound. close() flushes early.
+    // head hits its delay bound, capped by the earliest deadline on board
+    // so waiting for company never expires a collected rider. close()
+    // flushes early.
     while (batch.size() < max_n && !closed_) {
-      if (clock_->wait_until(data_cv_, lk, deadline)) break;
-      extract();
-      space_cv_.notify_all();
+      for (const Request& r : batch)
+        if (r.has_deadline() && r.deadline < release) release = r.deadline;
+      if (clock_->wait_until(data_cv_, lk, release)) break;
+      extract(session, max_n, clock_->now(), batch, expired);
     }
     return batch;
   }
@@ -151,29 +158,23 @@ std::vector<Request> RequestQueue::try_pop_micro_batch(
   std::vector<Request> batch;
   std::lock_guard<std::mutex> lk(mu_);
   if (q_.empty()) return batch;
-
-  // Same head selection as pop_micro_batch: most urgent class, admission
-  // order within it.
-  const auto more_urgent = [](const Request& a, const Request& b) {
-    if (a.slo != b.slo) return a.slo < b.slo;
-    return a.seq < b.seq;
-  };
-  const Request* head = &q_.front();
-  for (const Request& r : q_)
-    if (more_urgent(r, *head)) head = &r;
-  const std::size_t session = head->session;
+  const Request& h = head();  // re-selected on every call
+  const std::size_t session = h.session;
   const Clock::time_point now = clock_->now();
 
-  // Due-ness: release only when a blocking batcher would stop waiting at
-  // the current (virtual) time — closed queue flush, an already-expired
-  // same-session rider (its answer is overdue), a full batch's worth of
-  // riders, or the head aging past the coalescing window.
-  bool due = closed_ || now >= head->enqueued + policy.max_queue_delay;
+  // Due-ness at the current (virtual) time: a closed queue flushes, the
+  // head has aged past the coalescing window, a same-session rider has
+  // already expired (its answer is overdue), or a full batch's worth of
+  // riders is pending. This differs from the blocking pop in one way: no
+  // rider deadline caps the window here, so a rider whose deadline falls
+  // inside it is expired by a later pump, where a blocking pop would have
+  // collected it and released the batch at that deadline.
+  bool due = closed_ || now >= h.enqueued + policy.max_queue_delay;
   if (!due) {
     std::size_t extractable = 0;
     for (const Request& r : q_) {
       if (r.session != session) continue;
-      if (expired != nullptr && r.has_deadline() && r.deadline <= now) {
+      if (expired != nullptr && lapsed(r, now)) {
         due = true;
         break;
       }
@@ -184,20 +185,7 @@ std::vector<Request> RequestQueue::try_pop_micro_batch(
   if (!due) return batch;
 
   if (depth_observer_) depth_observer_(q_.size());
-  for (auto it = q_.begin(); it != q_.end() && batch.size() < max_n;) {
-    if (it->session != session) {
-      ++it;
-      continue;
-    }
-    if (expired != nullptr && it->has_deadline() && it->deadline <= now) {
-      expired->push_back(std::move(*it));
-      it = q_.erase(it);
-      continue;
-    }
-    batch.push_back(std::move(*it));
-    it = q_.erase(it);
-  }
-  space_cv_.notify_all();
+  extract(session, max_n, now, batch, expired);
   return batch;
 }
 

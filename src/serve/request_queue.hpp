@@ -1,7 +1,7 @@
 // Bounded MPMC request queue with SLO-aware admission control.
 //
 // Producers are client threads (Server::submit / LoadGenerator); consumers
-// are the server's batcher workers pulling micro-batches. The queue is the
+// are the server's dispatch loops pulling micro-batches. The queue is the
 // admission-control point: try_push() rejects instead of blocking when the
 // queue is at capacity (open-loop backpressure) and *sheds* lower-priority
 // classes earlier — per-class depth watermarks plus an optional
@@ -11,13 +11,15 @@
 // returns empty only when closed AND drained.
 //
 // Micro-batch formation lives here (under the queue's one mutex) because it
-// must be atomic with head selection: a batcher picks the most urgent
-// pending request (priority class, then admission order), then collects
-// same-session requests — possibly waiting for late arrivals — without
-// another batcher stealing its head. Requests whose deadline already
+// must be atomic with head selection: a dispatch loop picks the most
+// urgent pending request (priority class, then admission order), then
+// collects same-session requests — possibly waiting for late arrivals —
+// without another loop stealing its head. Requests whose deadline already
 // passed at extraction are diverted to the caller's expired sink instead
-// of wasting a batch slot (deadline-aware batching). DynamicBatcher
-// (serve/batcher.hpp) owns the policy; the queue owns the mechanism.
+// of wasting a batch slot (deadline-aware batching). Both pops share that
+// head selection and extraction; they differ only in when a batch is
+// released (see try_pop_micro_batch). The Server owns the policy and the
+// expiry switch and calls the pops directly.
 //
 // All time reads and timed waits go through the injected ClockSource so a
 // VirtualClock makes every shed/expire decision a deterministic function
@@ -45,6 +47,16 @@ namespace deepcam::serve {
 struct BatchPolicy {
   std::size_t max_batch_size = 8;
   std::chrono::microseconds max_queue_delay{2000};
+};
+
+/// One formation round: `run` is the single-session batch to execute
+/// (possibly empty when everything due had expired); `expired` are the
+/// requests whose deadline passed while queued — answer, don't run.
+struct MicroBatch {
+  std::vector<Request> run;
+  std::vector<Request> expired;
+
+  bool empty() const { return run.empty() && expired.empty(); }
 };
 
 /// Per-class load-shedding watermarks. A class-c request is shed
@@ -102,11 +114,15 @@ class RequestQueue {
   std::vector<Request> pop_micro_batch(const BatchPolicy& policy,
                                        std::vector<Request>* expired = nullptr);
 
-  /// Non-blocking variant for manual-dispatch pumping: forms a batch only
-  /// when one is *due* right now — the queue is closed, a same-session
-  /// rider of the head has already expired, enough riders are pending to
-  /// fill the batch, or the head has aged past `max_queue_delay` — and
-  /// returns empty otherwise (no coalescing wait, never blocks).
+  /// Non-blocking variant for manual-dispatch pumping: re-selects the head
+  /// on every call and forms a batch only when one is *due* right now —
+  /// the queue is closed, a same-session rider of the head has already
+  /// expired, enough riders are pending to fill the batch, or the head has
+  /// aged past `max_queue_delay` — and returns empty otherwise (no
+  /// coalescing wait, never blocks). Unlike pop_micro_batch, no rider
+  /// deadline caps the window: a rider whose deadline lapses before the
+  /// batch is due is expired here, where the blocking pop would have
+  /// collected it and released the batch at that deadline.
   std::vector<Request> try_pop_micro_batch(
       const BatchPolicy& policy, std::vector<Request>* expired = nullptr);
 
@@ -131,8 +147,23 @@ class RequestQueue {
   bool pressured(double fraction) const;
 
  private:
+  /// How a request enters the queue: try_push, push, or push_retry.
+  enum class Enqueue { kTry, kBlock, kRetry };
+
+  /// The one locked enqueue behind the three pushes. Only first admissions
+  /// (kTry/kBlock) stamp `enqueued`/`seq`; `r` is untouched on rejection.
+  Admission enqueue(Request&& r, Enqueue mode);
   /// Shed verdict for class `c` at depth `depth` (mu_ held).
   bool should_shed(SloClass c, std::size_t depth) const;
+  /// The most urgent pending request: highest-priority class, earliest
+  /// admission within it (mu_ held, queue non-empty).
+  const Request& head() const;
+  /// Moves `session`'s pending requests, in queue order, into `batch`
+  /// until it holds `max_n` — or into `expired` (when non-null) for those
+  /// whose deadline passed by `now` — and wakes blocked producers (mu_
+  /// held).
+  void extract(std::size_t session, std::size_t max_n, Clock::time_point now,
+               std::vector<Request>& batch, std::vector<Request>* expired);
 
   const std::size_t capacity_;
   const AdmissionPolicy admission_;

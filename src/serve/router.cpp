@@ -1,6 +1,7 @@
 #include "serve/router.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <utility>
 
@@ -180,51 +181,47 @@ Router::Attempt Router::run(ReplicaSet& set, std::uint64_t key, SloClass slo,
   std::vector<nn::Tensor> hedge_inputs;
   if (hedge_eligible) hedge_inputs = inputs;  // copy before the move below
 
-  core::BatchFuture prim_future;
+  // The two sides of the attempt: [0] the primary, [1] the hedge (issued
+  // at most once). A chaos-slow replica's result is not observable until
+  // its fault delay lapses past the side's start.
+  struct Side {
+    core::BatchFuture future;
+    std::size_t replica = kNoReplica;
+    Clock::time_point start{};
+    Clock::duration delay{};
+    bool live = false;  // still waiting on this side
+
+    bool observable(Clock::time_point now) const {
+      return live && future.ready() && now >= start + delay;
+    }
+  };
+  std::array<Side, 2> sides;
+  Side& prim = sides[0];
   try {
-    prim_future = prep.submit(std::move(inputs), key);
+    prim.future = prep.submit(std::move(inputs), key);
   } catch (...) {
     // Instant submission failure (crashed / poisoned replica).
     prep.record_failure(clock_->now());
     a.error = std::current_exception();
     return a;
   }
-  const Clock::duration prim_delay = prep.fault_delay();
+  prim.replica = primary;
+  prim.start = t0;
+  prim.delay = prep.fault_delay();
+  prim.live = true;
   const Clock::duration hd = hedge_eligible ? hedge_delay()
                                             : Clock::duration::zero();
-
-  bool prim_live = true;   // still waiting on the primary
-  bool hedge_issued = false, hedge_live = false;
-  std::size_t hedge_replica = kNoReplica;
-  core::BatchFuture hedge_future;
-  Clock::duration hedge_extra{};
-  Clock::time_point t_hedge{};
   std::exception_ptr first_error;
-
-  // Drains a finished-or-running loser future and records its outcome on
-  // its replica (the "wasted" half of a hedge).
-  const auto drain_loser = [&](core::BatchFuture& f, Replica& rep,
-                               Clock::time_point started) {
-    try {
-      f.get();
-      const Clock::time_point done = clock_->now();
-      rep.record_success(seconds_between(started, done), done);
-    } catch (...) {
-      rep.record_failure(clock_->now());
-    }
-    a.hedge_wasted = true;
-  };
 
   for (;;) {
     const Clock::time_point now = clock_->now();
 
     // Whole-batch deadline: cancel whatever has not started executing.
     if (cancellable && now >= latest_deadline) {
-      if (prim_live && prim_future.cancel()) prim_live = false;
-      if (hedge_live && hedge_future.cancel()) hedge_live = false;
-      if (!prim_live && !hedge_live) {
+      for (Side& s : sides)
+        if (s.live && s.future.cancel()) s.live = false;
+      if (!sides[0].live && !sides[1].live) {
         a.cancelled = true;
-        a.hedged = hedge_issued;
         return a;
       }
     }
@@ -233,17 +230,18 @@ Router::Attempt Router::run(ReplicaSet& set, std::uint64_t key, SloClass slo,
     // chaos-slow primary may hold a ready result that is not observable
     // until its fault delay lapses — that counts as silent too, so the
     // hedge doubles as failover around slow replicas, not just dead ones.
-    if (hedge_eligible && !hedge_issued && prim_live && now >= t0 + hd &&
-        !(prim_future.ready() && now >= t0 + prim_delay)) {
+    if (hedge_eligible && !a.hedged && prim.live && now >= t0 + hd &&
+        !prim.observable(now)) {
       const auto h = pick(set, mix64(key), slo, primary);
       if (h.has_value() && *h != primary) {
         Replica& hrep = set.replica(*h);
+        Side& hedge = sides[1];
         try {
-          hedge_future = hrep.submit(std::move(hedge_inputs), key);
-          hedge_issued = hedge_live = true;
-          hedge_replica = *h;
-          hedge_extra = hrep.fault_delay();
-          t_hedge = now;
+          hedge.future = hrep.submit(std::move(hedge_inputs), key);
+          hedge.replica = *h;
+          hedge.start = now;
+          hedge.delay = hrep.fault_delay();
+          hedge.live = true;
           a.hedged = true;
           route_fields.replica = *h;
           obs::instant(obs::TraceLevel::kServe, obs::SpanCat::kRoute,
@@ -257,94 +255,68 @@ Router::Attempt Router::run(ReplicaSet& set, std::uint64_t key, SloClass slo,
       }
     }
 
-    // Primary completion (wins ties — the answers are bitwise identical).
-    // A chaos-slow replica's result is not observable until its fault
-    // delay lapses; meanwhile the hedge below stays in play.
-    if (prim_live && prim_future.ready() && now >= t0 + prim_delay) {
-      prim_live = false;
+    // Settle the first observable side. The primary comes first, so it
+    // wins ties (the answers are bitwise identical); first result wins.
+    const auto settled = std::find_if(
+        sides.begin(), sides.end(),
+        [&](const Side& s) { return s.observable(now); });
+    if (settled != sides.end()) {
+      Side& won = *settled;
+      Side& other = sides[settled == sides.begin() ? 1 : 0];
+      won.live = false;
+      Replica& rep = set.replica(won.replica);
       std::vector<nn::Tensor> outs;
       bool ok = true;
       try {
-        outs = prim_future.get();
+        outs = won.future.get();
       } catch (...) {
         ok = false;
         if (first_error == nullptr) first_error = std::current_exception();
       }
       const Clock::time_point done = clock_->now();
-      if (ok) {
-        const double lat = seconds_between(t0, done);
-        prep.record_success(lat, done);
-        observe_latency(lat);
-        if (hedge_live) {
-          if (hedge_future.cancel())
-            hedge_live = false;
-          else
-            drain_loser(hedge_future, set.replica(hedge_replica), t_hedge);
-        }
-        a.ok = true;
-        a.outputs = std::move(outs);
-        a.replica = primary;
-        return a;
-      }
-      prep.record_failure(done);
-      if (!hedge_live) {
+      if (!ok) {
+        rep.record_failure(done);
+        if (other.live) continue;  // the other side is now the only hope
         a.error = first_error;
         a.replica = primary;
         return a;
       }
-      continue;  // the hedge is now the only hope
-    }
-
-    // Hedge completion (first-wins).
-    if (hedge_live && hedge_future.ready() && now >= t_hedge + hedge_extra) {
-      hedge_live = false;
-      Replica& hrep = set.replica(hedge_replica);
-      std::vector<nn::Tensor> outs;
-      bool ok = true;
-      try {
-        outs = hedge_future.get();
-      } catch (...) {
-        ok = false;
-        if (first_error == nullptr) first_error = std::current_exception();
-      }
-      const Clock::time_point done = clock_->now();
-      if (ok) {
-        const double lat = seconds_between(t_hedge, done);
-        hrep.record_success(lat, done);
-        observe_latency(lat);
-        if (prim_live) {
-          if (prim_future.cancel())
-            prim_live = false;
-          else
-            drain_loser(prim_future, prep, t0);
+      const double lat = seconds_between(won.start, done);
+      rep.record_success(lat, done);
+      observe_latency(lat);
+      // The loser is cancelled if it never started; otherwise it is
+      // drained and its outcome recorded on its replica (the "wasted"
+      // half of a hedge).
+      if (other.live && !other.future.cancel()) {
+        Replica& lrep = set.replica(other.replica);
+        try {
+          other.future.get();
+          const Clock::time_point t = clock_->now();
+          lrep.record_success(seconds_between(other.start, t), t);
+        } catch (...) {
+          lrep.record_failure(clock_->now());
         }
-        a.ok = true;
-        a.outputs = std::move(outs);
-        a.replica = hedge_replica;
+        a.hedge_wasted = true;
+      }
+      a.ok = true;
+      a.outputs = std::move(outs);
+      a.replica = won.replica;
+      if (&won == &sides[1]) {
         a.hedge_won = true;
-        route_fields.replica = hedge_replica;
+        route_fields.replica = won.replica;
         obs::instant(obs::TraceLevel::kServe, obs::SpanCat::kRoute,
                      "hedge_win", route_fields);
-        return a;
       }
-      hrep.record_failure(done);
-      if (!prim_live) {
-        a.error = first_error;
-        a.replica = primary;
-        return a;
-      }
-      continue;  // back to waiting on the primary
+      return a;
     }
 
-    if (!prim_live && !hedge_live) {
+    if (!sides[0].live && !sides[1].live) {
       // Both sides resolved without a result (e.g. one cancelled at the
       // deadline, the other failed).
-      if (first_error != nullptr) {
+      if (first_error != nullptr)
         a.error = first_error;
-      } else {
+      else
         a.cancelled = true;
-        a.hedged = hedge_issued;
-      }
       return a;
     }
 
@@ -352,33 +324,27 @@ Router::Attempt Router::run(ReplicaSet& set, std::uint64_t key, SloClass slo,
     // slow-fault delay, sleep toward its observation point through the
     // clock (a VirtualClock advances instead of parking).
     Clock::time_point next_observable = Clock::time_point::max();
-    if (prim_live && prim_future.ready())
-      next_observable = std::min(next_observable, t0 + prim_delay);
-    if (hedge_live && hedge_future.ready())
-      next_observable = std::min(next_observable, t_hedge + hedge_extra);
+    for (const Side& s : sides)
+      if (s.live && s.future.ready())
+        next_observable = std::min(next_observable, s.start + s.delay);
     if (next_observable != Clock::time_point::max()) {
       clock_->sleep_until(std::min(
           next_observable, now + std::chrono::microseconds(500)));
       continue;
     }
-    // Otherwise park on a live future. Only a pending decision point — a
-    // cancellable deadline, an unissued hedge, or a second live future —
-    // forces a bounded poll; with none of those this is a plain blocking
-    // wait, which keeps the fault-free single-replica path poll-free
-    // (and as fast as the pre-replica serving tier).
-    const bool must_poll =
-        cancellable || (hedge_eligible && !hedge_issued && prim_live) ||
-        (prim_live && hedge_live);
-    if (!must_poll) {
-      if (prim_live)
-        prim_future.wait();
-      else
-        hedge_future.wait();
-    } else if (prim_live) {
-      prim_future.wait_for(std::chrono::microseconds(500));
-    } else {
-      hedge_future.wait_for(std::chrono::microseconds(500));
-    }
+    // Otherwise park on a live future, the primary first. Only a pending
+    // decision point — a cancellable deadline, an unissued hedge, or a
+    // second live future — forces a bounded poll; with none of those this
+    // is a plain blocking wait, which keeps the fault-free single-replica
+    // path poll-free (and as fast as the pre-replica serving tier).
+    const bool must_poll = cancellable ||
+                           (hedge_eligible && !a.hedged && prim.live) ||
+                           (sides[0].live && sides[1].live);
+    core::BatchFuture& parked = prim.live ? prim.future : sides[1].future;
+    if (!must_poll)
+      parked.wait();
+    else
+      parked.wait_for(std::chrono::microseconds(500));
   }
 }
 

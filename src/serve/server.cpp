@@ -43,6 +43,8 @@ Server::Server(ServerConfig cfg)
       queue_(cfg.queue_capacity, cfg.slo.admission, clock_) {
   DEEPCAM_CHECK_MSG(cfg.num_workers >= 1, "server needs >= 1 worker");
   DEEPCAM_CHECK_MSG(cfg.replicas >= 1, "server needs >= 1 replica");
+  DEEPCAM_CHECK_MSG(cfg.batch.max_batch_size >= 1,
+                    "batch policy needs max_batch_size >= 1");
   sessions_.set_replica_config(cfg_.replicas, cfg_.router.replica, clock_);
   router_ = std::make_unique<Router>(cfg_.router, clock_);
   injector_ = std::make_unique<FaultInjector>(cfg_.chaos);
@@ -64,16 +66,16 @@ void Server::start() {
   t_start_ = clock_->now();
   injector_->arm(t_start_);
   running_ = true;
-  if (cfg_.manual_dispatch) {
-    // Pump mode: the owner drives dispatch inline; no threads.
-    pump_batcher_ = std::make_unique<DynamicBatcher>(queue_, cfg_.batch,
-                                                     cfg_.slo.expire_doomed);
-    return;
-  }
+  if (cfg_.manual_dispatch) return;  // pump mode: no threads
   workers_.reserve(cfg_.num_workers);
   try {
+    // A worker exits on an empty blocking pop: the queue is closed and
+    // drained.
     for (std::size_t i = 0; i < cfg_.num_workers; ++i)
-      workers_.emplace_back([this] { worker_loop(); });
+      workers_.emplace_back([this] {
+        while (step(/*blocking=*/true)) {
+        }
+      });
   } catch (...) {
     queue_.close();
     for (auto& w : workers_) w.join();
@@ -109,10 +111,9 @@ bool Server::prepare(const std::string& session, SloClass slo, Request& req,
   return true;
 }
 
-Admission Server::submit(const std::string& session, nn::Tensor input,
-                         std::function<void(Response&&)> on_done,
-                         SloClass slo) {
-  if (!running_) return Admission::kRejectedClosed;
+Admission Server::admit(const std::string& session, nn::Tensor input,
+                        std::function<void(Response&&)> on_done, SloClass slo,
+                        bool blocking) {
   Request req;
   bool downgraded = false;
   if (!prepare(session, slo, req, downgraded)) {
@@ -135,7 +136,10 @@ Admission Server::submit(const std::string& session, nn::Tensor input,
     std::lock_guard<std::mutex> lk(done_mu_);
     ++accepted_;
   }
-  const Admission verdict = queue_.try_push(std::move(req));
+  const Admission verdict =
+      blocking ? (queue_.push(std::move(req)) ? Admission::kAccepted
+                                              : Admission::kRejectedClosed)
+               : queue_.try_push(std::move(req));
   if (verdict != Admission::kAccepted) {
     {
       std::lock_guard<std::mutex> lk(done_mu_);
@@ -161,6 +165,14 @@ Admission Server::submit(const std::string& session, nn::Tensor input,
   return verdict;
 }
 
+Admission Server::submit(const std::string& session, nn::Tensor input,
+                         std::function<void(Response&&)> on_done,
+                         SloClass slo) {
+  if (!running_) return Admission::kRejectedClosed;
+  return admit(session, std::move(input), std::move(on_done), slo,
+               /*blocking=*/false);
+}
+
 Response Server::run(const std::string& session, nn::Tensor input,
                      SloClass slo) {
   struct Slot {
@@ -178,72 +190,87 @@ Response Server::run(const std::string& session, nn::Tensor input,
     return r;
   };
   if (!running_) return fail("server not running");
-  Request req;
-  bool downgraded = false;
-  if (!prepare(session, slo, req, downgraded)) {
-    metrics_->on_unknown_session();
+  const Admission verdict = admit(
+      session, std::move(input),
+      [slot](Response&& r) {
+        {
+          std::lock_guard<std::mutex> lk(slot->mu);
+          slot->response = std::move(r);
+          slot->done = true;
+        }
+        slot->cv.notify_one();
+      },
+      slo, /*blocking=*/true);
+  if (verdict == Admission::kRejectedUnknownSession)
     return fail("unknown session: " + session);
-  }
-  const std::size_t idx = req.session;
-  req.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t rid = req.id;
-  req.input = std::move(input);
-  req.on_done = [slot](Response&& r) {
-    {
-      std::lock_guard<std::mutex> lk(slot->mu);
-      slot->response = std::move(r);
-      slot->done = true;
-    }
-    slot->cv.notify_one();
-  };
-  {
-    std::lock_guard<std::mutex> lk(done_mu_);
-    ++accepted_;
-  }
-  if (!queue_.push(std::move(req))) {  // blocking admission
-    {
-      std::lock_guard<std::mutex> lk(done_mu_);
-      --accepted_;
-    }
-    done_cv_.notify_all();
-    metrics_->on_admission(idx, Admission::kRejectedClosed, slo);
+  if (verdict != Admission::kAccepted)
     return fail("server stopped while waiting for queue space");
-  }
-  metrics_->on_admission(idx, Admission::kAccepted, slo);
-  if (downgraded) metrics_->on_downgrade(idx, slo);
-  metrics_->on_queue_depth(ServerMetrics::DepthStream::kAdmission,
-                           queue_.depth());
-  {
-    obs::SpanRecord tr;
-    tr.rid = rid;
-    tr.session = idx;
-    tr.slo = static_cast<std::uint64_t>(slo);
-    tr.value = downgraded ? 1 : 0;
-    obs::instant(obs::TraceLevel::kServe, obs::SpanCat::kAdmission, "accept",
-                 tr);
-  }
 
   std::unique_lock<std::mutex> lk(slot->mu);
   slot->cv.wait(lk, [&] { return slot->done; });
   return std::move(slot->response);
 }
 
-void Server::worker_loop() {
-  DynamicBatcher batcher(queue_, cfg_.batch, cfg_.slo.expire_doomed);
-  for (;;) {
-    // Fire chaos events that came due; a pending worker-stall fault is
-    // served by this worker sleeping it out through the clock.
-    injector_->poll(clock_->now(), sessions_);
-    const Clock::duration stall = injector_->take_stall();
-    if (stall > Clock::duration::zero())
-      clock_->sleep_until(clock_->now() + stall);
-    MicroBatch mb = batcher.next();
-    if (mb.empty()) return;  // queue closed and drained
-    dispatch(std::move(mb));
-  }
+bool Server::step(bool blocking) {
+  // Fire chaos events that came due; a pending worker-stall fault is
+  // served by this loop sleeping it out through the clock.
+  injector_->poll(clock_->now(), sessions_);
+  const Clock::duration stall = injector_->take_stall();
+  if (stall > Clock::duration::zero())
+    clock_->sleep_until(clock_->now() + stall);
+  // With expire_doomed off (the FIFO baseline bench/serve_throughput
+  // compares against) there is no expired sink: deadline-carrying
+  // requests always run.
+  MicroBatch mb;
+  std::vector<Request>* sink = cfg_.slo.expire_doomed ? &mb.expired : nullptr;
+  mb.run = blocking ? queue_.pop_micro_batch(cfg_.batch, sink)
+                    : queue_.try_pop_micro_batch(cfg_.batch, sink);
+  if (mb.empty()) return false;
+  dispatch(std::move(mb));
+  return true;
 }
 
-void Server::count_answered() {
+void Server::answer(Request& req, const Delivery& d, std::exception_ptr err,
+                    nn::Tensor logits) {
+  Response resp;
+  resp.id = req.id;
+  resp.session = req.session;
+  resp.slo = req.slo;
+  resp.downgraded = req.downgraded;
+  resp.had_deadline = req.has_deadline();
+  resp.expired = d.expired;
+  resp.batch_size = d.n;
+  resp.queue_seconds = seconds_between(req.enqueued, d.t_dispatch);
+  resp.total_seconds = seconds_between(req.enqueued, d.t_done);
+  if (req.has_deadline())
+    resp.slack_seconds = seconds_between(d.t_done, req.deadline);
+  if (err != nullptr)
+    resp.error = err;
+  else
+    resp.logits = std::move(logits);
+  {
+    obs::SpanRecord c;
+    c.rid = req.id;
+    c.session = req.session;
+    c.slo = static_cast<std::uint64_t>(req.slo);
+    if (d.replica != kNoReplica) c.replica = d.replica;
+    c.batch = d.batch;
+    const char* outcome = err == nullptr ? "ok"
+                          : !d.expired   ? "error"
+                          : d.n == 0     ? "expired"
+                                         : "cancelled";
+    obs::instant(obs::TraceLevel::kServe, obs::SpanCat::kComplete, outcome,
+                 c);
+  }
+  metrics_->on_response(resp);
+  if (req.on_done) {
+    try {
+      req.on_done(std::move(resp));
+    } catch (...) {
+      // A throwing completion callback must not take down the worker;
+      // the request still counts as answered.
+    }
+  }
   {
     std::lock_guard<std::mutex> lk(done_mu_);
     ++answered_;
@@ -251,93 +278,63 @@ void Server::count_answered() {
   done_cv_.notify_all();
 }
 
-void Server::answer_expired(Request&& req) {
-  const Clock::time_point now = clock_->now();
-  if (obs::TraceRecorder::instance().enabled(obs::TraceLevel::kServe)) {
+void Server::dispatch(MicroBatch&& mb) {
+  // Queue-wait span of one request, reconstructed from its admission stamp
+  // (no hooks needed inside the queue).
+  const auto emit_wait = [](const Request& r, Clock::time_point end,
+                            std::uint64_t batch_id) {
     obs::SpanRecord q;
-    q.t_begin_ns = to_ns(req.enqueued);
-    q.t_end_ns = to_ns(now);
+    q.t_begin_ns = to_ns(r.enqueued);
+    q.t_end_ns = to_ns(end);
     q.name = "wait";
     q.cat = obs::SpanCat::kQueue;
-    q.rid = req.id;
-    q.session = req.session;
-    q.slo = static_cast<std::uint64_t>(req.slo);
+    q.rid = r.id;
+    q.session = r.session;
+    q.slo = static_cast<std::uint64_t>(r.slo);
+    q.batch = batch_id;
     obs::emit(obs::TraceLevel::kServe, q);
-    obs::SpanRecord c;
-    c.rid = req.id;
-    c.session = req.session;
-    c.slo = q.slo;
-    obs::instant(obs::TraceLevel::kServe, obs::SpanCat::kComplete, "expired",
-                 c);
-  }
-  Response resp;
-  resp.id = req.id;
-  resp.session = req.session;
-  resp.slo = req.slo;
-  resp.expired = true;
-  resp.downgraded = req.downgraded;
-  resp.had_deadline = req.has_deadline();
-  resp.slack_seconds =
-      req.has_deadline() ? seconds_between(now, req.deadline) : 0.0;
-  resp.queue_seconds = seconds_between(req.enqueued, now);
-  resp.total_seconds = resp.queue_seconds;
-  resp.batch_size = 0;
-  resp.error = std::make_exception_ptr(
-      Error("serve: deadline expired before dispatch"));
-  metrics_->on_response(resp);
-  if (req.on_done) {
-    try {
-      req.on_done(std::move(resp));
-    } catch (...) {
-      // A throwing completion callback must not take down the worker.
-    }
-  }
-  count_answered();
-}
+  };
+  const bool traced =
+      obs::TraceRecorder::instance().enabled(obs::TraceLevel::kServe);
 
-void Server::dispatch(MicroBatch&& mb) {
   // Deadline-lapsed requests are answered first — their answers are
   // already overdue and they never touch the engine.
-  for (Request& req : mb.expired) answer_expired(std::move(req));
+  for (Request& req : mb.expired) {
+    Delivery d;
+    d.t_dispatch = d.t_done = clock_->now();
+    d.expired = true;
+    if (traced) emit_wait(req, d.t_done, obs::kNoId);
+    answer(req, d,
+           std::make_exception_ptr(
+               Error("serve: deadline expired before dispatch")));
+  }
   std::vector<Request>& batch = mb.run;
   if (batch.empty()) return;
 
   injector_->poll(clock_->now(), sessions_);
 
   const std::size_t session = batch.front().session;
-  const std::size_t n = batch.size();
-  const Clock::time_point t_dispatch = clock_->now();
-  const std::uint64_t batch_id =
-      next_batch_id_.fetch_add(1, std::memory_order_relaxed);
+  Delivery d;
+  d.n = batch.size();
+  d.t_dispatch = clock_->now();
+  d.batch = next_batch_id_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t head_slo =
       static_cast<std::uint64_t>(batch.front().slo);
 
-  // Per-rider queue-wait spans, reconstructed from the admission stamps
-  // (no hooks needed inside the queue), plus one batch-formation span
-  // covering head-enqueue -> dispatch.
-  if (obs::TraceRecorder::instance().enabled(obs::TraceLevel::kServe)) {
-    for (const Request& r : batch) {
-      obs::SpanRecord q;
-      q.t_begin_ns = to_ns(r.enqueued);
-      q.t_end_ns = to_ns(t_dispatch);
-      q.name = "wait";
-      q.cat = obs::SpanCat::kQueue;
-      q.rid = r.id;
-      q.session = r.session;
-      q.slo = static_cast<std::uint64_t>(r.slo);
-      q.batch = batch_id;
-      obs::emit(obs::TraceLevel::kServe, q);
-    }
+  // Per-rider queue-wait spans plus one batch-formation span covering
+  // head-enqueue -> dispatch.
+  if (traced) {
+    for (const Request& r : batch) emit_wait(r, d.t_dispatch, d.batch);
     obs::SpanRecord f;
     f.t_begin_ns = to_ns(batch.front().enqueued);
-    f.t_end_ns = to_ns(t_dispatch);
+    f.t_end_ns = to_ns(d.t_dispatch);
     f.name = "form";
     f.cat = obs::SpanCat::kBatch;
     f.rid = batch.front().id;
     f.session = session;
     f.slo = head_slo;
-    f.batch = batch_id;
-    f.value = n;
+    f.batch = d.batch;
+    f.value = d.n;
     obs::emit(obs::TraceLevel::kServe, f);
   }
 
@@ -351,7 +348,7 @@ void Server::dispatch(MicroBatch&& mb) {
     if (r.attempt < budget(r)) may_retry = true;
 
   std::vector<nn::Tensor> inputs;
-  inputs.reserve(n);
+  inputs.reserve(d.n);
   for (auto& r : batch)
     inputs.push_back(may_retry ? r.input : std::move(r.input));
 
@@ -372,85 +369,44 @@ void Server::dispatch(MicroBatch&& mb) {
   // last attempt failed on), hedges interactive batches, and records
   // health outcomes. While this worker waits, sibling workers keep their
   // own micro-batches in flight.
-  metrics_->on_batch_dispatch(session, n);
+  metrics_->on_batch_dispatch(session, d.n);
   obs::Span dispatch_sp(obs::TraceLevel::kServe, obs::SpanCat::kDispatch,
                         "dispatch");
   dispatch_sp.rid(batch.front().id)
       .session(session)
       .slo(head_slo)
-      .batch(batch_id)
-      .value(n);
+      .batch(d.batch)
+      .value(d.n);
   Router::Attempt a = router_->run(
       sessions_.replicas(session), batch.front().id, batch.front().slo,
       std::move(inputs),
       batch.front().attempt > 0 ? batch.front().last_replica : kNoReplica,
-      latest_deadline, cancellable, batch_id);
+      latest_deadline, cancellable, d.batch);
   if (a.replica != kNoReplica) dispatch_sp.replica(a.replica);
   dispatch_sp.finish();
   metrics_->on_batch_complete(session);
   if (a.hedged) metrics_->on_hedge(a.hedge_won, a.hedge_wasted);
 
-  const Clock::time_point t_done = clock_->now();
-  const bool cancelled = a.cancelled;
+  d.t_done = clock_->now();
+  d.replica = a.replica;
+  d.expired = a.cancelled;
   std::exception_ptr batch_error = a.error;
   if (!a.ok && batch_error == nullptr)
     batch_error = std::make_exception_ptr(
         Error("serve: batch cancelled at deadline"));
 
-  const auto deliver = [&](Request& req, std::exception_ptr err,
-                           nn::Tensor logits) {
-    Response resp;
-    resp.id = req.id;
-    resp.session = session;
-    resp.slo = req.slo;
-    resp.downgraded = req.downgraded;
-    resp.had_deadline = req.has_deadline();
-    resp.expired = cancelled;
-    resp.batch_size = n;
-    resp.queue_seconds = seconds_between(req.enqueued, t_dispatch);
-    resp.total_seconds = seconds_between(req.enqueued, t_done);
-    if (req.has_deadline())
-      resp.slack_seconds = seconds_between(t_done, req.deadline);
-    if (err != nullptr)
-      resp.error = err;
-    else
-      resp.logits = std::move(logits);
-    {
-      obs::SpanRecord c;
-      c.rid = req.id;
-      c.session = session;
-      c.slo = static_cast<std::uint64_t>(req.slo);
-      if (a.replica != kNoReplica) c.replica = a.replica;
-      c.batch = batch_id;
-      obs::instant(obs::TraceLevel::kServe, obs::SpanCat::kComplete,
-                   err != nullptr ? (cancelled ? "cancelled" : "error")
-                                  : "ok",
-                   c);
-    }
-    metrics_->on_response(resp);
-    if (req.on_done) {
-      try {
-        req.on_done(std::move(resp));
-      } catch (...) {
-        // A throwing completion callback must not take down the worker;
-        // the request still counts as answered.
-      }
-    }
-    count_answered();
-  };
-
   if (a.ok) {
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < d.n; ++i) {
       Request& req = batch[i];
       if (req.attempt > 0 && a.replica != req.last_replica)
         metrics_->on_failover();
-      deliver(req, nullptr, std::move(a.outputs[i]));
+      answer(req, d, nullptr, std::move(a.outputs[i]));
     }
     return;
   }
 
-  if (cancelled) {
-    for (Request& req : batch) deliver(req, batch_error, nn::Tensor{});
+  if (a.cancelled) {
+    for (Request& req : batch) answer(req, d, batch_error);
     return;
   }
 
@@ -463,7 +419,7 @@ void Server::dispatch(MicroBatch&& mb) {
       req.last_replica = a.replica;
       to_retry.push_back(std::move(req));
     } else {
-      deliver(req, batch_error, nn::Tensor{});
+      answer(req, d, batch_error);
     }
   }
   if (to_retry.empty()) return;
@@ -478,7 +434,7 @@ void Server::dispatch(MicroBatch&& mb) {
                          "backoff");
     backoff_sp.rid(to_retry.front().id)
         .session(session)
-        .batch(batch_id)
+        .batch(d.batch)
         .value(to_retry.front().attempt);
     clock_->sleep_until(clock_->now() + pause);
   }
@@ -490,7 +446,7 @@ void Server::dispatch(MicroBatch&& mb) {
       tr.session = session;
       tr.slo = static_cast<std::uint64_t>(req.slo);
       if (a.replica != kNoReplica) tr.replica = a.replica;
-      tr.batch = batch_id;
+      tr.batch = d.batch;
       tr.value = req.attempt;
       obs::instant(obs::TraceLevel::kServe, obs::SpanCat::kRetry, "requeue",
                    tr);
@@ -499,10 +455,9 @@ void Server::dispatch(MicroBatch&& mb) {
       // Queue closed mid-retry: the rider is nowhere a batcher could find
       // it, so it must be answered — with a terminal error, not dropped —
       // to keep the exactly-once contract (and drain()) honest.
-      deliver(req,
-              std::make_exception_ptr(Error(
-                  "serve: server stopped before retry could run")),
-              nn::Tensor{});
+      answer(req, d,
+             std::make_exception_ptr(
+                 Error("serve: server stopped before retry could run")));
     }
   }
 }
@@ -515,24 +470,15 @@ void Server::drain() {
 bool Server::pump() {
   DEEPCAM_CHECK_MSG(cfg_.manual_dispatch,
                     "pump() requires ServerConfig::manual_dispatch");
-  DEEPCAM_CHECK_MSG(pump_batcher_ != nullptr, "pump() requires start()");
-  // Same per-iteration preamble as worker_loop: fire due chaos events and
-  // sleep out a pending worker stall through the (virtual) clock.
-  injector_->poll(clock_->now(), sessions_);
-  const Clock::duration stall = injector_->take_stall();
-  if (stall > Clock::duration::zero())
-    clock_->sleep_until(clock_->now() + stall);
-  MicroBatch mb = pump_batcher_->try_next();
-  if (mb.empty()) return false;
-  dispatch(std::move(mb));
-  return true;
+  DEEPCAM_CHECK_MSG(metrics_ != nullptr, "pump() requires start()");
+  return step(/*blocking=*/false);
 }
 
 void Server::stop() {
   // exchange makes concurrent stop() calls (destructor vs explicit) safe.
   if (!running_.exchange(false)) return;  // also rejects new admissions
   queue_.close();    // flushes partial micro-batches; drains pending
-  if (pump_batcher_ != nullptr) {
+  if (cfg_.manual_dispatch) {
     // Manual dispatch: no workers to drain the closed queue — pump it dry
     // inline (terminal errors for retries that can no longer requeue).
     while (pump()) {

@@ -1,18 +1,19 @@
 // Server: online multi-tenant serving front-end over InferenceEngine.
 //
-//   clients ──submit()──▶ RequestQueue ──DynamicBatcher──▶ worker threads
-//                         (bounded, SLO    (max batch /     │ one micro-batch
-//                          shed/downgrade)  max delay,      ▼ each, pipelined
-//                                           deadline-aware)
-//                                              InferenceEngine::submit()
-//                                              per session (SessionManager)
+//   clients ──submit()/run()──▶ RequestQueue ─────────▶ worker threads
+//             (one admission:   (bounded, SLO shed;   │ one micro-batch
+//              try_push or      micro-batch formation: ▼ each, pipelined
+//              blocking push)   max batch / max delay,   Router -> replica
+//                               deadline-aware)          InferenceEngine
+//                                                        per session
 //
-// Each of the N server workers loops: form a micro-batch (one session),
-// submit it to that session's engine, wait for completion, deliver the
-// responses. With N >= 2 workers, micro-batches are concurrently in flight
-// — the engine's per-batch completion state (core/engine.hpp) is what makes
-// that legal; the old engine-global single-flight path would have
-// serialized them.
+// Each of the N server workers loops: poll chaos, form a micro-batch (one
+// session) straight from the queue, submit it to that session's engine,
+// wait for completion, answer the riders. Pump mode (manual_dispatch)
+// runs the same step inline with the queue's non-blocking pop. With
+// N >= 2 workers, micro-batches are concurrently in flight — the engine's
+// per-batch completion state (core/engine.hpp) is what makes that legal;
+// the old engine-global single-flight path would have serialized them.
 //
 // Overload behavior is SLO-aware (ServerConfig::slo): every request
 // carries a class whose configured deadline is stamped at admission; the
@@ -38,7 +39,6 @@
 #include <thread>
 #include <vector>
 
-#include "serve/batcher.hpp"
 #include "serve/chaos.hpp"
 #include "serve/clock.hpp"
 #include "serve/metrics.hpp"
@@ -154,16 +154,41 @@ class Server {
   ServerSummary summary() const;
 
  private:
-  void worker_loop();
+  /// How a request's answer came about: the micro-batch it rode (n == 0
+  /// for a request expired in the queue, never dispatched), the replica
+  /// that produced the outcome, and when the batch left and came back.
+  struct Delivery {
+    std::size_t n = 0;
+    std::uint64_t batch = obs::kNoId;
+    std::size_t replica = kNoReplica;
+    Clock::time_point t_dispatch{};
+    Clock::time_point t_done{};
+    bool expired = false;  // deadline lapsed: queued (n == 0) or cancelled
+  };
+
+  /// One dispatch-loop step for a worker thread (blocking pop) and pump()
+  /// (non-blocking pop): fire due chaos events, sleep out a pending
+  /// worker stall, form a micro-batch and dispatch it. False when the pop
+  /// came back empty.
+  bool step(bool blocking);
   void dispatch(MicroBatch&& mb);
-  /// Answers one request with a deadline-expired response (no engine run).
-  void answer_expired(Request&& req);
-  /// Builds the shared admission state of submit()/run(): resolves the
-  /// session, applies the downgrade dial, stamps the deadline. Returns
-  /// false when the session is unknown.
+  /// Answers `req` exactly once: builds the Response, emits the complete
+  /// instant, records metrics, calls on_done (a throw is swallowed) and
+  /// counts the request answered.
+  void answer(Request& req, const Delivery& d, std::exception_ptr err,
+              nn::Tensor logits = {});
+  /// The one admission behind submit() and run(): resolves the session
+  /// (downgrade dial, deadline), stamps the id, counts it accepted, pushes
+  /// it — try_push, or the blocking push when `blocking` — then records
+  /// the verdict's metrics and admission instant.
+  Admission admit(const std::string& session, nn::Tensor input,
+                  std::function<void(Response&&)> on_done, SloClass slo,
+                  bool blocking);
+  /// Builds the shared admission state: resolves the session, applies the
+  /// downgrade dial, stamps the deadline. Returns false when the session
+  /// is unknown.
   bool prepare(const std::string& session, SloClass slo, Request& req,
                bool& downgraded_out);
-  void count_answered();
 
   ServerConfig cfg_;
   ClockSource* clock_;
@@ -173,7 +198,6 @@ class Server {
   std::unique_ptr<FaultInjector> injector_;
   std::unique_ptr<ServerMetrics> metrics_;  // sized at start()
   std::vector<std::thread> workers_;
-  std::unique_ptr<DynamicBatcher> pump_batcher_;  // manual-dispatch mode
 
   std::atomic<std::uint64_t> next_id_{0};
   std::atomic<std::uint64_t> next_batch_id_{0};  // trace span batch ids

@@ -25,7 +25,6 @@
 #include "nn/pointwise.hpp"
 #include "nn/pooling.hpp"
 #include "obs/metrics_registry.hpp"
-#include "serve/batcher.hpp"
 #include "serve/clock.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/report_io.hpp"
@@ -155,20 +154,6 @@ TEST(RequestQueue, LateArrivalsJoinTheWaitingBatch) {
   EXPECT_EQ(batch[1].id, 2u);
 }
 
-TEST(DynamicBatcher, WrapsQueueWithPolicy) {
-  RequestQueue q(8);
-  BatchPolicy policy;
-  policy.max_batch_size = 3;
-  policy.max_queue_delay = std::chrono::microseconds(0);
-  DynamicBatcher batcher(q, policy);
-  EXPECT_EQ(batcher.policy().max_batch_size, 3u);
-  for (std::uint64_t i = 0; i < 3; ++i)
-    ASSERT_EQ(q.try_push(make_request(0, i)), Admission::kAccepted);
-  const MicroBatch mb = batcher.next();
-  EXPECT_EQ(mb.run.size(), 3u);
-  EXPECT_TRUE(mb.expired.empty());
-}
-
 // --- Server end-to-end ----------------------------------------------------
 
 struct ServerFixture {
@@ -249,11 +234,25 @@ TEST(Server, BlockingRunMatchesAcceleratorBitwisePerSession) {
 TEST(Server, UnknownSessionAndStoppedServerAreRejected) {
   ServerFixture fx;
   auto server = fx.make_server(1);
+  // run() admits through the same path as submit(): an unknown session
+  // leaves the same reject_unknown admission instant through either.
+  auto& rec = obs::TraceRecorder::instance();
+  rec.clear();
+  rec.set_level(obs::TraceLevel::kServe);
   EXPECT_EQ(server->submit("nope", LoadGenerator::make_input(kTinyShape, 0),
                            nullptr),
             Admission::kRejectedUnknownSession);
   Response r = server->run("nope", LoadGenerator::make_input(kTinyShape, 0));
+  const std::vector<obs::SpanRecord> spans = rec.collect();
+  rec.set_level(obs::TraceLevel::kOff);
+  rec.clear();
   EXPECT_FALSE(r.ok());
+  std::size_t reject_unknown = 0;
+  for (const obs::SpanRecord& sp : spans)
+    if (sp.cat == obs::SpanCat::kAdmission &&
+        std::strcmp(sp.name, "reject_unknown") == 0)
+      ++reject_unknown;
+  EXPECT_EQ(reject_unknown, 2u);  // one from submit(), one from run()
   server->stop();
   EXPECT_EQ(server->submit("tiny", LoadGenerator::make_input(kTinyShape, 0),
                            nullptr),
@@ -663,6 +662,96 @@ TEST(SloPriority, HeadSelectionPrefersUrgentClasses) {
   ASSERT_EQ(urgent.size(), 1u);
   EXPECT_EQ(urgent[0].id, 11u);  // session 2 jumped the session-0 request
   EXPECT_EQ(urgent[0].session, 2u);
+}
+
+TEST(PumpFormation, DueRulesPerTable) {
+  // The non-blocking pop behind Server::pump(). Each row enqueues its
+  // riders (ids 0, 1, ... in push order) at virtual t0, optionally closes
+  // the queue, then runs its steps: advance the clock, pump once, and pin
+  // what was released and the depth left behind.
+  struct Rider {
+    std::size_t session;
+    int deadline_ms;  // relative to t0; 0 = no deadline
+  };
+  struct Step {
+    int advance_ms;
+    std::vector<std::uint64_t> run, expired;
+    std::size_t depth;
+  };
+  struct Row {
+    const char* name;
+    std::vector<Rider> riders;
+    std::size_t max_batch;
+    Clock::duration delay;
+    bool close;
+    bool sink;  // expired sink present (expiry enabled)
+    std::vector<Step> steps;
+  };
+  const Clock::duration window = std::chrono::milliseconds(10);
+  const Clock::duration hour = std::chrono::hours(1);
+  const Row table[] = {
+      {"empty queue", {}, 8, window, false, true, {{0, {}, {}, 0}}},
+      {"not yet due: nothing extracted",
+       {{0, 0}, {0, 0}}, 8, window, false, true,
+       {{5, {}, {}, 2}}},
+      {"head aged past max_queue_delay",
+       {{0, 0}, {1, 0}, {0, 0}}, 8, window, false, true,
+       {{5, {}, {}, 3}, {5, {0, 2}, {}, 1}}},
+      {"a full batch's worth of same-session riders",
+       {{0, 0}, {1, 0}, {0, 0}, {0, 0}, {0, 0}}, 3, window, false, true,
+       {{0, {0, 2, 3}, {}, 2}}},
+      {"a lapsed same-session rider makes the batch due",
+       {{0, 0}, {0, 2}, {0, 30}}, 8, window, false, true,
+       {{1, {}, {}, 3}, {2, {0, 2}, {1}, 0}}},
+      {"a closed queue flushes",
+       {{0, 0}, {1, 0}}, 8, window, true, true,
+       {{0, {0}, {}, 1}, {0, {1}, {}, 0}}},
+      {"no expired sink: deadlines are ignored",
+       {{0, 2}}, 8, window, false, false,
+       {{3, {}, {}, 1}, {7, {0}, {}, 0}}},
+      // Where the pump differs from the blocking pop: no rider deadline
+      // caps the window, so a rider whose deadline falls inside it is
+      // expired once it lapses. SloExpiry.EarliestRiderDeadlineCapsThe-
+      // CoalescingWait shows the blocking pop running the same rider.
+      {"a deadline inside the window expires the rider",
+       {{0, 5}}, 8, hour, false, true,
+       {{0, {}, {}, 1}, {6, {}, {0}, 0}}},
+  };
+  const auto ids = [](const std::vector<Request>& v) {
+    std::vector<std::uint64_t> out;
+    for (const Request& r : v) out.push_back(r.id);
+    return out;
+  };
+  for (const Row& row : table) {
+    SCOPED_TRACE(row.name);
+    VirtualClock clock;
+    RequestQueue q(16, AdmissionPolicy{}, &clock);
+    BatchPolicy bp;
+    bp.max_batch_size = row.max_batch;
+    bp.max_queue_delay =
+        std::chrono::duration_cast<std::chrono::microseconds>(row.delay);
+    const Clock::time_point t0 = clock.now();
+    std::uint64_t id = 0;
+    for (const Rider& rider : row.riders) {
+      Request r = make_slo_request(
+          SloClass::kStandard, id++,
+          rider.deadline_ms > 0
+              ? t0 + std::chrono::milliseconds(rider.deadline_ms)
+              : Clock::time_point{});
+      r.session = rider.session;
+      ASSERT_EQ(q.try_push(std::move(r)), Admission::kAccepted);
+    }
+    if (row.close) q.close();
+    for (const Step& step : row.steps) {
+      clock.advance(std::chrono::milliseconds(step.advance_ms));
+      std::vector<Request> expired;
+      const std::vector<Request> run =
+          q.try_pop_micro_batch(bp, row.sink ? &expired : nullptr);
+      EXPECT_EQ(ids(run), step.run);
+      EXPECT_EQ(ids(expired), step.expired);
+      EXPECT_EQ(q.depth(), step.depth);
+    }
+  }
 }
 
 // --- k-fallback (quality dial) ---------------------------------------------
