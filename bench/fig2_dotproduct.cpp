@@ -10,9 +10,11 @@
 #include <cstdio>
 #include <vector>
 
+#include "common/bitvec.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "hash/simhash.hpp"
+#include "core/context.hpp"
+#include "hash/cosine_approx.hpp"
 
 using namespace deepcam;
 
@@ -23,6 +25,27 @@ double exact_dot(const std::vector<float>& a, const std::vector<float>& b) {
   for (std::size_t i = 0; i < a.size(); ++i) s += double(a[i]) * b[i];
   return s;
 }
+
+/// The contexts of a and b under the full-width C drawn from `seed`, hashed
+/// by the contexts_into call the engine runs, and their approximate dot
+/// product at hash length k from the exact L2 norms (paper eq. 4).
+struct HashedPair {
+  core::ContextBatch ctx;
+
+  HashedPair(const std::vector<float>& a, const std::vector<float>& b,
+             std::uint64_t seed) {
+    std::vector<float> ab(a);
+    ab.insert(ab.end(), b.begin(), b.end());
+    core::ContextGenerator(a.size(), seed)
+        .contexts_into(ab.data(), 2, ctx, hash::kMaxHashBits);
+  }
+  double norm_product() const { return ctx.exact_norm(0) * ctx.exact_norm(1); }
+  double approx_dot(std::size_t k, bool use_pwl) const {
+    const std::size_t hd = hamming_prefix_words(ctx.sig(0), ctx.sig(1), k);
+    return hash::approx_dot(ctx.exact_norm(0), ctx.exact_norm(1), hd, k,
+                            use_pwl);
+  }
+};
 
 }  // namespace
 
@@ -42,10 +65,8 @@ int main() {
   for (std::size_t k : {16u, 32u, 64u, 128u, 256u, 512u, 768u, 1024u}) {
     double sum = 0.0, err = 0.0;
     for (int tr = 0; tr < trials; ++tr) {
-      hash::SimHasher h(4, 42 + static_cast<std::uint64_t>(tr));
-      const auto sa = h.hash(x);
-      const auto sb = h.hash(y);
-      const double approx = h.approx_dot(sa, sb, k, /*use_pwl=*/false);
+      const HashedPair h(x, y, 42 + static_cast<std::uint64_t>(tr));
+      const double approx = h.approx_dot(k, /*use_pwl=*/false);
       sum += approx;
       err += std::abs(approx - exact);
     }
@@ -67,14 +88,11 @@ int main() {
       std::vector<float> a(64), b(64);
       for (auto& v : a) v = static_cast<float>(rng.gaussian());
       for (auto& v : b) v = static_cast<float>(rng.gaussian());
-      hash::SimHasher h(64, 1000 + static_cast<std::uint64_t>(tr));
-      const auto sa = h.hash(a);
-      const auto sb = h.hash(b);
-      const double norm_prod = sa.norm * sb.norm;
+      const HashedPair h(a, b, 1000 + static_cast<std::uint64_t>(tr));
+      const double norm_prod = h.norm_product();
       const double exact_ab = exact_dot(a, b);
-      err += std::abs(h.approx_dot(sa, sb, k, false) - exact_ab) / norm_prod;
-      err_pwl +=
-          std::abs(h.approx_dot(sa, sb, k, true) - exact_ab) / norm_prod;
+      err += std::abs(h.approx_dot(k, false) - exact_ab) / norm_prod;
+      err_pwl += std::abs(h.approx_dot(k, true) - exact_ab) / norm_prod;
       ++n;
     }
     t2.add_row({std::to_string(k), Table::num(err / n, 4),

@@ -1,7 +1,7 @@
 // Host-side microbenchmarks (google-benchmark): the computational kernels
-// the simulator spends its time in — SimHash projection, packed Hamming
-// distance, CAM search simulation, context generation — plus the ablation
-// kernels (prefix-hash vs fresh-hash, PWL cosine vs libm).
+// the simulator spends its time in — batched SimHash, packed Hamming
+// distance, CAM search simulation, context generation — plus the PWL
+// cosine ablation kernel.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -20,7 +20,6 @@
 #include "core/engine.hpp"
 #include "core/postproc.hpp"
 #include "hash/cosine_approx.hpp"
-#include "hash/simhash.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/topologies.hpp"
 
@@ -34,18 +33,6 @@ std::vector<float> random_vec(std::size_t n, std::uint64_t seed) {
   for (auto& x : v) x = static_cast<float>(rng.gaussian());
   return v;
 }
-
-void BM_SimHashProjection(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  hash::SimHasher hasher(n, 1);
-  const auto v = random_vec(n, 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hasher.hash(v));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(n) * 1024);
-}
-BENCHMARK(BM_SimHashProjection)->Arg(27)->Arg(256)->Arg(2304)->Arg(4608);
 
 void BM_HammingPrefix(benchmark::State& state) {
   const std::size_t k = static_cast<std::size_t>(state.range(0));
@@ -86,32 +73,20 @@ void BM_PwlCosine(benchmark::State& state) {
 }
 BENCHMARK(BM_PwlCosine);
 
+// One context per call: a one-vector contexts_into at full width (the
+// signature plus its norm), the per-call floor the batched forms amortize.
 void BM_ContextGeneration(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   core::ContextGenerator gen(n, 5);
   const auto v = random_vec(n, 6);
-  for (auto _ : state) benchmark::DoNotOptimize(gen.make_context(v));
+  core::ContextBatch ctx;
+  for (auto _ : state) {
+    gen.contexts_into(v.data(), 1, ctx, hash::kMaxHashBits);
+    benchmark::DoNotOptimize(ctx.sig(0));
+    benchmark::ClobberMemory();
+  }
 }
 BENCHMARK(BM_ContextGeneration)->Arg(25)->Arg(150)->Arg(576)->Arg(4608);
-
-// Ablation: deriving a 256-bit signature from a 1024-bit hash prefix versus
-// hashing with a fresh 256-column matrix. The prefix approach reuses the
-// wide hash (already needed for other layers), so the comparison shows the
-// cost of NOT using the prefix trick during VHL sweeps.
-void BM_PrefixVsFresh_Prefix(benchmark::State& state) {
-  hash::SimHasher wide(512, 7, 1024);
-  const auto v = random_vec(512, 8);
-  const auto sig = wide.hash(v);
-  for (auto _ : state) benchmark::DoNotOptimize(sig.bits.prefix(256));
-}
-BENCHMARK(BM_PrefixVsFresh_Prefix);
-
-void BM_PrefixVsFresh_Fresh(benchmark::State& state) {
-  hash::SimHasher narrow(512, 9, 256);
-  const auto v = random_vec(512, 10);
-  for (auto _ : state) benchmark::DoNotOptimize(narrow.hash(v));
-}
-BENCHMARK(BM_PrefixVsFresh_Fresh);
 
 void BM_CamWriteRow(benchmark::State& state) {
   // The row-program hot path: word-copy via BitVec::assign_prefix.
@@ -152,8 +127,8 @@ BENCHMARK(BM_CamSearchInto)->Arg(64)->Arg(256);
 
 // Batched SimHash kernel: the fused sign_hash_cols codelet (register tiles
 // over column panels of C, signs packed straight from the tile). items/s =
-// contexts hashed per second; compare against BM_ContextGeneration (the
-// per-patch scalar path) at the same n. Args are {input_dim, patch_count}:
+// contexts hashed per second; compare against BM_ContextGeneration (one
+// context per call) at the same n. Args are {input_dim, patch_count}:
 // LeNet conv2 geometry (150, 576-at-conv1-scale), a VGG-ish wide layer, and
 // both ends of the pack threshold on VGG11's widest layers — conv15 weight
 // hashing (4608 × 512, packed panels) and conv21 activations (4608 × 4, one
@@ -200,9 +175,10 @@ void BM_ContextBatchConv(benchmark::State& state) {
   for (std::size_t i = 0; i < in.numel(); ++i)
     in[i] = static_cast<float>(rng.gaussian());
   const std::size_t patches = spec.out_h(hw) * spec.out_w(hw);
+  const nn::Tensor* const one[] = {&in};
   core::ContextBatch batch;
   for (auto _ : state) {
-    gen.activation_contexts_into(in, spec, batch, 0, hash_bits);
+    gen.activation_contexts_into(one, spec, batch, hash_bits);
     benchmark::DoNotOptimize(batch.sig(0));
   }
   state.SetItemsProcessed(state.iterations() *

@@ -15,20 +15,23 @@ using namespace deepcam;
 
 int main() {
   // --- 1. Contexts: the paper's example vectors (Fig. 2). ---------------
+  // x (row 0) and y (row 1), hashed together to 1024-bit contexts.
   core::ContextGenerator gen(/*input_dim=*/4, /*seed=*/42);
-  const std::vector<float> x = {0.6012f, 0.8383f, 0.6859f, 0.5712f};
-  const std::vector<float> y = {0.9044f, 0.5352f, 0.8110f, 0.9243f};
-  const core::Context cx = gen.make_context(x);
-  const core::Context cy = gen.make_context(y);
+  const std::vector<float> xy = {0.6012f, 0.8383f, 0.6859f, 0.5712f,
+                                 0.9044f, 0.5352f, 0.8110f, 0.9243f};
+  core::ContextBatch ctx;
+  gen.contexts_into(xy.data(), 2, ctx, /*hash_bits=*/1024);
 
   // --- 2. One CAM search -> Hamming distance -> approximate dot. --------
   cam::DynamicCam cam(cam::CamConfig{/*rows=*/64, 256, 4});
   cam.set_hash_length(1024);
-  cam.write_row(0, cx.bits);
-  const auto result = cam.search(cy.bits);
-  const std::size_t hd = *result.row_hd[0];
+  cam.write_row(0, ctx.sig_span(0));
+  cam::DynamicCam::FlatSearchResult result;
+  cam.search_flat(ctx.sig_span(1), result);
+  const std::size_t hd = result.row_hd[0];
+  const double* norms = ctx.norms(/*minifloat=*/true);
   const double approx =
-      hash::approx_dot(cx.norm(), cy.norm(), hd, 1024, /*use_pwl=*/true);
+      hash::approx_dot(norms[0], norms[1], hd, 1024, /*use_pwl=*/true);
   std::printf("algebraic dot-product : 2.0765 (paper value)\n");
   std::printf("DeepCAM approx (k=1024): %.4f  (HD=%zu)\n\n", approx, hd);
 

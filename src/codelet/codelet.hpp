@@ -1,16 +1,17 @@
 // SIMD codelet layer: per-ISA variants of the seven hot kernels behind
 // one-time runtime CPU dispatch.
 //
-// The engine's inner loops spend their time in five primitives — the
+// The engine's inner loops spend their time in four primitives — the
 // prefix-masked XOR+popcount Hamming reduce (BitVec::hamming_prefix) and its
 // row-arena form (DynamicCam::search_flat), the fused SimHash sign kernel
-// (RandomProjection::sign_hash_batch), the float projection GEMM plus
-// sign-bit packing behind the per-vector reference path
-// (RandomProjection::project / sign_hash), and finish_dots, which turns one
-// CAM row's Hamming distances into dot products (the post-processing unit:
-// cosine, two norm multiplies, bias add). Building a model or a projection
-// matrix spends its time in a sixth: the Box–Muller transform behind
-// Rng::fill_gaussian (gaussian_pairs). The exact float forward
+// (RandomProjection::sign_hash_batch, the library's one hashing call), and
+// finish_dots, which turns one CAM row's Hamming distances into dot
+// products (the post-processing unit: cosine, two norm multiplies, bias
+// add). A fifth, the float projection GEMM plus sign-bit packing
+// (project_cols, pack_signs), defines the fused kernel: no library call
+// runs it, and its scalar form is the tests' per-vector hashing oracle.
+// Building a model or a projection matrix spends its time in a sixth: the
+// Box–Muller transform behind Rng::fill_gaussian (gaussian_pairs). The exact float forward
 // (Conv2D::infer, behind the planner's and the tuner's reference outputs)
 // spends its time in a seventh: affine_cols, the same GEMM started at a bias
 // and without the zero skip. This layer gives each primitive a
@@ -62,7 +63,8 @@
 //    differ.
 //  * Signs use ordered >= 0 compares: +0/-0 pack as 1, NaN as 0, on every
 //    ISA. sign_hash_cols is exactly project_cols followed by pack_signs per
-//    vector, without materializing the floats.
+//    vector, without materializing the floats; the scalar pair, one vector
+//    at a time, is the oracle every hashing test compares against.
 //  * gaussian_pairs rounds to float, so it can use a faster double-precision
 //    evaluation than glibc's and still be exact (Ziv's rounding test: Ziv,
 //    "Fast evaluation of elementary mathematical functions with correctly
@@ -167,6 +169,9 @@ struct Kernels {
   /// Projection GEMM: out[p*ncols + j] = sum_i xs[p*input_dim + i] *
   /// c[i*c_stride + j] for p < count, j < ncols (ncols <= c_stride), with
   /// ascending-i unfused multiply-add per output and the xi == 0.0f skip.
+  /// The float half of sign_hash_cols' definition: no library call runs
+  /// it; the scalar form is the tests' hashing oracle (with pack_signs) and
+  /// perfbench times it as its projection probe.
   void (*project_cols)(const float* xs, const float* c, std::size_t count,
                        std::size_t input_dim, std::size_t c_stride,
                        std::size_t ncols, float* out);
@@ -191,7 +196,8 @@ struct Kernels {
                          std::size_t k, std::uint64_t* sig_words);
 
   /// Packs `nbits` sign bits (proj[j] >= 0.0f) into words, 64 per word; the
-  /// partial last word's high bits are zero.
+  /// partial last word's high bits are zero. The sign half of
+  /// sign_hash_cols' definition, used by the tests' hashing oracle.
   void (*pack_signs)(const float* proj, std::size_t nbits,
                      std::uint64_t* words);
 

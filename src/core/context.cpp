@@ -1,9 +1,11 @@
 #include "core/context.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "common/error.hpp"
+#include "common/minifloat.hpp"
 
 namespace deepcam::core {
 
@@ -14,44 +16,23 @@ std::uint64_t layer_hash_seed(std::uint64_t base, std::size_t node_index) {
 
 ContextGenerator::ContextGenerator(std::size_t input_dim, std::uint64_t seed,
                                    std::size_t width)
-    : hasher_(hash::RandomProjection::prefix(input_dim, width, seed)) {}
-
-Context ContextGenerator::make_context(std::span<const float> v) const {
-  DEEPCAM_CHECK(v.size() == hasher_.input_dim());
-  hash::Signature sig = hasher_.hash(v);
-  Context ctx;
-  ctx.bits = std::move(sig.bits);
-  ctx.exact_norm = sig.norm;
-  ctx.norm_code = MiniFloat::encode(static_cast<float>(sig.norm));
-  return ctx;
-}
-
-void ContextGenerator::contexts_into(const float* xs, std::size_t count,
-                                     ContextBatch& out,
-                                     std::size_t hash_bits) const {
-  const std::size_t dim = hasher_.input_dim();
-  const hash::RandomProjection& proj = hasher_.projection();
-  const std::size_t k = hash_bits == 0 ? proj.hash_bits() : hash_bits;
-  out.reset(count, k);
-  proj.sign_hash_batch(xs, count, k, out.words_.data());
-  for (std::size_t p = 0; p < count; ++p) {
-    const double norm = hash::l2_norm(std::span<const float>(xs + p * dim, dim));
-    const std::uint8_t code = MiniFloat::encode(static_cast<float>(norm));
-    out.exact_norm_[p] = norm;
-    out.norm_code_[p] = code;
-    out.norm_[p] = MiniFloat::decode(code);
-  }
-}
+    : proj_(hash::RandomProjection::prefix(input_dim, width, seed)) {}
 
 namespace {
 
-/// Appends the im2col patches of image `n` of `input` to `mat` from row
+double l2_norm(const float* x, std::size_t n) {
+  double s = 0.0;
+  for (std::size_t i = 0; i < n; ++i) s += static_cast<double>(x[i]) * x[i];
+  return std::sqrt(s);
+}
+
+/// Appends the im2col patches of image 0 of `input` to `mat` from row
 /// `row0` on, in (oy, ox) row-major order; returns the patch count.
-std::size_t append_patches(const nn::Tensor& input, std::size_t n,
-                           const nn::ConvSpec& spec, std::vector<float>& mat,
-                           std::size_t row0) {
+std::size_t append_patches(const nn::Tensor& input, const nn::ConvSpec& spec,
+                           std::vector<float>& mat, std::size_t row0) {
   const nn::Shape& s = input.shape();
-  DEEPCAM_CHECK(s.c == spec.in_channels);
+  DEEPCAM_CHECK_MSG(s.c == spec.in_channels,
+                    "activation channels differ from the conv's");
   const std::size_t oh = spec.out_h(s.h);
   const std::size_t ow = spec.out_w(s.w);
   const std::size_t plen = spec.patch_len();
@@ -60,53 +41,50 @@ std::size_t append_patches(const nn::Tensor& input, std::size_t n,
   float* row = mat.data() + row0 * plen;
   for (std::size_t oy = 0; oy < oh; ++oy)
     for (std::size_t ox = 0; ox < ow; ++ox, row += plen)
-      nn::extract_patch(input, n, oy, ox, spec.kernel_h, spec.kernel_w,
+      nn::extract_patch(input, 0, oy, ox, spec.kernel_h, spec.kernel_w,
                         spec.stride, spec.pad, std::span<float>(row, plen));
   return oh * ow;
 }
 
 }  // namespace
 
-void ContextGenerator::activation_contexts_into(const nn::Tensor& input,
-                                                const nn::ConvSpec& spec,
-                                                ContextBatch& out,
-                                                std::size_t n,
-                                                std::size_t hash_bits) const {
-  DEEPCAM_CHECK(spec.patch_len() == hasher_.input_dim());
-  const std::size_t patches =
-      append_patches(input, n, spec, out.patch_scratch_, 0);
-  contexts_into(out.patch_scratch_.data(), patches, out, hash_bits);
+void ContextGenerator::contexts_into(const float* xs, std::size_t count,
+                                     ContextBatch& out,
+                                     std::size_t hash_bits) const {
+  const std::size_t dim = proj_.input_dim();
+  out.reset(count, hash_bits);
+  proj_.sign_hash_batch(xs, count, hash_bits, out.words_.data());
+  for (std::size_t p = 0; p < count; ++p) {
+    const double norm = l2_norm(xs + p * dim, dim);
+    const std::uint8_t code = MiniFloat::encode(static_cast<float>(norm));
+    out.exact_norm_[p] = norm;
+    out.norm_code_[p] = code;
+    out.norm_[p] = MiniFloat::decode(code);
+  }
 }
 
 void ContextGenerator::activation_contexts_into(
     std::span<const nn::Tensor* const> inputs, const nn::ConvSpec& spec,
     ContextBatch& out, std::size_t hash_bits) const {
-  DEEPCAM_CHECK(spec.patch_len() == hasher_.input_dim());
+  DEEPCAM_CHECK_MSG(spec.patch_len() == proj_.input_dim(),
+                    "conv patch length differs from the context length");
   std::size_t patches = 0;
   for (const nn::Tensor* in : inputs)
-    patches += append_patches(*in, 0, spec, out.patch_scratch_, patches);
+    patches += append_patches(*in, spec, out.patch_scratch_, patches);
   contexts_into(out.patch_scratch_.data(), patches, out, hash_bits);
-}
-
-void ContextGenerator::activation_context_flat_into(const nn::Tensor& input,
-                                                    ContextBatch& out,
-                                                    std::size_t n,
-                                                    std::size_t hash_bits) const {
-  const nn::Shape& s = input.shape();
-  const std::size_t feat = s.c * s.h * s.w;
-  DEEPCAM_CHECK(feat == hasher_.input_dim());
-  contexts_into(input.data() + n * feat, 1, out, hash_bits);
 }
 
 void ContextGenerator::activation_context_flat_into(
     std::span<const nn::Tensor* const> inputs, ContextBatch& out,
     std::size_t hash_bits) const {
-  const std::size_t dim = hasher_.input_dim();
+  const std::size_t dim = proj_.input_dim();
   std::vector<float>& mat = out.patch_scratch_;
   if (mat.size() < inputs.size() * dim) mat.resize(inputs.size() * dim);
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     const nn::Shape& s = inputs[i]->shape();
-    DEEPCAM_CHECK(s.c * s.h * s.w == dim);
+    DEEPCAM_CHECK_MSG(s.c * s.h * s.w == dim,
+                      "flattened activation length differs from the "
+                      "context length");
     std::copy_n(inputs[i]->data(), dim, mat.data() + i * dim);
   }
   contexts_into(mat.data(), inputs.size(), out, hash_bits);
@@ -114,9 +92,9 @@ void ContextGenerator::activation_context_flat_into(
 
 ContextBatch ContextGenerator::weight_context_batch(
     std::span<const float> kernels, std::size_t hash_bits) const {
-  DEEPCAM_CHECK(kernels.size() % hasher_.input_dim() == 0);
+  DEEPCAM_CHECK(kernels.size() % proj_.input_dim() == 0);
   ContextBatch out;
-  contexts_into(kernels.data(), kernels.size() / hasher_.input_dim(), out,
+  contexts_into(kernels.data(), kernels.size() / proj_.input_dim(), out,
                 hash_bits);
   out.release_scratch();  // weight batches live as long as the model
   return out;

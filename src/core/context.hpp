@@ -13,11 +13,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
-#include "common/bitvec.hpp"
-#include "common/minifloat.hpp"
-#include "hash/simhash.hpp"
+#include "hash/random_projection.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "nn/model.hpp"
@@ -30,16 +29,6 @@ namespace deepcam::core {
 /// every consumer (CompiledModel, the planner, the tuner) hashes through,
 /// so all of them use identical projection matrices.
 std::uint64_t layer_hash_seed(std::uint64_t base, std::size_t node_index);
-
-/// One CAM-resident entry: signature bits + minifloat-coded L2 norm.
-struct Context {
-  BitVec bits;             ///< signature as wide as the generator's C
-  std::uint8_t norm_code;  ///< L2 norm, 8-bit minifloat (paper's format)
-  double exact_norm;       ///< reference value kept for ablations/tests
-
-  /// The norm as hardware would decode it.
-  double norm() const { return MiniFloat::decode(norm_code); }
-};
 
 /// A run of contexts as the CAM pass loop reads them: `count` packed
 /// signatures of `wps` words each and the norms the post-processing unit
@@ -60,13 +49,11 @@ struct ContextSlice {
 /// Structure-of-arrays arena of contexts: one contiguous word buffer for all
 /// signatures plus flat norm-code / decoded-norm / exact-norm arrays (the
 /// minifloat code is decoded once per context, not once per dot product
-/// that uses it). This replaces
-/// std::vector<Context> on the execution hot path — reset() never shrinks
-/// capacity, so a Worker that reuses one batch across layers and samples
-/// performs no steady-state heap allocation of its own (the scratch for the
-/// im2col patch matrix lives here too, for the same reason; the hash
-/// kernel's packed C panel is a per-call buffer of the codelet).
-/// Accessors are unchecked, like indexing the vector they replace.
+/// that uses it). reset() never shrinks capacity, so a Worker that reuses
+/// one batch across layers and samples performs no steady-state heap
+/// allocation of its own (the scratch for the im2col patch matrix lives
+/// here too, for the same reason; the hash kernel's packed C panel is a
+/// per-call buffer of the codelet). Accessors are unchecked.
 class ContextBatch {
  public:
   /// Prepares the arena for `count` contexts of `sig_bits` signature bits.
@@ -140,62 +127,47 @@ class ContextGenerator {
   ContextGenerator(std::size_t input_dim, std::uint64_t seed,
                    std::size_t width = hash::kMaxHashBits);
 
-  std::size_t input_dim() const { return hasher_.input_dim(); }
-
-  /// Context of a single raw vector: the per-vector reference path
-  /// (SimHasher::hash) the batch pipeline below must match bitwise.
-  Context make_context(std::span<const float> v) const;
+  std::size_t input_dim() const { return proj_.input_dim(); }
 
   // ---- allocation-free SoA batch pipeline -------------------------------
-  // The *_into functions are the execution hot path: one fused batch hash
-  // (RandomProjection::sign_hash_batch) over a contiguous patch matrix
-  // instead of a GEMV + BitVec per patch. Outputs are bitwise identical to
-  // make_context() per vector.
+  // Every form below is one fused batch hash
+  // (RandomProjection::sign_hash_batch) over a contiguous matrix of context
+  // vectors, plus their norms. Each call names its hash length `hash_bits`
+  // (at most the generator's width): signatures are prefixes of i.i.d.
+  // columns, so hashing straight to a layer's resolved length k is bitwise
+  // identical to hashing full-width and reading the first k bits, at
+  // k/1024 of the GEMM work.
 
   /// Hashes `count` contiguous row-major vectors (count × input_dim) into
-  /// `out`, with `hash_bits` signature bits (0 = full width). Signatures are
-  /// prefixes of i.i.d. columns, so hashing straight to a layer's resolved
-  /// hash length k is bitwise identical to hashing full-width and reading
-  /// the first k bits — at k/1024 of the GEMM work. Bitwise identical to
-  /// `count` make_context() calls (truncated to hash_bits).
+  /// `out`: per vector, `hash_bits` signature bits, its exact L2 norm and
+  /// that norm's minifloat code.
   void contexts_into(const float* xs, std::size_t count, ContextBatch& out,
-                     std::size_t hash_bits = 0) const;
+                     std::size_t hash_bits) const;
 
-  /// Contexts of every im2col patch of `input` (batch image `n`) in (oy, ox)
-  /// row-major order — the dot-product order the output map needs — built
-  /// from a patch matrix assembled once per layer in `out`'s reusable
-  /// scratch.
-  void activation_contexts_into(const nn::Tensor& input,
-                                const nn::ConvSpec& spec, ContextBatch& out,
-                                std::size_t n = 0,
-                                std::size_t hash_bits = 0) const;
-
-  /// The context of a flattened activation vector (for linear layers): a
-  /// one-context batch.
-  void activation_context_flat_into(const nn::Tensor& input, ContextBatch& out,
-                                    std::size_t n = 0,
-                                    std::size_t hash_bits = 0) const;
-
-  /// The group forms: the contexts of image 0 of every tensor in `inputs`,
-  /// input after input, hashed in one batch so that C is read once for the
-  /// whole group rather than once per input. Bitwise identical to the
-  /// single-tensor calls above, one after the other.
+  /// The contexts of every im2col patch of image 0 of every tensor in
+  /// `inputs`, input after input, each input's patches in (oy, ox)
+  /// row-major order — the dot-product order the output map needs. The
+  /// patch matrix is assembled in `out`'s reusable scratch and hashed in
+  /// one batch, so C is read once for the whole group rather than once per
+  /// input.
   void activation_contexts_into(std::span<const nn::Tensor* const> inputs,
                                 const nn::ConvSpec& spec, ContextBatch& out,
-                                std::size_t hash_bits = 0) const;
+                                std::size_t hash_bits) const;
+
+  /// The contexts of image 0 of every tensor in `inputs`, flattened (for
+  /// linear layers): one context per input, hashed in one batch.
   void activation_context_flat_into(std::span<const nn::Tensor* const> inputs,
                                     ContextBatch& out,
-                                    std::size_t hash_bits = 0) const;
+                                    std::size_t hash_bits) const;
 
   /// Contexts of a layer's kernels, stored as contiguous rows of
   /// input_dim weights: a convolution's weights (one row per output
-  /// channel) or a linear layer's weight matrix. `hash_bits` as in
-  /// contexts_into.
+  /// channel) or a linear layer's weight matrix.
   ContextBatch weight_context_batch(std::span<const float> kernels,
-                                    std::size_t hash_bits = 0) const;
+                                    std::size_t hash_bits) const;
 
  private:
-  hash::SimHasher hasher_;
+  hash::RandomProjection proj_;
 };
 
 /// CAM-mapped (Conv2D/Linear) graph nodes of `model`, in execution order.

@@ -583,7 +583,9 @@ void InferenceEngine::worker_loop(std::size_t worker_idx) {
       error_sample = first;
     }
     // A failed group reruns sample by sample, so the error recorded is the
-    // lowest-index failing sample's, exactly as if each ran alone.
+    // lowest-index failing sample's, exactly as if each ran alone. If every
+    // sample passes alone, the fault was the group's and is counted.
+    bool group_only_fault = false;
     if (error != nullptr && g > 1) {
       error = nullptr;
       for (std::size_t s = first; s < first + g && error == nullptr; ++s) {
@@ -594,8 +596,10 @@ void InferenceEngine::worker_loop(std::size_t worker_idx) {
           error_sample = s;
         }
       }
+      group_only_fault = error == nullptr;
     }
     lk.lock();
+    if (group_only_fault) ++state->group_reruns;
     if (error != nullptr &&
         (state->error == nullptr || error_sample < state->error_sample)) {
       state->error = error;
@@ -675,6 +679,7 @@ std::vector<nn::Tensor> InferenceEngine::collect(detail::BatchState& state,
     report->samples = state.reports.size();
     report->threads = thread_count();
     report->wall_seconds = state.wall_seconds;
+    report->group_reruns = state.group_reruns;
     for (std::size_t i = 0; i < state.reports.size(); ++i) {
       if (i == 0)
         report->aggregate = state.reports[i];

@@ -132,6 +132,11 @@ struct BatchReport {
   std::size_t samples = 0;
   std::size_t threads = 0;      // pool size used
   double wall_seconds = 0.0;    // host wall-clock, submit to completion
+  /// Groups of samples whose one run_group call failed while every sample
+  /// then ran alone without error: faults that only grouped execution
+  /// shows, which the per-sample rerun would otherwise hide. Zero on a
+  /// correct engine; not serialized.
+  std::size_t group_reruns = 0;
 
   /// Host throughput in samples per second.
   double throughput() const {
@@ -161,6 +166,7 @@ struct BatchState {
   // rethrows does not depend on thread-completion order.
   std::exception_ptr error;
   std::size_t error_sample = 0;
+  std::size_t group_reruns = 0;  // BatchReport::group_reruns
   bool done = false;
   std::chrono::steady_clock::time_point t_submit;
   double wall_seconds = 0.0;

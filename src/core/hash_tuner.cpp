@@ -57,6 +57,18 @@ std::vector<double> approx_layer_out(const ContextBatch& w_ctx,
   return out;
 }
 
+double rel_l2_error(std::span<const double> approx,
+                    std::span<const double> ref) {
+  DEEPCAM_CHECK(approx.size() == ref.size());
+  double num = 0.0, den = 0.0;
+  for (std::size_t i = 0; i < approx.size(); ++i) {
+    const double d = approx[i] - ref[i];
+    num += d * d;
+    den += ref[i] * ref[i];
+  }
+  return std::sqrt(num / (den + 1e-30));
+}
+
 double TuneResult::mean_hash_bits() const {
   if (hash_bits.empty()) return 0.0;
   double s = 0.0;
@@ -90,11 +102,14 @@ TuneResult tune_hash_lengths(const nn::Model& model,
       const nn::Tensor& in = in_node == nn::kModelInput
                                  ? probes[pi]
                                  : exact[pi][static_cast<std::size_t>(in_node)];
+      const nn::Tensor* const one[] = {&in};
       if (layer.kind() == nn::LayerKind::kConv2D)
         hl.ctxgen.activation_contexts_into(
-            in, static_cast<const nn::Conv2D&>(layer).spec(), acts[pi]);
+            one, static_cast<const nn::Conv2D&>(layer).spec(), acts[pi],
+            hash::kMaxHashBits);
       else
-        hl.ctxgen.activation_context_flat_into(in, acts[pi]);
+        hl.ctxgen.activation_context_flat_into(one, acts[pi],
+                                               hash::kMaxHashBits);
       acts[pi].release_scratch();  // cached for the whole k sweep
     }
 
@@ -115,13 +130,8 @@ TuneResult tune_hash_lengths(const nn::Model& model,
         const nn::Tensor& ref = exact[pi][node];
         DEEPCAM_CHECK(ref.numel() == approx.size());
         if (local) {
-          double num = 0.0, den = 0.0;
-          for (std::size_t i = 0; i < approx.size(); ++i) {
-            const double d = approx[i] - static_cast<double>(ref[i]);
-            num += d * d;
-            den += static_cast<double>(ref[i]) * ref[i];
-          }
-          sum += std::sqrt(num / (den + 1e-30));
+          sum += rel_l2_error(
+              approx, std::vector<double>(ref.data(), ref.data() + ref.numel()));
         } else {
           std::vector<nn::Tensor> outs = exact[pi];
           for (std::size_t i = 0; i < approx.size(); ++i)

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -72,6 +73,13 @@ std::vector<double> approx_layer_out(const ContextBatch& w_ctx,
                                      const std::vector<float>& bias,
                                      std::size_t k,
                                      const PostProcessingUnit::Options& pp);
+
+/// Relative L2 error of one probe's approximate layer outputs against the
+/// exact ones: sqrt(Σ(approx - ref)² / (Σ ref² + 1e-30)), summed in double
+/// in index order. The tuner's kLayerLocal metric, and the planner's
+/// estimate of it on sampled patches, are the mean of this over probes.
+double rel_l2_error(std::span<const double> approx,
+                    std::span<const double> ref);
 
 /// Runs the tuner over `probes` (each a {1,C,H,W} input). The model is only
 /// read (const inference + weight hashing): planning never perturbs weights.

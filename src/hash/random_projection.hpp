@@ -16,10 +16,8 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
-#include "common/bitvec.hpp"
 #include "common/rng.hpp"
 
 namespace deepcam::hash {
@@ -64,49 +62,21 @@ class RandomProjection {
   /// C itself: input_dim rows of hash_bits floats, 64-byte aligned.
   const float* data() const { return storage_.data() + offset_; }
 
-  /// Projects x (length input_dim) onto all columns: out[j] = Σ_i x_i C_ij.
-  /// `out` must have hash_bits elements.
-  void project(std::span<const float> x, std::span<float> out) const;
-
-  /// Projects x onto the first out.size() columns only. Each column's sum is
-  /// independent, so this equals the first out.size() entries of project()
-  /// bitwise, at a proportional fraction of the cost.
-  void project_prefix(std::span<const float> x, std::span<float> out) const;
-
-  /// Batched projection of `count` row-major vectors (xs = count×input_dim,
-  /// contiguous): out[p*hash_bits + j] = Σ_i xs[p][i]·C_ij. Runs the
-  /// dispatched project_cols codelet (register tiles over column panels of
-  /// C, packed contiguous for larger batches); for every output the
-  /// accumulation order over i matches project(), so results are bitwise
-  /// identical to `count` individual project() calls.
-  void project_batch(const float* xs, std::size_t count, float* out) const;
-
-  /// Batched SimHash: hashes `count` row-major vectors to `k` bits
-  /// (projecting only the first k columns) into `sig_words` (count ×
-  /// ceil(k/64) words). One call of the fused sign_hash_cols codelet for the
+  /// Batched SimHash, the one hashing call: hashes `count` row-major
+  /// vectors (xs = count × input_dim, contiguous) to `k` <= hash_bits() bits
+  /// into `sig_words` (count × ceil(k/64) words), bit j of vector p being
+  /// (Σ_i xs[p][i]·C_ij >= 0). Only the first k columns are projected, so
+  /// by the prefix trick the result is bitwise the first k bits of the
+  /// full-width hash. One call of the fused sign_hash_cols codelet for the
   /// whole batch: each column panel of C is read once per call, and the
   /// signs are packed straight from registers with no float projection in
-  /// between. Bitwise identical to `count` sign_hash_prefix() calls — and,
-  /// for k == hash_bits(), to `count` sign_hash() calls. Needs no caller
-  /// scratch and keeps nothing allocated between calls.
+  /// between — bitwise project_cols followed by pack_signs per vector (the
+  /// scalar codelets are the test oracle). Needs no caller scratch and
+  /// keeps nothing allocated between calls.
   void sign_hash_batch(const float* xs, std::size_t count, std::size_t k,
                        std::uint64_t* sig_words) const;
 
-  /// Full SimHash signature: bit j = (x·C_col_j >= 0).
-  BitVec sign_hash(std::span<const float> x) const;
-
-  /// SimHash signature truncated to the first `k` bits. Projects only the
-  /// first k columns — bitwise identical to sign_hash(x).prefix(k) (prefix
-  /// of i.i.d. columns) at k/hash_bits of the work.
-  BitVec sign_hash_prefix(std::span<const float> x, std::size_t k) const;
-
  private:
-  /// The float projection behind project / project_prefix / project_batch:
-  /// computes the first `ncols` columns for `count` vectors into `out`
-  /// (count × ncols row-major).
-  void project_cols(const float* xs, std::size_t count, std::size_t ncols,
-                    float* out) const;
-
   /// Uninitialized input_dim × hash_bits storage.
   RandomProjection(std::size_t input_dim, std::size_t hash_bits);
   float* mutable_data() { return storage_.data() + offset_; }

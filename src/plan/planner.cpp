@@ -52,16 +52,10 @@ double rel_error_at(const LayerSamples& s, std::size_t k,
                     const core::PostProcessingUnit::Options& pp) {
   double err_sum = 0.0;
   for (std::size_t pi = 0; pi < s.acts.size(); ++pi) {
-    const std::vector<double> approx = core::approx_layer_out(
-        s.layer.weights, s.acts[pi], s.layer.bias, k, pp);
-    double num = 0.0, den = 0.0;
-    for (std::size_t i = 0; i < approx.size(); ++i) {
-      const double ref = s.refs[pi][i];
-      const double d = approx[i] - ref;
-      num += d * d;
-      den += ref * ref;
-    }
-    err_sum += std::sqrt(num / (den + 1e-30));
+    err_sum += core::rel_l2_error(
+        core::approx_layer_out(s.layer.weights, s.acts[pi], s.layer.bias, k,
+                               pp),
+        s.refs[pi]);
   }
   return s.acts.empty() ? 0.0 : err_sum / static_cast<double>(s.acts.size());
 }

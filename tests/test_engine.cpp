@@ -248,6 +248,7 @@ TEST(InferenceEngine, BatchMatchesSequentialBitwiseAtEveryThreadCount) {
     const auto logits = engine.run_batch(inputs, &br);
     ASSERT_EQ(logits.size(), inputs.size());
     ASSERT_EQ(br.per_sample.size(), inputs.size());
+    EXPECT_EQ(br.group_reruns, 0u);  // no group failed where samples pass
     for (std::size_t i = 0; i < inputs.size(); ++i) {
       expect_bitwise_equal(logits[i], seq_logits[i]);
       expect_reports_equal(br.per_sample[i], seq_reports[i]);
@@ -462,8 +463,9 @@ TEST(InferenceEngineGroups, GroupedBatchesMatchPerSampleWorkerRunsBitwise) {
         std::vector<RunReport> ref_reports(inputs.size());
         for (std::size_t i = 0; i < inputs.size(); ++i)
           ref.push_back(worker.run(inputs[i], &ref_reports[i]));
-        // run_group itself, since the engine would hide a failing group
-        // behind its sample-by-sample rerun.
+        // run_group itself, since the engine reruns a failing group sample
+        // by sample (and counts it in BatchReport::group_reruns, checked
+        // below).
         for (const std::size_t n : sizes) {
           SCOPED_TRACE(::testing::Message()
                        << gm.model->name() << " dataflow "
@@ -489,6 +491,7 @@ TEST(InferenceEngineGroups, GroupedBatchesMatchPerSampleWorkerRunsBitwise) {
             BatchReport br;
             const auto out = engine.run_batch(batch, &br);
             ASSERT_EQ(out.size(), n);
+            EXPECT_EQ(br.group_reruns, 0u);
             for (std::size_t i = 0; i < n; ++i) {
               expect_bitwise_equal(out[i], ref[i]);
               expect_reports_identical(br.per_sample[i], ref_reports[i]);

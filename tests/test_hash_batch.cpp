@@ -1,19 +1,20 @@
 // Property tests for the batched SimHash path: sign_hash_batch (the fused
-// sign_hash_cols codelet) and project_batch (project_cols) must be bitwise
-// identical to the per-vector reference path (sign_hash / project: one-vector
-// projection + pack_signs) across awkward input dimensions, patch counts on
-// both sides of the codelet's pack threshold, partial-word hash lengths, and
-// IEEE-754 edge-case inputs (zeros, negative zero, denormals).
+// sign_hash_cols codelet, dispatched) must be bitwise identical to the
+// per-vector oracle (hash_oracle.hpp: scalar project_cols + pack_signs)
+// across awkward input dimensions, patch counts on both sides of the
+// codelet's pack threshold, partial-word hash lengths, and IEEE-754
+// edge-case inputs (zeros, negative zero, denormals).
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "codelet/codelet.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "hash/random_projection.hpp"
+#include "hash_oracle.hpp"
 
 namespace deepcam::hash {
 namespace {
@@ -51,8 +52,8 @@ TEST(SignHashBatch, BitwiseIdenticalToPerVectorAcrossDimsAndCounts) {
       std::vector<std::uint64_t> sigs(count * wps, 0xDEADBEEFDEADBEEFULL);
       proj.sign_hash_batch(xs.data(), count, kMaxHashBits, sigs.data());
       for (std::size_t p = 0; p < count; ++p) {
-        const BitVec ref = proj.sign_hash(
-            std::span<const float>(&xs[p * dim], dim));
+        const BitVec ref = oracle::sign_hash(
+            proj, std::span<const float>(&xs[p * dim], dim));
         for (std::size_t w = 0; w < wps; ++w)
           ASSERT_EQ(sigs[p * wps + w], ref.data()[w])
               << "dim=" << dim << " count=" << count << " p=" << p
@@ -72,33 +73,12 @@ TEST(SignHashBatch, PrefixLengthsMatchPerVectorPrefixHash) {
       std::vector<std::uint64_t> sigs(count * wps);
       proj.sign_hash_batch(xs.data(), count, k, sigs.data());
       for (std::size_t p = 0; p < count; ++p) {
-        const BitVec ref = proj.sign_hash_prefix(
-            std::span<const float>(&xs[p * dim], dim), k);
+        const BitVec ref = oracle::sign_hash(
+            proj, std::span<const float>(&xs[p * dim], dim), k);
         for (std::size_t w = 0; w < wps; ++w)
           ASSERT_EQ(sigs[p * wps + w], ref.data()[w])
               << "count=" << count << " k=" << k << " p=" << p
               << " word=" << w;
-      }
-    }
-  }
-}
-
-TEST(ProjectBatch, BitwiseIdenticalToPerVectorProject) {
-  const std::size_t dims[] = {1, 64, 150};
-  for (std::size_t dim : dims) {
-    RandomProjection proj(dim, 300, 31 + dim);  // non-multiple-of-64 width
-    const std::size_t count = codelet::kPackMinCount + 11;  // packed panels
-    const auto xs = edge_case_matrix(count, dim, dim);
-    std::vector<float> batch_out(count * 300);
-    proj.project_batch(xs.data(), count, batch_out.data());
-    std::vector<float> ref(300);
-    for (std::size_t p = 0; p < count; ++p) {
-      proj.project(std::span<const float>(&xs[p * dim], dim), ref);
-      for (std::size_t j = 0; j < 300; ++j) {
-        // Bit-level equality (covers ±0 distinctions a plain == would hide).
-        ASSERT_EQ(std::bit_cast<std::uint32_t>(batch_out[p * 300 + j]),
-                  std::bit_cast<std::uint32_t>(ref[j]))
-            << "dim=" << dim << " p=" << p << " j=" << j;
       }
     }
   }
@@ -116,11 +96,20 @@ TEST(SignHashBatch, ConsecutiveCallsAcrossShapesAreClean) {
   big.sign_hash_batch(xs_big.data(), 33, kMaxHashBits, sig_big.data());
   small.sign_hash_batch(xs_small.data(), 2, kMaxHashBits, sig_small.data());
   for (std::size_t p = 0; p < 2; ++p) {
-    const BitVec ref = small.sign_hash(
-        std::span<const float>(&xs_small[p * 5], 5));
+    const BitVec ref = oracle::sign_hash(
+        small, std::span<const float>(&xs_small[p * 5], 5));
     for (std::size_t w = 0; w < small.words_per_sig(); ++w)
       EXPECT_EQ(sig_small[p * small.words_per_sig() + w], ref.data()[w]);
   }
+}
+
+TEST(SignHashBatch, HashLengthWiderThanTheMatrixThrows) {
+  const RandomProjection proj = RandomProjection::prefix(8, 256, 6);
+  const auto xs = edge_case_matrix(3, 8, 7);
+  std::vector<std::uint64_t> sigs(3 * 5);  // room for 257 bits each
+  proj.sign_hash_batch(xs.data(), 3, 256, sigs.data());  // full width: fine
+  EXPECT_THROW(proj.sign_hash_batch(xs.data(), 3, 257, sigs.data()),
+               deepcam::Error);
 }
 
 }  // namespace

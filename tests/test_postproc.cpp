@@ -9,18 +9,17 @@
 
 #include "cam/sense_amp.hpp"
 #include "codelet/codelet.hpp"
-#include "core/context.hpp"
 #include "hash/cosine_approx.hpp"
+#include "hash_oracle.hpp"
 
 namespace deepcam::core {
 namespace {
 
+using oracle::Context;
+
 Context make_ctx(double norm) {
-  Context c;
-  c.bits = deepcam::BitVec(hash::kMaxHashBits);
-  c.exact_norm = norm;
-  c.norm_code = deepcam::MiniFloat::encode(static_cast<float>(norm));
-  return c;
+  return {deepcam::BitVec(hash::kMaxHashBits),
+          deepcam::MiniFloat::encode(static_cast<float>(norm)), norm};
 }
 
 /// Per-dot oracle: the post-processing unit's math for one (weight,

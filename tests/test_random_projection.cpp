@@ -9,9 +9,10 @@
 #include <utility>
 #include <vector>
 
-#include "common/error.hpp"
+#include "common/bitvec.hpp"
 #include "common/rng.hpp"
 #include "core/context.hpp"
+#include "hash_oracle.hpp"
 
 namespace deepcam::hash {
 namespace {
@@ -134,88 +135,80 @@ TEST(RandomProjection, EntriesApproximatelyStandardNormal) {
   EXPECT_NEAR(sum2 / n, 1.0, 0.03);
 }
 
-TEST(RandomProjection, ProjectMatchesManualDot) {
-  RandomProjection p(4, 8, 7);
-  std::vector<float> x = {1.0f, -2.0f, 0.5f, 3.0f};
-  std::vector<float> out(8);
-  p.project(x, out);
-  for (std::size_t j = 0; j < 8; ++j) {
-    double manual = 0.0;
-    for (std::size_t i = 0; i < 4; ++i) manual += double(x[i]) * p.at(i, j);
-    EXPECT_NEAR(out[j], manual, 1e-4);
+/// sign_hash_batch over the rows of xs (count × input_dim) at k bits:
+/// count × ceil(k/64) words.
+std::vector<std::uint64_t> hash_rows(const RandomProjection& p,
+                                     const std::vector<float>& xs,
+                                     std::size_t k) {
+  const std::size_t count = xs.size() / p.input_dim();
+  std::vector<std::uint64_t> sigs(count * ((k + 63) / 64));
+  p.sign_hash_batch(xs.data(), count, k, sigs.data());
+  return sigs;
+}
+
+TEST(RandomProjection, SignHashIsTheSignOfTheProjection) {
+  // Bit j is sign(x · C_col_j), checked against a double-precision dot
+  // (no column here projects near zero, where float rounding could decide).
+  RandomProjection p(6, 32, 9);
+  const std::vector<float> x = {0.3f, -0.1f, 2.0f, -5.0f, 0.0f, 1.0f};
+  const std::uint64_t h = hash_rows(p, x, 32)[0];
+  for (std::size_t j = 0; j < 32; ++j) {
+    double dot = 0.0;
+    for (std::size_t i = 0; i < 6; ++i) dot += double(x[i]) * p.at(i, j);
+    ASSERT_GT(std::abs(dot), 1e-4) << j;
+    EXPECT_EQ((h >> j) & 1, dot >= 0.0 ? 1u : 0u) << j;
   }
 }
 
-TEST(RandomProjection, SignHashMatchesProjection) {
-  RandomProjection p(6, 32, 9);
-  std::vector<float> x = {0.3f, -0.1f, 2.0f, -5.0f, 0.0f, 1.0f};
-  std::vector<float> proj(32);
-  p.project(x, proj);
-  const BitVec h = p.sign_hash(x);
-  for (std::size_t j = 0; j < 32; ++j)
-    EXPECT_EQ(h.get(j), proj[j] >= 0.0f) << j;
-}
-
 TEST(RandomProjection, PrefixHashIsPrefixOfFullHash) {
+  // Hashing straight to k bits projects only the first k columns; by the
+  // prefix-of-iid-columns property it is the full hash's first k bits.
   RandomProjection p(10, 1024, 11);
   Rng rng(3);
   std::vector<float> x(10);
   for (auto& v : x) v = static_cast<float>(rng.gaussian());
-  const BitVec full = p.sign_hash(x);
+  const std::vector<std::uint64_t> full = hash_rows(p, x, 1024);
   for (std::size_t k : {256u, 512u, 768u}) {
-    const BitVec pre = p.sign_hash_prefix(x, k);
-    EXPECT_EQ(pre.size(), k);
-    for (std::size_t j = 0; j < k; ++j) EXPECT_EQ(pre.get(j), full.get(j));
+    const std::vector<std::uint64_t> pre = hash_rows(p, x, k);
+    ASSERT_EQ(pre.size(), k / 64);
+    for (std::size_t w = 0; w < pre.size(); ++w)
+      EXPECT_EQ(pre[w], full[w]) << "k=" << k << " word " << w;
   }
 }
 
 TEST(RandomProjection, SignHashPrefixEqualsTruncatedFullHash) {
-  // sign_hash_prefix projects only the first k columns; the prefix-of-iid-
-  // columns property demands exact (bitwise) agreement with truncating the
-  // full 1024-column hash, including at non-word-aligned k.
+  // The batched hash at k bits must equal the per-vector oracle's full
+  // 1024-bit signature truncated to k, bitwise, including at non-word-
+  // aligned k (the partial last word's high bits stay zero).
   RandomProjection p(150, 1024, 21);
   Rng rng(6);
   std::vector<float> x(150);
   for (std::size_t i = 0; i < x.size(); ++i)
     x[i] = (i % 5 == 0) ? 0.0f : static_cast<float>(rng.gaussian());
-  const BitVec full = p.sign_hash(x);
-  for (std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{63},
-                        std::size_t{64}, std::size_t{65}, std::size_t{256},
-                        std::size_t{1023}, std::size_t{1024}}) {
-    EXPECT_TRUE(p.sign_hash_prefix(x, k) == full.prefix(k)) << "k=" << k;
+  const BitVec full = oracle::sign_hash(p, x);
+  for (std::size_t k : {std::size_t{1}, std::size_t{63}, std::size_t{64},
+                        std::size_t{65}, std::size_t{256}, std::size_t{1023},
+                        std::size_t{1024}}) {
+    const std::vector<std::uint64_t> pre = hash_rows(p, x, k);
+    const BitVec want = full.prefix(k);
+    ASSERT_EQ(pre.size(), want.word_count());
+    for (std::size_t w = 0; w < pre.size(); ++w)
+      EXPECT_EQ(pre[w], want.data()[w]) << "k=" << k << " word " << w;
   }
-}
-
-TEST(RandomProjection, ProjectPrefixMatchesFullProjectionPrefix) {
-  RandomProjection p(64, 512, 23);
-  Rng rng(7);
-  std::vector<float> x(64);
-  for (auto& v : x) v = static_cast<float>(rng.gaussian());
-  std::vector<float> full(512);
-  p.project(x, full);
-  std::vector<float> pre(100);
-  p.project_prefix(x, pre);
-  for (std::size_t j = 0; j < pre.size(); ++j)
-    EXPECT_EQ(pre[j], full[j]) << j;
-}
-
-TEST(RandomProjection, DimMismatchThrows) {
-  RandomProjection p(4, 8, 1);
-  std::vector<float> wrong(5, 0.0f);
-  std::vector<float> out(8);
-  EXPECT_THROW(p.project(wrong, out), Error);
 }
 
 TEST(RandomProjection, ScaleInvarianceOfSignHash) {
   // sign(cx . C) == sign(x . C) for c > 0: hashing ignores magnitude.
   RandomProjection p(8, 128, 13);
   Rng rng(5);
-  std::vector<float> x(8), x2(8);
+  std::vector<float> xx(16);  // x, then 7.5 x
   for (std::size_t i = 0; i < 8; ++i) {
-    x[i] = static_cast<float>(rng.gaussian());
-    x2[i] = 7.5f * x[i];
+    xx[i] = static_cast<float>(rng.gaussian());
+    xx[8 + i] = 7.5f * xx[i];
   }
-  EXPECT_TRUE(p.sign_hash(x) == p.sign_hash(x2));
+  const std::vector<std::uint64_t> sigs = hash_rows(p, xx, 128);
+  EXPECT_EQ(sigs[0], sigs[2]);
+  EXPECT_EQ(sigs[1], sigs[3]);
 }
 
 // Goemans–Williamson property: E[HD/k] = theta/pi. Verify the estimator is
@@ -226,15 +219,17 @@ TEST_P(AngleEstimationSweep, EstimatesKnownAngle) {
   const std::size_t k = static_cast<std::size_t>(GetParam());
   const double target = 1.0;  // radians
   // Two unit vectors in the plane with angle `target`.
-  std::vector<float> x = {1.0f, 0.0f};
-  std::vector<float> y = {static_cast<float>(std::cos(target)),
-                          static_cast<float>(std::sin(target))};
+  const std::vector<float> xy = {1.0f, 0.0f,
+                                 static_cast<float>(std::cos(target)),
+                                 static_cast<float>(std::sin(target))};
   // Average the estimate over several independent projection matrices.
   double est_sum = 0.0;
   const int trials = 20;
   for (int t = 0; t < trials; ++t) {
     RandomProjection p(2, k, 1000 + static_cast<std::uint64_t>(t));
-    const std::size_t hd = p.sign_hash(x).hamming(p.sign_hash(y));
+    const std::vector<std::uint64_t> sigs = hash_rows(p, xy, k);
+    const std::size_t hd =
+        hamming_prefix_words(sigs.data(), sigs.data() + k / 64, k);
     est_sum += 3.14159265358979 * double(hd) / double(k);
   }
   const double est = est_sum / trials;
