@@ -221,6 +221,30 @@ BENCHMARK(BM_EngineRunBatch)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+// The offline hashing of a whole model (core::hash_weights: every CAM
+// layer's C drawn, then its kernels sign-hashed) at 1024 bits, wall time:
+// the layers hash concurrently on up to min(CAM layers, hardware threads)
+// threads. GMAC/s counts the weight hashes' multiply-adds (kernels ×
+// context length × 1024 per layer) per wall second.
+void BM_HashWeights(benchmark::State& state, const char* model_name) {
+  const auto model = nn::make_model(model_name, 13);
+  double macs = 0.0;
+  const auto warm = core::hash_weights(*model, 42);
+  for (const core::HashedLayer& l : warm->layers)
+    macs += static_cast<double>(l.weights.size() * l.ctxgen.input_dim() *
+                                hash::kMaxHashBits);
+  for (auto _ : state) benchmark::DoNotOptimize(core::hash_weights(*model, 42));
+  state.counters["GMAC/s"] = benchmark::Counter(
+      macs * 1e-9 * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK_CAPTURE(BM_HashWeights, vgg11, "vgg11")
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_HashWeights, lenet5, "lenet5")
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 // ---- per-ISA codelet benchmarks -----------------------------------------
 // Registered at runtime (benchmark::RegisterBenchmark) once per ISA table
 // that is both compiled in and executable on this host, so one binary

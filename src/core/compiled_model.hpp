@@ -7,12 +7,15 @@
 //                    model's HashedWeights (core/context.hpp: per CAM layer
 //                    the generator, the pre-hashed weight contexts — the
 //                    paper's offline software step — and a bias copy, all
-//                    built by hash_cam_layer, the single hashing recipe,
+//                    built by hash_weights, the single hashing recipe,
 //                    and shareable across configs at one hash_seed), plus
 //                    the config-dependent part: resolved hash lengths and
 //                    the post-processing unit's per-layer cosine tables.
-//                    Built once, immutable afterwards, shareable across any
-//                    number of threads without synchronization.
+//                    Compiling (and planning) hashes the layers on up to
+//                    min(CAM layers, hardware threads) threads of its own,
+//                    whatever the engine's thread count. Built once,
+//                    immutable afterwards, shareable across any number of
+//                    threads without synchronization.
 //
 //   Worker         — the per-run mutable state (a DynamicCam instance and
 //                    reusable scratch buffers). One per thread. See

@@ -1,8 +1,12 @@
 #include "core/context.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <string>
+#include <exception>
+#include <numeric>
+#include <optional>
+#include <thread>
 
 #include "common/error.hpp"
 #include "common/minifloat.hpp"
@@ -110,37 +114,95 @@ std::vector<std::size_t> cam_nodes(const nn::Model& model) {
   return nodes;
 }
 
-HashedLayer hash_cam_layer(const nn::Model& model, std::size_t node,
-                           std::uint64_t hash_seed, std::size_t hash_bits) {
-  // The layer kinds differ only in their context length n.
-  const auto hash = [&](const auto& layer, std::size_t n) {
-    HashedLayer hl{node,
-                   ContextGenerator(n, layer_hash_seed(hash_seed, node),
-                                    hash_bits),
-                   {}, layer.bias()};
-    hl.weights = hl.ctxgen.weight_context_batch(layer.weights(), hash_bits);
-    return hl;
-  };
-  DEEPCAM_CHECK(node < model.node_count());
+namespace {
+
+/// A CAM layer as hashing reads it: its kernels, rows of n weights each,
+/// and its bias. The layer kinds differ only in their context length n.
+struct CamLayerView {
+  const std::vector<float>& weights;
+  std::size_t n;
+  const std::vector<float>& bias;
+};
+
+CamLayerView cam_layer_view(const nn::Model& model, std::size_t node) {
   const nn::Layer& layer = model.layer(node);
   if (layer.kind() == nn::LayerKind::kConv2D) {
     const auto& conv = static_cast<const nn::Conv2D&>(layer);
-    return hash(conv, conv.spec().patch_len());
+    return {conv.weights(), conv.spec().patch_len(), conv.bias()};
   }
-  DEEPCAM_CHECK_MSG(layer.kind() == nn::LayerKind::kLinear,
-                    "node " + std::to_string(node) + " (" + layer.name() +
-                        ") is not a CAM layer");
   const auto& fc = static_cast<const nn::Linear&>(layer);
-  return hash(fc, fc.in_features());
+  return {fc.weights(), fc.in_features(), fc.bias()};
 }
+
+/// Hashes CAM layer `node` of `model` as hash_weights describes.
+HashedLayer hash_cam_layer(const nn::Model& model, std::size_t node,
+                           std::uint64_t hash_seed, std::size_t hash_bits) {
+  const CamLayerView view = cam_layer_view(model, node);
+  HashedLayer hl{node,
+                 ContextGenerator(view.n, layer_hash_seed(hash_seed, node),
+                                  hash_bits),
+                 {}, view.bias};
+  hl.weights = hl.ctxgen.weight_context_batch(view.weights, hash_bits);
+  return hl;
+}
+
+}  // namespace
 
 std::shared_ptr<const HashedWeights> hash_weights(const nn::Model& model,
                                                   std::uint64_t hash_seed,
                                                   std::size_t hash_bits) {
+  // Each layer draws C from its own seed into its own slot, so the layers
+  // hash independently and the result is bitwise the layer-by-layer one.
+  // Threads take layers largest K·n first, so the last to finish is small.
+  const std::vector<std::size_t> nodes = cam_nodes(model);
+  std::vector<std::size_t> order(nodes.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const auto work = [&](std::size_t li) {
+    return cam_layer_view(model, nodes[li]).weights.size();
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return work(a) > work(b);
+                   });
+  std::vector<std::optional<HashedLayer>> slots(nodes.size());
+  std::vector<std::exception_ptr> errors(nodes.size());
+  const auto hash_slot = [&](std::size_t li) {
+    try {
+      slots[li].emplace(hash_cam_layer(model, nodes[li], hash_seed,
+                                       hash_bits));
+    } catch (...) {
+      errors[li] = std::current_exception();
+    }
+  };
+  // This thread hashes the largest layer itself, so a helper that starts
+  // late delays at most the smaller layers, which this thread also takes.
+  std::atomic<std::size_t> next{1};
+  const auto drain = [&] {
+    for (std::size_t i; (i = next.fetch_add(1)) < order.size();)
+      hash_slot(order[i]);
+  };
+  const std::size_t threads = std::min<std::size_t>(
+      nodes.size(), std::max(1u, std::thread::hardware_concurrency()));
+  std::vector<std::thread> helpers;
+  helpers.reserve(threads);
+  try {
+    while (helpers.size() + 1 < threads) helpers.emplace_back(drain);
+  } catch (...) {
+    // A thread that cannot start only slows hashing down: the threads
+    // running, this one included, drain every layer.
+  }
+  if (!order.empty()) hash_slot(order[0]);
+  drain();
+  for (std::thread& t : helpers) t.join();
+  // The error a caller sees is the one the layer-by-layer loop would throw.
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
+
   auto hw =
       std::make_shared<HashedWeights>(HashedWeights{&model, hash_seed, {}});
-  for (const std::size_t node : cam_nodes(model))
-    hw->layers.push_back(hash_cam_layer(model, node, hash_seed, hash_bits));
+  hw->layers.reserve(slots.size());
+  for (std::optional<HashedLayer>& slot : slots)
+    hw->layers.push_back(std::move(*slot));
   return hw;
 }
 

@@ -25,7 +25,7 @@
 namespace deepcam::core {
 
 /// Derives the projection-matrix seed of the CAM layer at graph node
-/// `node_index`. Called only by hash_cam_layer (below), the single recipe
+/// `node_index`. Called only by hash_weights (below), the single recipe
 /// every consumer (CompiledModel, the planner, the tuner) hashes through,
 /// so all of them use identical projection matrices.
 std::uint64_t layer_hash_seed(std::uint64_t base, std::size_t node_index);
@@ -183,16 +183,6 @@ struct HashedLayer {
   std::vector<float> bias;
 };
 
-/// The single recipe for hashing CAM layer `node` of `model`: C is seeded
-/// by layer_hash_seed from `hash_seed` and `node`, so activations hashed
-/// with the returned generator are comparable with the returned weight
-/// contexts. Both are `hash_bits` wide (default: full width): the generator
-/// keeps only the first `hash_bits` columns of C.
-/// Throws an Error if `node` is not a Conv2D/Linear node.
-HashedLayer hash_cam_layer(const nn::Model& model, std::size_t node,
-                           std::uint64_t hash_seed,
-                           std::size_t hash_bits = hash::kMaxHashBits);
-
 /// Every CAM layer of one model hashed at one seed, in cam_nodes order.
 /// Immutable once built and shared (shared_ptr) by every CompiledModel
 /// compiled from it, e.g. one per hash tier. Like CompiledModel it
@@ -203,6 +193,17 @@ struct HashedWeights {
   std::vector<HashedLayer> layers;
 };
 
+/// Hashes every CAM layer of `model`, the single hashing recipe: layer
+/// `node`'s C is seeded by layer_hash_seed from `hash_seed` and `node`, so
+/// activations hashed with a layer's generator are comparable with its
+/// weight contexts. Both are `hash_bits` wide (default: full width): each
+/// generator keeps only the first `hash_bits` columns of C.
+///
+/// The layers hash concurrently, largest first, on min(CAM layers,
+/// hardware threads) threads that live for this call only; the result is
+/// bitwise the layer-by-layer one. If hashing a layer throws, the exception
+/// of the first failing layer in cam_nodes order is rethrown once every
+/// thread has joined.
 std::shared_ptr<const HashedWeights> hash_weights(
     const nn::Model& model, std::uint64_t hash_seed,
     std::size_t hash_bits = hash::kMaxHashBits);

@@ -89,6 +89,7 @@ TuneResult tune_hash_lengths(const nn::Model& model,
 
   const PostProcessingUnit::Options pp{cfg.use_pwl_cosine,
                                        cfg.minifloat_norms};
+  auto hashed = hash_weights(model, cfg.hash_seed);
   TuneResult result;
   for (std::size_t li = 0; li < nodes.size(); ++li) {
     const std::size_t node = nodes[li];
@@ -96,7 +97,7 @@ TuneResult tune_hash_lengths(const nn::Model& model,
     const int in_node = model.inputs_of(node)[0];
 
     // Build contexts once per probe; every candidate k reuses the prefixes.
-    const HashedLayer hl = hash_cam_layer(model, node, cfg.hash_seed);
+    const HashedLayer& hl = hashed->layers[li];
     std::vector<ContextBatch> acts(probes.size());
     for (std::size_t pi = 0; pi < probes.size(); ++pi) {
       const nn::Tensor& in = in_node == nn::kModelInput
@@ -153,6 +154,7 @@ TuneResult tune_hash_lengths(const nn::Model& model,
     result.hash_bits.push_back(sens.chosen_bits);
     result.layers.push_back(std::move(sens));
   }
+  hashed.reset();  // the joint refinement compiles its own
 
   if (cfg.joint_refine) {
     // Greedy repair: per-layer choices compound, so validate the joint

@@ -16,7 +16,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "common/rng.hpp"
 
@@ -29,8 +29,9 @@ inline constexpr int kNumHashLengths = 4;
 /// The four realizable hash lengths: 256, 512, 768, 1024.
 inline constexpr int kHashLengths[kNumHashLengths] = {256, 512, 768, 1024};
 
-/// A dense n×k Gaussian projection matrix, stored row-major (k = columns),
-/// row 0 on a 64-byte boundary.
+/// A dense n×k Gaussian projection matrix, stored row-major (k = columns)
+/// in its own page-aligned anonymous mapping (huge-page aligned, with
+/// transparent huge pages asked for, from 2 MB up).
 class RandomProjection {
  public:
   /// Generates an `input_dim × hash_bits` matrix from `seed`.
@@ -44,7 +45,7 @@ class RandomProjection {
   static RandomProjection prefix(std::size_t input_dim, std::size_t width,
                                  std::uint64_t seed);
 
-  // Copies re-align their own storage; moves keep the buffer.
+  // Copies map their own storage; moves keep the mapping.
   RandomProjection(const RandomProjection& other);
   RandomProjection& operator=(const RandomProjection& other);
   RandomProjection(RandomProjection&&) noexcept = default;
@@ -59,8 +60,8 @@ class RandomProjection {
   float at(std::size_t row, std::size_t col) const {
     return data()[row * hash_bits_ + col];
   }
-  /// C itself: input_dim rows of hash_bits floats, 64-byte aligned.
-  const float* data() const { return storage_.data() + offset_; }
+  /// C itself: input_dim rows of hash_bits floats, page-aligned.
+  const float* data() const { return storage_.get(); }
 
   /// Batched SimHash, the one hashing call: hashes `count` row-major
   /// vectors (xs = count × input_dim, contiguous) to `k` <= hash_bits() bits
@@ -77,18 +78,23 @@ class RandomProjection {
                        std::uint64_t* sig_words) const;
 
  private:
-  /// Uninitialized input_dim × hash_bits storage.
+  /// Zeroed input_dim × hash_bits storage.
   RandomProjection(std::size_t input_dim, std::size_t hash_bits);
-  float* mutable_data() { return storage_.data() + offset_; }
+  float* mutable_data() { return storage_.get(); }
+
+  /// Unmaps `bytes` bytes of storage.
+  struct Unmap {
+    std::size_t bytes;
+    void operator()(float* p) const;
+  };
 
   std::size_t input_dim_;
   std::size_t hash_bits_;
-  // Row-major [input_dim][hash_bits] from storage_[offset_] on. The vector
-  // holds up to 15 spare floats in front, so row 0 starts on a 64-byte
-  // boundary wherever malloc puts the buffer (an aligned allocator would
-  // keep freed matrices from being reused).
-  std::vector<float> storage_;
-  std::size_t offset_ = 0;
+  // Row-major [input_dim][hash_bits]. The matrix is mapped, not malloc'd:
+  // a freed C goes straight back to the kernel, where malloc would raise
+  // its mmap threshold past C's size after the first free and then serve
+  // later matrices from per-thread arenas that keep their pages.
+  std::unique_ptr<float[], Unmap> storage_;
 };
 
 }  // namespace deepcam::hash

@@ -40,7 +40,7 @@ namespace {
 /// activation contexts hashed once at the full 1024 bits (every shorter k
 /// is a bit prefix) and the exact outputs they approximate.
 struct LayerSamples {
-  core::HashedLayer layer;
+  const core::HashedLayer& layer;
   std::vector<core::ContextBatch> acts;       // per probe
   std::vector<std::vector<double>> refs;      // per probe, [K][m] row-major
 };
@@ -88,6 +88,7 @@ std::vector<LayerFloor> Planner::accuracy_floors(
   std::vector<std::vector<nn::Tensor>> exact;
   exact.reserve(probes.size());
   for (const auto& p : probes) exact.push_back(model_->infer_all(p));
+  const auto hashed = core::hash_weights(*model_, cfg.base.hash_seed);
 
   for (std::size_t li = 0; li < geo.cam_layers.size(); ++li) {
     const CamLayerGeometry& cl = geo.cam_layers[li];
@@ -95,9 +96,8 @@ std::vector<LayerFloor> Planner::accuracy_floors(
 
     // Gather sampled contexts (hashed once, at the maximum length) and
     // their exact reference outputs.
-    LayerSamples samples{
-        core::hash_cam_layer(*model_, cl.node_index, cfg.base.hash_seed), {},
-        {}};
+    LayerSamples samples{hashed->layers[li], {}, {}};
+    DEEPCAM_CHECK(samples.layer.node_index == cl.node_index);
     // A conv samples m of its P patches; a linear layer's one context is
     // its whole input (P = m = 1).
     const std::size_t P = cl.patches;

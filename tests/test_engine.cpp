@@ -18,6 +18,7 @@
 
 #include "common/rng.hpp"
 #include "core/accelerator.hpp"
+#include "hash_oracle.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "nn/pointwise.hpp"
@@ -665,6 +666,171 @@ TEST(SharedHashedWeights, WeightsNarrowerThanTheConfigThrow) {
   cfg.default_hash_bits = 512;
   EXPECT_THROW(CompiledModel(*m, hash_weights(*m, 42, 256), cfg), Error);
   EXPECT_NO_THROW(CompiledModel(*m, hash_weights(*m, 42), cfg));
+}
+
+// --- hash_weights: CAM layers hashed concurrently ---------------------------
+
+/// The weight rows and context length n of CAM layer `node`.
+std::pair<const std::vector<float>*, std::size_t> cam_weights(
+    const nn::Model& m, std::size_t node) {
+  const nn::Layer& layer = m.layer(node);
+  if (layer.kind() == nn::LayerKind::kConv2D) {
+    const auto& conv = static_cast<const nn::Conv2D&>(layer);
+    return {&conv.weights(), conv.spec().patch_len()};
+  }
+  const auto& fc = static_cast<const nn::Linear&>(layer);
+  return {&fc.weights(), fc.in_features()};
+}
+
+/// Layer-by-layer reference: CAM layer `node` hashed alone on this thread
+/// by the recipe hash_weights documents.
+HashedLayer hash_alone(const nn::Model& m, std::size_t node,
+                       std::uint64_t seed, std::size_t width) {
+  const auto [weights, n] = cam_weights(m, node);
+  const nn::Layer& layer = m.layer(node);
+  const std::vector<float>& bias =
+      layer.kind() == nn::LayerKind::kConv2D
+          ? static_cast<const nn::Conv2D&>(layer).bias()
+          : static_cast<const nn::Linear&>(layer).bias();
+  ContextGenerator gen(n, layer_hash_seed(seed, node), width);
+  ContextBatch contexts = gen.weight_context_batch(*weights, width);
+  return {node, std::move(gen), std::move(contexts), bias};
+}
+
+/// Byte-for-byte equality of two hashings of one CAM layer: node, weight
+/// signatures, norm codes, exact norms and bias, plus the same C (probe
+/// vectors hashed by both generators agree).
+void expect_layers_identical(const HashedLayer& a, const HashedLayer& b) {
+  ASSERT_EQ(a.node_index, b.node_index);
+  const ContextBatch& wa = a.weights;
+  const ContextBatch& wb = b.weights;
+  ASSERT_EQ(wa.size(), wb.size()) << "node " << a.node_index;
+  ASSERT_EQ(wa.sig_bits(), wb.sig_bits());
+  ASSERT_EQ(0, std::memcmp(wa.sig(0), wb.sig(0),
+                           wa.size() * wa.words_per_sig() *
+                               sizeof(std::uint64_t)))
+      << "node " << a.node_index;
+  for (std::size_t i = 0; i < wa.size(); ++i) {
+    const double na = wa.exact_norm(i), nb = wb.exact_norm(i);
+    ASSERT_EQ(wa.norm_code(i), wb.norm_code(i));
+    ASSERT_EQ(0, std::memcmp(&na, &nb, sizeof(double)));
+  }
+  ASSERT_EQ(a.bias.size(), b.bias.size());
+  EXPECT_EQ(0, std::memcmp(a.bias.data(), b.bias.data(),
+                           a.bias.size() * sizeof(float)));
+  const std::size_t n = a.ctxgen.input_dim();
+  ASSERT_EQ(n, b.ctxgen.input_dim());
+  std::vector<float> probes(3 * n);
+  deepcam::Rng rng(a.node_index);
+  for (float& x : probes) x = static_cast<float>(rng.gaussian());
+  ContextBatch pa, pb;
+  a.ctxgen.contexts_into(probes.data(), 3, pa, wa.sig_bits());
+  b.ctxgen.contexts_into(probes.data(), 3, pb, wa.sig_bits());
+  EXPECT_EQ(0, std::memcmp(pa.sig(0), pb.sig(0),
+                           3 * pa.words_per_sig() * sizeof(std::uint64_t)))
+      << "node " << a.node_index;
+}
+
+TEST(HashWeights, ParallelMatchesLayerByLayer) {
+  // ResNet-18 has more CAM layers (21) than threads hash them; VGG11's
+  // layers differ in size by two orders of magnitude, so threads finish
+  // out of cam_nodes order.
+  for (const char* name : {"resnet18", "vgg11"}) {
+    const auto m = nn::make_model(name, 5);
+    const std::vector<std::size_t> nodes = cam_nodes(*m);
+    for (const std::size_t width : {1024u, 256u}) {
+      SCOPED_TRACE(std::string(name) + " at " + std::to_string(width));
+      const auto hashed = hash_weights(*m, 42, width);
+      EXPECT_EQ(hashed->model, m.get());
+      EXPECT_EQ(hashed->hash_seed, 42u);
+      ASSERT_EQ(hashed->layers.size(), nodes.size());
+      for (std::size_t li = 0; li < nodes.size(); ++li)
+        expect_layers_identical(hashed->layers[li],
+                                hash_alone(*m, nodes[li], 42, width));
+    }
+  }
+}
+
+TEST(HashWeights, TwoCallsAgree) {
+  const auto m = nn::make_model("vgg11", 6);
+  const auto a = hash_weights(*m, 9, 256);
+  const auto b = hash_weights(*m, 9, 256);
+  ASSERT_EQ(a->layers.size(), b->layers.size());
+  for (std::size_t li = 0; li < a->layers.size(); ++li)
+    expect_layers_identical(a->layers[li], b->layers[li]);
+}
+
+TEST(HashWeights, SmallModelMatchesTheScalarOracle) {
+  // Every kernel's context against the per-vector scalar oracle, under the
+  // C the layer's seed draws.
+  const auto m = nn::make_lenet5(8);
+  const std::vector<std::size_t> nodes = cam_nodes(*m);
+  for (const std::size_t width : {1024u, 256u}) {
+    const auto hashed = hash_weights(*m, 42, width);
+    ASSERT_EQ(hashed->layers.size(), nodes.size());
+    for (std::size_t li = 0; li < nodes.size(); ++li) {
+      const auto [weights, n] = cam_weights(*m, nodes[li]);
+      const hash::RandomProjection c = hash::RandomProjection::prefix(
+          n, width, layer_hash_seed(42, nodes[li]));
+      const ContextBatch& got = hashed->layers[li].weights;
+      ASSERT_EQ(got.size(), weights->size() / n);
+      for (std::size_t k = 0; k < got.size(); ++k) {
+        const oracle::Context ref = oracle::context(
+            c, std::span<const float>(weights->data() + k * n, n), width);
+        ASSERT_EQ(0, std::memcmp(got.sig(k), ref.bits.data(),
+                                 got.words_per_sig() * sizeof(std::uint64_t)))
+            << "layer " << li << " kernel " << k;
+        EXPECT_EQ(got.norm_code(k), ref.norm_code);
+        EXPECT_EQ(got.exact_norm(k), ref.exact_norm);
+      }
+    }
+  }
+}
+
+/// Four healthy layers around two that cannot be hashed, in either order:
+/// a linear layer without inputs (no projection matrix to draw) and one
+/// whose weights are no whole number of rows.
+std::unique_ptr<nn::Model> model_with_bad_layers(bool empty_first) {
+  auto m = std::make_unique<nn::Model>("bad_layers");
+  m->add(std::make_unique<nn::Linear>("big", 512, 256, 1));
+  auto empty = std::make_unique<nn::Linear>("empty", 0, 4, 2);
+  auto ragged = std::make_unique<nn::Linear>("ragged", 8, 4, 3);
+  ragged->weights().resize(31);
+  if (empty_first) {
+    m->add(std::move(empty));
+    m->add(std::make_unique<nn::Linear>("mid", 64, 64, 4));
+    m->add(std::move(ragged));
+  } else {
+    m->add(std::move(ragged));
+    m->add(std::make_unique<nn::Linear>("mid", 64, 64, 4));
+    m->add(std::move(empty));
+  }
+  m->add(std::make_unique<nn::Linear>("wide", 1024, 128, 5));
+  m->add(std::make_unique<nn::Linear>("small", 16, 8, 6));
+  return m;
+}
+
+TEST(HashWeights, FirstFailingLayerInCamOrderReachesTheCaller) {
+  // Threads take layers largest first, so both bad layers (the smallest)
+  // are hashed last; the caller still sees the error of the earlier one in
+  // cam_nodes order, as a deepcam::Error, after every thread has joined.
+  for (const bool empty_first : {true, false}) {
+    const auto m = model_with_bad_layers(empty_first);
+    const std::string expected =
+        empty_first ? "input_dim > 0" : "kernels.size() % proj_.input_dim()";
+    for (int call = 0; call < 2; ++call) {
+      try {
+        if (call == 0)
+          (void)hash_weights(*m, 42);
+        else
+          (void)CompiledModel(*m, DeepCamConfig{});
+        FAIL() << "hashing a layer without inputs must throw";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 // --- submit()/BatchFuture path (PR 4) --------------------------------------

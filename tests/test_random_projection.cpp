@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/bitvec.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/context.hpp"
 #include "hash_oracle.hpp"
@@ -97,29 +98,44 @@ TEST(RandomProjection, PrefixRowsLeaveTheStreamAsTheFullDraw) {
 }
 
 TEST(RandomProjection, RowZeroIsCacheLineAligned) {
-  // Every construction path puts C on a 64-byte boundary, whatever
-  // alignment the heap hands out; copies re-align their own buffer.
+  // Every construction path maps C on its own pages, so row 0 sits on a
+  // 64-byte boundary; copies map and fill their own storage, and moves keep
+  // the source's.
   const auto aligned = [](const RandomProjection& p) {
     return reinterpret_cast<std::uintptr_t>(p.data()) % 64 == 0;
   };
-  std::vector<RandomProjection> keep;  // varied heap positions
-  for (std::size_t n : {1u, 3u, 9u, 150u}) {
-    for (std::size_t k : {1u, 7u, 33u, 256u}) {
+  std::vector<RandomProjection> keep;  // many live mappings at once
+  // 600 × 1024 floats exceed a huge page: the huge-page-aligned mapping.
+  for (std::size_t n : {1u, 3u, 9u, 150u, 600u}) {
+    for (std::size_t k : {1u, 7u, 33u, 256u, 1024u}) {
       keep.emplace_back(n, k, n * 31 + k);
       EXPECT_TRUE(aligned(keep.back())) << n << "x" << k;
       const RandomProjection pre = RandomProjection::prefix(n, k, n + k);
       EXPECT_TRUE(aligned(pre)) << "prefix " << n << "x" << k;
       const RandomProjection copy = pre;
       EXPECT_TRUE(aligned(copy)) << "copy " << n << "x" << k;
+      EXPECT_NE(copy.data(), pre.data());
       EXPECT_EQ(0, std::memcmp(copy.data(), pre.data(),
                                n * k * sizeof(float)));
       RandomProjection assigned(1, 1, 0);
       assigned = pre;
       EXPECT_TRUE(aligned(assigned)) << "assigned " << n << "x" << k;
+      EXPECT_EQ(0, std::memcmp(assigned.data(), pre.data(),
+                               n * k * sizeof(float)));
+      const float* const storage = assigned.data();
       const RandomProjection moved = std::move(assigned);
-      EXPECT_TRUE(aligned(moved)) << "moved " << n << "x" << k;
+      EXPECT_EQ(moved.data(), storage) << "moved " << n << "x" << k;
     }
   }
+}
+
+TEST(RandomProjection, OversizedMatrixThrows) {
+  // A size that overflows the byte count, and one no address space holds,
+  // fail as a deepcam::Error before anything is drawn.
+  EXPECT_THROW(RandomProjection(std::size_t{1} << 62, 1024, 1),
+               deepcam::Error);
+  EXPECT_THROW(RandomProjection(std::size_t{1} << 50, 1024, 1),
+               deepcam::Error);
 }
 
 TEST(RandomProjection, EntriesApproximatelyStandardNormal) {
